@@ -65,3 +65,15 @@ class VariableCollision(CoxvarError):
 
 class NonIntegerExponent(CoxvarError):
     pass
+
+
+class NonSquareMatrix(CoxvarError, ValueError):
+    pass
+
+
+class ModulusOutOfRange(CoxvarError, ValueError):
+    pass
+
+
+class CountOutOfRange(CoxvarError, ValueError):
+    pass

@@ -17,14 +17,15 @@ import numpy as np
 from .arrangement import Arrangement
 from .coxeter_core import EnumeratedGroup
 from .errors import (
+    CountOutOfRange,
     NonIntegerExponent,
     OrderLimitExceeded,
     VariableCollision,
 )
 from .exact_algebra import Factorization, Mod, Monomial, det_mod_p
 
-# primes just above 2**31: squares stay inside int64 for vectorized
-# elimination; more are generated on demand
+# primes just above 2**31, inside det_mod_p's exact range p < 2**32; more
+# are generated on demand
 DEFAULT_PRIMES = (2147483659, 2147483693, 2147483713)
 
 MATRIX_DUMP_LIMIT = 200
@@ -40,6 +41,9 @@ def _factorial(n):
 
 
 def primes_list(count: int):
+    """The first ``count`` primes from DEFAULT_PRIMES upward; count >= 1."""
+    if count < 1:
+        raise CountOutOfRange(f"prime count {count} is below 1")
     ps = list(DEFAULT_PRIMES[:count])
     if count > len(ps):
         import sympy
@@ -285,15 +289,30 @@ def b_type_dictionary(group: EnumeratedGroup, n: int) -> dict[int, str]:
 
 def modular_matrix(group: EnumeratedGroup, values: np.ndarray,
                    p: int) -> np.ndarray:
-    """Numeric Varchenko matrix mod p for per-reflection weight values."""
+    """Numeric Varchenko matrix mod p for per-reflection weight values.
+
+    Eight reflections at a time: their inversion bits form a byte key per
+    chamber, the XOR of two keys is the byte of the separating set, and a
+    256-entry table holds the product of the weights for every byte.
+    Entries stay below p < 2**32, so their products fit in uint64.
+    """
     N = group.inversion_table
-    order = group.order
-    E = np.ones((order, order), dtype=np.int64)
-    for t in range(group.num_reflections):
-        col = N[:, t]
-        diff = col[:, None] ^ col[None, :]
-        E[diff] = E[diff] * int(values[t]) % p
-    return E
+    E = None  # every group has a reflection, so the loop assigns E
+    for t0 in range(0, group.num_reflections, 8):
+        bits = N[:, t0:t0 + 8]
+        key = (bits << np.arange(bits.shape[1], dtype=np.uint8)).sum(
+            axis=1, dtype=np.uint8)
+        table = np.ones(1, dtype=np.uint64)
+        for v in values[t0:t0 + 8]:
+            table = np.concatenate([table, table * np.uint64(int(v) % p)
+                                    % np.uint64(p)])
+        factor = table[key[:, None] ^ key[None, :]]
+        if E is None:
+            E = factor
+        else:
+            E *= factor
+            E %= np.uint64(p)
+    return E.view(np.int64)
 
 
 def verify_mod_p(group: EnumeratedGroup, wa: WeightAssignment,
@@ -303,7 +322,10 @@ def verify_mod_p(group: EnumeratedGroup, wa: WeightAssignment,
 
     For each (prime, trial) samples nonzero weights, compares the modular
     determinant of the chamber matrix with the evaluated closed form.
+    Raises CountOutOfRange unless there is at least one prime and one trial.
     """
+    if trials < 1:
+        raise CountOutOfRange(f"trial count {trials} is below 1")
     if group.order > budget:
         raise OrderLimitExceeded(
             f"|W| = {group.order} exceeds determinant budget {budget}",
@@ -312,6 +334,8 @@ def verify_mod_p(group: EnumeratedGroup, wa: WeightAssignment,
         primes = primes_list(3)
     elif isinstance(primes, int):
         primes = primes_list(primes)
+    elif not primes:
+        raise CountOutOfRange("no primes given")
     fact = closed_form_factorization(group, wa, floor_ambient=floor_ambient)
     rng = random.Random(seed)
     records = []

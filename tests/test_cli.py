@@ -85,6 +85,14 @@ def test_verify_pass_and_json(capsys):
     assert "zagier_single_q" in names
 
 
+@pytest.mark.parametrize("flags", [("--trials", "0"), ("--primes", "0"),
+                                   ("--primes", "-1")])
+def test_verify_rejects_counts_below_one(capsys, flags):
+    # each used to print PASS with zero records, or with two primes for -1
+    code, out, err = run(capsys, "verify", "B3", *flags)
+    assert code == 2 and out == "" and "below 1" in err
+
+
 def test_verify_reducible_cross_check(capsys):
     code, out, _ = run(capsys, "verify", "A1xA1", "--trials", "1",
                        "--primes", "1")

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from coxvar import group
 from coxvar.exact_algebra import (
+    DET_MODULUS_LIMIT,
     CycReal,
     Factorization,
     Golden,
@@ -17,7 +19,13 @@ from coxvar.exact_algebra import (
     det_mod_p,
     minimal_polynomial_2cos,
 )
-from coxvar.errors import DivisionByZero, MixedRings
+from coxvar.errors import (
+    DivisionByZero,
+    MixedRings,
+    ModulusOutOfRange,
+    NonSquareMatrix,
+)
+from coxvar.varchenko import modular_matrix, primes_list
 
 P = 2147483659
 
@@ -193,6 +201,166 @@ def test_det_mod_p_multiplicative():
                       for _ in range(4)], dtype=np.int64)
         lhs = det_mod_p(A.dot(B) % P, P)
         assert lhs == det_mod_p(A, P) * det_mod_p(B, P)
+
+
+def det_mod_p_unblocked(matrix, p: int) -> Mod:
+    """Reference: the unblocked int64 elimination det_mod_p used to run.
+
+    Accepts nested int lists, Mod entries, or an integer ndarray.  Gaussian
+    elimination with first-nonzero pivoting; deterministic for fixed input.
+    Requires p < 2**31.5 so products stay within int64.
+    """
+    if isinstance(matrix, np.ndarray):
+        M = matrix.astype(np.int64) % p
+    else:
+        rows = [[e.value if isinstance(e, Mod) else int(e) for e in row]
+                for row in matrix]
+        M = np.array(rows, dtype=np.int64) % p
+    n = M.shape[0]
+    assert M.shape == (n, n)
+    det = 1
+    for k in range(n):
+        col = M[k:, k]
+        nz = np.nonzero(col)[0]
+        if len(nz) == 0:
+            return Mod(0, p)
+        piv = k + int(nz[0])
+        if piv != k:
+            M[[k, piv]] = M[[piv, k]]
+            det = -det
+        pivval = int(M[k, k])
+        det = det * pivval % p
+        if k + 1 < n:
+            inv = pow(pivval, p - 2, p)
+            factors = M[k + 1:, k] * inv % p
+            M[k + 1:, k:] = (M[k + 1:, k:] - np.outer(factors, M[k, k:])) % p
+    return Mod(det, p)
+
+
+def _agree_with_reference(M, p):
+    det = det_mod_p(M, p)
+    assert det == det_mod_p_unblocked(M, p)
+    return det.value
+
+
+# orders on both sides of the 32-column panel and the 128-row update chunk
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65, 129, 300])
+def test_det_mod_p_matches_unblocked_reference(n):
+    rng = np.random.default_rng(n)
+    for p in primes_list(3):
+        _agree_with_reference(rng.integers(0, p, size=(n, n)), p)
+
+
+@pytest.mark.parametrize("c", [0, 5, 40, 69])
+def test_det_mod_p_singular_column_found_after_pivoting(c):
+    # column c is a combination of the columns before it, so it becomes
+    # zero below the diagonal only once those columns are eliminated
+    rng = np.random.default_rng(c)
+    n = 70
+    M = rng.integers(0, P, size=(n, n))
+    coeffs = rng.integers(0, P, size=c).astype(object)
+    M[:, c] = (M[:, :c].astype(object) @ coeffs) % P if c else 0
+    assert _agree_with_reference(M, P) == 0
+
+
+def test_det_mod_p_singular_repeated_rows():
+    rng = np.random.default_rng(4)
+    M = rng.integers(0, P, size=(100, 100))
+    M[77] = M[3]
+    assert _agree_with_reference(M, P) == 0
+
+
+@pytest.mark.parametrize("n", [7, 33, 70, 140])
+def test_det_mod_p_row_swaps(n):
+    # rows of an upper triangular matrix in shuffled order: every column
+    # needs a swap to find its pivot; det = sign(perm) * prod(diagonal)
+    rng = np.random.default_rng(n)
+    U = np.triu(rng.integers(0, P, size=(n, n)))
+    np.fill_diagonal(U, rng.integers(1, P, size=n))
+    perm = rng.permutation(n)
+    sign = 1
+    seen = np.zeros(n, dtype=bool)
+    for i in range(n):
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    expect = sign
+    for d in np.diag(U):
+        expect = expect * int(d) % P
+    assert _agree_with_reference(U[perm], P) == expect % P
+    # a random mix of the shuffled rows keeps the swaps nontrivial
+    L = np.tril(rng.integers(0, 2, size=(n, n)), -1) + np.eye(n, dtype=int)
+    mixed = (L.astype(object) @ U[perm].astype(object)) % P
+    assert _agree_with_reference(mixed.astype(np.int64), P) == expect % P
+
+
+@pytest.mark.parametrize("p", primes_list(5))
+def test_det_mod_p_extreme_entries(p):
+    # all entries p - 1: the largest limbs, rank one
+    assert _agree_with_reference(np.full((40, 40), p - 1), p) == 0
+    assert det_mod_p([[p - 1]], p).value == p - 1
+    # p - 1 off the diagonal, 0 on it: (p-1)^n * (-1)^(n-1) * (n-1)
+    n = 40
+    M = np.full((n, n), p - 1)
+    np.fill_diagonal(M, 0)
+    expect = pow(p - 1, n, p) * (-1) ** (n - 1) * (n - 1) % p
+    assert _agree_with_reference(M, p) == expect
+
+
+def test_det_mod_p_real_chamber_matrix():
+    g = group("B4")
+    rng = random.Random(5)
+    values = np.array([rng.randrange(1, P) for _ in range(g.num_reflections)],
+                      dtype=np.int64)
+    M = modular_matrix(g, values, P)
+    assert M.shape == (384, 384)
+    assert _agree_with_reference(M, P) != 0
+
+
+def test_det_mod_p_exact_below_2_pow_32():
+    # the largest prime below 2**32, beyond the unblocked kernel's range:
+    # det(perm * L * U) = sign * prod(diag U) with L unit lower triangular
+    p = 4294967291
+    assert p < DET_MODULUS_LIMIT
+    n = 200
+    rng = np.random.default_rng(32)
+    L = np.tril(rng.integers(0, p, size=(n, n)), -1)
+    np.fill_diagonal(L, 1)
+    U = np.triu(rng.integers(0, p, size=(n, n)))
+    np.fill_diagonal(U, rng.integers(1, p, size=n))
+    # exact L @ U mod p in int64 through 16-bit limbs of U
+    lo, hi = U & 0xFFFF, U >> 16
+    M = (L @ lo % p + ((L @ hi) % p << 16)) % p
+    expect = 1
+    for d in np.diag(U):
+        expect = expect * int(d) % p
+    assert det_mod_p(M, p).value == expect
+    reversal_sign = (-1) ** (n * (n - 1) // 2)
+    assert det_mod_p(M[::-1], p).value == expect * reversal_sign % p
+    B = rng.integers(0, p, size=(n, n))
+    blo, bhi = B & 0xFFFF, B >> 16
+    MB = (M @ blo % p + ((M @ bhi) % p << 16)) % p
+    assert det_mod_p(MB, p) == det_mod_p(M, p) * det_mod_p(B, p)
+
+
+def test_det_mod_p_rejects_non_square():
+    with pytest.raises(NonSquareMatrix):
+        det_mod_p(np.zeros((2, 3), dtype=np.int64), P)
+    with pytest.raises(NonSquareMatrix):
+        det_mod_p(np.zeros(4, dtype=np.int64), P)
+    with pytest.raises(NonSquareMatrix):
+        det_mod_p([[1, 2], [3]], P)
+
+
+@pytest.mark.parametrize("p", [0, 1, DET_MODULUS_LIMIT, 2 ** 61 - 1])
+def test_det_mod_p_rejects_modulus_outside_exact_range(p):
+    # at 2**61 - 1 the int64 kernel silently returned a wrong value
+    with pytest.raises(ModulusOutOfRange):
+        det_mod_p(np.eye(3, dtype=np.int64), p)
 
 
 # -- monomials and factorizations --------------------------------------------

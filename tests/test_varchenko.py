@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from coxvar import Factorization, Monomial, det_mod_p, group
-from coxvar.errors import OrderLimitExceeded, VariableCollision
+from coxvar.errors import (
+    CountOutOfRange,
+    OrderLimitExceeded,
+    VariableCollision,
+)
 from coxvar.varchenko import (
     DEFAULT_PRIMES,
     WeightAssignment,
@@ -35,6 +39,13 @@ def test_primes_list():
     import sympy
     assert all(sympy.isprime(p) for p in ps)
     assert all(p * p < 2 ** 63 - 1 for p in ps)  # products stay in int64
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_primes_list_rejects_counts_below_one(count):
+    # a negative count used to slice DEFAULT_PRIMES from the end
+    with pytest.raises(CountOutOfRange):
+        primes_list(count)
 
 
 # -- matrix construction -----------------------------------------------------
@@ -72,8 +83,11 @@ def test_matrix_cap():
             group("A5"), WeightAssignment.single_q(group("A5")))
 
 
-def test_modular_matrix_agrees_with_symbolic_entries():
-    g = group("B2")
+# B2 fills part of one 8-reflection key byte; B3 (9 reflections) and A4
+# (10) need a second, partial byte
+@pytest.mark.parametrize("spec", ["B2", "B3", "A4"])
+def test_modular_matrix_agrees_with_symbolic_entries(spec):
+    g = group(spec)
     wa = WeightAssignment.per_hyperplane(g)
     rng = random.Random(2)
     point = {v: rng.randrange(1, P) for v in wa.variables()}
@@ -254,6 +268,15 @@ def test_verify_mod_p_detects_wrong_exponents():
     det = det_mod_p(modular_matrix(g, values, P), P)
     assert good.eval_mod(point, P) == det
     assert bad.eval_mod(point, P) != det
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -2},
+                                    {"primes": 0}, {"primes": -1},
+                                    {"primes": []}])
+def test_verify_requires_a_determinant_record(kwargs):
+    g = group("B3")
+    with pytest.raises(CountOutOfRange):
+        verify_mod_p(g, WeightAssignment.per_hyperplane(g), **kwargs)
 
 
 def test_verify_budget_enforced():
