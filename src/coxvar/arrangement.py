@@ -17,6 +17,7 @@ from .coxeter_core import EnumeratedGroup, _mask
 from .errors import (
     BlocksOverlap,
     InvarianceViolation,
+    InvariantError,
     NoFullSupportReflection,
     ReflectionNotOnEdge,
 )
@@ -107,7 +108,10 @@ class Arrangement:
                             nxt.append(U2)
                 frontier = nxt
             expected = g.order // pd.normalizer_order
-            assert len(orbit) == expected, (J, len(orbit), expected)
+            if len(orbit) != expected:
+                raise InvariantError(
+                    f"edge orbit of class {J} has {len(orbit)} members, "
+                    f"but |W|/|N_W(W_J)| = {expected}")
             for cid, (U, word) in enumerate(sorted(orbit.items(),
                                                    key=lambda kv: sorted(kv[0]))):
                 edges.append(Edge(
@@ -117,7 +121,9 @@ class Arrangement:
                     coset_id=cid,
                 ))
         uniq = {e.reflections: e for e in edges}
-        assert len(uniq) == len(edges)
+        if len(uniq) != len(edges):
+            raise InvariantError(
+                f"{len(edges) - len(uniq)} edges occur in two classes")
         return sorted(uniq.values(), key=lambda e: (len(e), e.reflections))
 
     @lru_cache(maxsize=1)
@@ -136,27 +142,31 @@ class Arrangement:
     # -- multiplicity: chamber-counting oracle -------------------------------
 
     def chambers_spanning(self, edge: Edge, t: int) -> set[int]:
-        """All x whose face on hyperplane t spans exactly this edge."""
+        """All x whose face on hyperplane t spans exactly this edge.
+
+        The face of x on t spans the reflections D[x, T_K], where K is the
+        support of t^(x^-1).  Candidates are grouped by K.  Each row of D is
+        a permutation of the reflection indices, because conjugation by x is
+        a bijection, so D[x, T_K] has |T_K| distinct entries.  Its set
+        therefore equals the edge exactly when |T_K| = |E| and the row,
+        sorted, equals the sorted edge: one vectorized comparison per
+        support class instead of one Python set per chamber.
+        """
         if t not in edge.reflections:
             raise ReflectionNotOnEdge(f"reflection {t} not on edge")
         g = self.group
         D, C = g.conj_tables
         pd = self.parabolic(edge.class_J)
-        allowed = np.array(sorted({np.int64(_mask(K))
-                                   for K, _ in pd.coxeter_class}))
+        target = np.array(sorted(set(edge.reflections)))
         Ksup = g.refl_support[C[:, t]]
-        candidates = np.nonzero(np.isin(Ksup, allowed))[0]
-        target = frozenset(edge.reflections)
-        tk_cache = {}
         out = set()
-        for x in candidates:
-            Kmask = int(Ksup[x])
-            TK = tk_cache.get(Kmask)
-            if TK is None:
-                TK = g.reflection_indices_in(Kmask)
-                tk_cache[Kmask] = TK
-            if frozenset(int(v) for v in D[x, TK]) == target:
-                out.add(int(x))
+        for Kmask in {_mask(K) for K, _ in pd.coxeter_class}:
+            TK = g.reflection_indices_in(Kmask)
+            if len(TK) != len(target):
+                continue
+            xs = np.flatnonzero(Ksup == Kmask)
+            rows = np.sort(D[xs[:, None], TK[None, :]], axis=1)
+            out.update(xs[(rows == target).all(axis=1)].tolist())
         return out
 
     def count_L(self, edge: Edge, t: int) -> int:
@@ -166,7 +176,8 @@ class Arrangement:
         """l(E): half the chamber count, checked for hyperplane independence."""
         t0 = edge.reflections[0]
         c = self.count_L(edge, t0)
-        assert c % 2 == 0
+        if c % 2:
+            raise InvarianceViolation(f"|L(E,{t0})| = {c} is odd")
         for u in edge.reflections[1:]:
             cu = self.count_L(edge, u)
             if cu != c:
@@ -200,7 +211,10 @@ class Arrangement:
             )
             reports.append(ing)
         products = {a * b * c * d for a, b, c, d in reports}
-        assert len(products) == 1, (J, reports)
+        if len(products) != 1:
+            raise InvariantError(
+                f"ingredient products for {J} depend on the full-support "
+                f"reflection: {reports}")
         ing = reports[0]
         return MultiplicityReport(
             class_J=J,
@@ -245,7 +259,10 @@ class Arrangement:
         vinv = int(g.inv[v])
         cent_s_v = {g.mul(g.mul(vinv, int(c)), v)
                     for c in WJ if int(D[c, s]) == s}
-        assert cent_s_v == set(cent_t)
+        if cent_s_v != set(cent_t):
+            raise InvariantError(
+                f"centralizer of reflection {t} in W_J is not the "
+                f"centralizer of {s} conjugated by element {v}")
         floor = g.floor_class(t, ambient=self.floor_ambient)
         lengths = g.length
         blocks = {}
@@ -277,4 +294,4 @@ class Arrangement:
         for x in members:
             if int(D[x, u]) == t:
                 return int(x)
-        raise AssertionError(f"no conjugator from {u} to {t}")
+        raise InvariantError(f"no conjugator from {u} to {t}")

@@ -13,7 +13,14 @@ import sys
 
 from .arrangement import Arrangement
 from .coxeter_core import DEFAULT_ORDER_LIMIT, group
-from .errors import CoxvarError, OrderLimitExceeded, ParseError
+from .errors import (
+    BlocksOverlap,
+    CoxvarError,
+    InvarianceViolation,
+    InvariantError,
+    OrderLimitExceeded,
+    ParseError,
+)
 from .varchenko import (
     DET_BUDGET,
     HARD_DET_CAP,
@@ -30,6 +37,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_LIMIT = 3
+
+# errors meaning that a computed result failed a check, not that the input
+# was bad
+_VERIFICATION_ERRORS = (InvarianceViolation, BlocksOverlap, InvariantError)
 
 # Multiplicity ingredient tables for the two groups too large to enumerate
 # here.  Values are reproduced from the literature and are not recomputed,
@@ -202,6 +213,7 @@ def cmd_tables(args):
     with_oracle = g.order <= oracle_budget
     ar = Arrangement(g, floor_ambient=args.floor_ambient)
     reports = ar.multiplicity_reports(with_oracle=with_oracle)
+    ok = all(r.match for r in reports)
     if args.format == "json":
         _emit_json({
             "group": g.diagram.type_label,
@@ -225,7 +237,7 @@ def cmd_tables(args):
             flag = "ok" if r.match else "MISMATCH"
             print(f"{r.label:<8} {a:>4} {b:>4} {c:>6} {d:>6}  "
                   f"l = {r.l_formula:<8} oracle = {oracle:<8} {flag}")
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_verify(args):
@@ -334,6 +346,9 @@ def main(argv=None) -> int:
     except OrderLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except _VERIFICATION_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except CoxvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -55,6 +55,10 @@ class BlocksOverlap(CoxvarError):
     pass
 
 
+class InvariantError(CoxvarError):
+    """An identity that the theory guarantees failed on computed data."""
+
+
 class NoFullSupportReflection(CoxvarError):
     pass
 

@@ -4,7 +4,8 @@ The closed form is a product of one factor per relevant edge, with the
 edge weight monomial and the multiplicity exponent supplied by the
 arrangement module.  Verification never expands the symbolic determinant:
 it evaluates both sides at random points modulo several word-sized primes.
-A fully symbolic cofactor determinant is kept as an anchor for tiny groups.
+A fully symbolic Laplace-expansion determinant is kept as an anchor for tiny
+groups.
 """
 
 from __future__ import annotations
@@ -433,33 +434,38 @@ def concordance_checks(group: EnumeratedGroup) -> list[dict]:
 # fully symbolic anchor
 
 
-def cofactor_det(rows):
-    """Cofactor-expansion determinant of a nested list of sympy expressions."""
-    import sympy
-
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = sympy.Integer(0)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * cofactor_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 def symbolic_determinant(group: EnumeratedGroup, wa: WeightAssignment):
-    """Exact multivariate determinant via cofactor expansion (tiny groups)."""
+    """Exact multivariate determinant of a tiny chamber matrix.
+
+    Laplace expansion along the rows in order.  The minor left after the
+    first k rows depends only on the set of columns not yet used, so each
+    of the 2^n minors is computed once, as a bitmask-indexed `sympy.Poly`,
+    instead of n! products along the expansion tree.
+    """
     import sympy
 
     vm = build_varchenko_matrix(group, wa, cap=8)
-    rows = []
-    for r in vm.entries:
-        row = []
-        for m in r:
-            term = sympy.Integer(1)
-            for v, e in m.exps:
-                term *= sympy.Symbol(v) ** e
-            row.append(term)
-        rows.append(row)
-    return sympy.expand(cofactor_det(rows))
+    names = wa.variables()
+    pos = {v: i for i, v in enumerate(names)}
+    gens = [sympy.Symbol(v) for v in names]
+
+    def poly(m):
+        exps = [0] * len(names)
+        for v, e in m.exps:
+            exps[pos[v]] = e
+        return sympy.Poly.from_dict({tuple(exps): 1}, *gens)
+
+    rows = [[poly(m) for m in r] for r in vm.entries]
+    n = vm.order
+    minors = [None] * (1 << n)
+    minors[0] = sympy.Poly(1, *gens)
+    for cols in range(1, 1 << n):
+        row = rows[n - bin(cols).count("1")]
+        total = sympy.Poly(0, *gens)
+        sign = 1
+        for j in range(n):
+            if cols >> j & 1:
+                total += sign * row[j] * minors[cols ^ (1 << j)]
+                sign = -sign
+        minors[cols] = total
+    return minors[-1].as_expr()

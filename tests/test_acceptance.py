@@ -414,10 +414,15 @@ def _executable_lines(path):
 
 def _property_bundle():
     """Exercise of arrangement and varchenko run under the line tracer."""
+    import dataclasses
+    import itertools
+
     import numpy as np
 
     from coxvar.arrangement import Edge
+    from coxvar.coxeter_core import build_group, parse_group_spec
     from coxvar.errors import (
+        CoxvarError,
         OrderLimitExceeded,
         ReflectionNotOnEdge,
         VariableCollision,
@@ -473,6 +478,52 @@ def _property_bundle():
         raise AssertionError("invariance guard did not trigger")
     except Exception as exc:
         assert type(exc).__name__ == "InvarianceViolation"
+
+    class _OddOracle(Arrangement):
+        def count_L(self, edge, t):
+            return 3
+
+    class _WrongNormalizer(Arrangement):
+        def parabolic(self, J):
+            pd = super().parabolic(J)
+            return dataclasses.replace(
+                pd, normalizer_order=2 * pd.normalizer_order)
+
+    class _RepeatedClass(Arrangement):
+        def class_representatives(self):
+            reps = super().class_representatives()
+            return reps + reps[:1]
+
+    g_b2 = build_group(parse_group_spec("B2"))
+    counter = itertools.count(1)
+    g_b2.x_J_s = lambda J, s: next(counter)
+    g_a3 = build_group(parse_group_spec("A3"))
+    true_decomposition = g_a3.palindromic_decomposition
+    g_a3.palindromic_decomposition = \
+        lambda t: (true_decomposition(t)[0], 0)
+    t_a3 = int(g_a3.full_support_reflections()[0])
+    odd = _OddOracle(g3)
+    guards = [
+        (lambda: odd.multiplicity_oracle(odd.relevant_edges()[0]),
+         "InvarianceViolation"),
+        (lambda: _WrongNormalizer(g3).relevant_edges(), "InvariantError"),
+        (lambda: _RepeatedClass(g3).relevant_edges(), "InvariantError"),
+        (lambda: Arrangement(g_b2).multiplicity_formula((0, 1)),
+         "InvariantError"),
+        (lambda: Arrangement(g_a3).decompose_L((0, 1, 2), t_a3),
+         "InvariantError"),
+        (lambda: Arrangement(g3)._conjugator(0, 1, []), "InvariantError"),
+    ]
+    for trigger, name in guards:
+        try:
+            trigger()
+            raise AssertionError(f"{name} guard did not trigger")
+        except CoxvarError as exc:
+            assert type(exc).__name__ == name
+    # a reflection set that no face spans skips every support class
+    assert Arrangement(g3).chambers_spanning(
+        Edge(reflections=(0,), class_J=(0, 1), witness=0, coset_id=0),
+        0) == set()
 
     for spec in ("A2", "B2", "A1xA1"):
         g = group(spec)

@@ -1,12 +1,23 @@
 """Tests for edge enumeration and the two multiplicity routes."""
 
+import ast
+import dataclasses
+import itertools
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import coxvar.arrangement as arrangement_mod
 from coxvar import group
 from coxvar.arrangement import Arrangement, Edge
-from coxvar.errors import ReflectionNotOnEdge
+from coxvar.coxeter_core import _mask, build_group, parse_group_spec
+from coxvar.errors import (
+    InvarianceViolation,
+    InvariantError,
+    ReflectionNotOnEdge,
+)
 
 
 def arr(spec, **kw):
@@ -140,6 +151,78 @@ def test_count_L_examples():
     assert h.count_L(e0, e0.reflections[0]) == 24
 
 
+def chambers_spanning_reference(self, edge, t):
+    """The former per-chamber oracle loop, kept as the reference.
+
+    `self` is an Arrangement; the body is the library code before the
+    sorted-row comparison replaced it.
+    """
+    if t not in edge.reflections:
+        raise ReflectionNotOnEdge(f"reflection {t} not on edge")
+    g = self.group
+    D, C = g.conj_tables
+    pd = self.parabolic(edge.class_J)
+    allowed = np.array(sorted({np.int64(_mask(K))
+                               for K, _ in pd.coxeter_class}))
+    Ksup = g.refl_support[C[:, t]]
+    candidates = np.nonzero(np.isin(Ksup, allowed))[0]
+    target = frozenset(edge.reflections)
+    tk_cache = {}
+    out = set()
+    for x in candidates:
+        Kmask = int(Ksup[x])
+        TK = tk_cache.get(Kmask)
+        if TK is None:
+            TK = g.reflection_indices_in(Kmask)
+            tk_cache[Kmask] = TK
+        if frozenset(int(v) for v in D[x, TK]) == target:
+            out.add(int(x))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3", "I2(5)", "B2xA1"])
+def test_chambers_spanning_matches_reference_on_every_edge(spec):
+    a = arr(spec)
+    edges = a.relevant_edges()
+    assert any(e.witness != 0 for e in edges)
+    for edge in edges:
+        for t in edge.reflections:
+            assert a.chambers_spanning(edge, t) == \
+                chambers_spanning_reference(a, edge, t), (edge, t)
+
+
+@pytest.mark.parametrize("spec", ["F4", "H4"])
+def test_chambers_spanning_matches_reference_on_class_edges(spec):
+    a = arr(spec)
+    for J in a.class_representatives():
+        pd = a.parabolic(J)
+        edge = Edge(reflections=tuple(int(t) for t in pd.T_J),
+                    class_J=J, witness=0, coset_id=0)
+        for t in edge.reflections[:3]:
+            got = a.chambers_spanning(edge, t)
+            assert got, (J, t)
+            assert got == chambers_spanning_reference(a, edge, t), (J, t)
+
+
+class _NoRowGather:
+    """numpy stand-in that fails when chambers of a support class are read."""
+
+    def __getattr__(self, name):
+        if name == "flatnonzero":
+            raise AssertionError("a support class of the wrong size was read")
+        return getattr(np, name)
+
+
+def test_chambers_spanning_skips_classes_of_the_wrong_size(monkeypatch):
+    # one A3 hyperplane labelled with the A2 class: every face of that class
+    # spans three reflections, so no face spans this one-reflection set
+    a = arr("A3")
+    edge = Edge(reflections=(0,), class_J=(0, 1), witness=0, coset_id=0)
+    assert chambers_spanning_reference(a, edge, 0) == set()
+    monkeypatch.setattr(arrangement_mod, "np", _NoRowGather())
+    assert a.chambers_spanning(edge, 0) == set()
+
+
 def test_count_L_rejects_foreign_reflection():
     a = arr("A2")
     e = [e for e in a.relevant_edges() if len(e) == 1][0]
@@ -227,3 +310,76 @@ def test_decompose_L_reproduces_chamber_set(spec, J):
     if small:
         with pytest.raises(ValueError):
             a.decompose_L(J, small[0])
+
+
+# -- invariant guards --------------------------------------------------------
+# Healthy data never reaches these; each test feeds one deliberately wrong
+# ingredient and expects a typed error that survives python -O.
+
+
+class _OddOracle(Arrangement):
+    def count_L(self, edge, t):
+        return 3
+
+
+class _WrongNormalizer(Arrangement):
+    def parabolic(self, J):
+        pd = super().parabolic(J)
+        return dataclasses.replace(pd,
+                                   normalizer_order=2 * pd.normalizer_order)
+
+
+class _RepeatedClass(Arrangement):
+    def class_representatives(self):
+        reps = super().class_representatives()
+        return reps + reps[:1]
+
+
+def test_oracle_rejects_odd_chamber_count():
+    a = _OddOracle(group("A2"))
+    with pytest.raises(InvarianceViolation, match="odd"):
+        a.multiplicity_oracle(a.relevant_edges()[0])
+
+
+def test_relevant_edges_checks_orbit_size():
+    with pytest.raises(InvariantError, match="N_W"):
+        _WrongNormalizer(group("A2")).relevant_edges()
+
+
+def test_relevant_edges_rejects_an_edge_in_two_classes():
+    with pytest.raises(InvariantError, match="two classes"):
+        _RepeatedClass(group("A2")).relevant_edges()
+
+
+def test_formula_checks_agreement_over_full_support_reflections():
+    # B2 has two full-support reflections; make x_J_s differ between them
+    g = build_group(parse_group_spec("B2"))
+    counter = itertools.count(1)
+    g.x_J_s = lambda J, s: next(counter)
+    with pytest.raises(InvariantError, match="depend on"):
+        Arrangement(g).multiplicity_formula((0, 1))
+
+
+def test_decompose_L_checks_centralizer_identity():
+    # drop the conjugator v from t = v^-1 s v, so the centralizer of s
+    # stands in for that of t
+    g = build_group(parse_group_spec("A3"))
+    true_decomposition = g.palindromic_decomposition
+    g.palindromic_decomposition = lambda t: (true_decomposition(t)[0], 0)
+    t = int(g.full_support_reflections()[0])
+    with pytest.raises(InvariantError, match="centralizer"):
+        Arrangement(g).decompose_L((0, 1, 2), t)
+
+
+def test_conjugator_search_reports_failure():
+    with pytest.raises(InvariantError, match="no conjugator"):
+        arr("A2")._conjugator(0, 1, [])
+
+
+def test_arrangement_module_has_no_assert_statements():
+    # python -O strips assert; invariants here must raise typed errors
+    path = Path(arrangement_mod.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert lines == [], f"assert statements at lines {lines} of {path.name}"

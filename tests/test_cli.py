@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from coxvar.arrangement import Arrangement
 from coxvar.cli import main
+from coxvar.errors import BlocksOverlap, InvarianceViolation, InvariantError
 
 
 def run(capsys, *argv):
@@ -121,6 +123,46 @@ def test_tables_text_H3(capsys):
     code, out, _ = run(capsys, "tables", "H3")
     assert code == 0
     assert "l = 32" in out and "l = 12" in out
+
+
+_true_reports = Arrangement.multiplicity_reports
+
+
+def _mismatching_reports(self, with_oracle=False):
+    reports = _true_reports(self, with_oracle)
+    reports[-1].l_oracle = reports[-1].l_formula + 1
+    return reports
+
+
+@pytest.mark.parametrize("command", ["tables", "multiplicity"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oracle_mismatch_exits_1(capsys, monkeypatch, command, fmt):
+    code, good, _ = run(capsys, command, "A3", "--format", fmt)
+    assert code == 0
+    monkeypatch.setattr(Arrangement, "multiplicity_reports",
+                        _mismatching_reports)
+    code, bad, _ = run(capsys, command, "A3", "--format", fmt)
+    assert code == 1
+    # only the doctored last row changes
+    if fmt == "text":
+        assert bad.splitlines()[:-1] == good.splitlines()[:-1]
+        assert bad.splitlines()[-1].endswith("MISMATCH")
+    else:
+        key = "rows" if command == "tables" else "reports"
+        assert json.loads(bad)[key][:-1] == json.loads(good)[key][:-1]
+        assert json.loads(bad)[key][-1]["match"] is False
+
+
+@pytest.mark.parametrize("error", [InvarianceViolation, BlocksOverlap,
+                                   InvariantError])
+def test_verification_errors_exit_1(capsys, monkeypatch, error):
+    def fail(self, with_oracle=False):
+        raise error("doctored")
+
+    monkeypatch.setattr(Arrangement, "multiplicity_reports", fail)
+    for command in ("tables", "multiplicity"):
+        code, out, err = run(capsys, command, "A3")
+        assert code == 1 and out == "" and "doctored" in err
 
 
 def test_tables_literature_display(capsys):

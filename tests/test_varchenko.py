@@ -299,6 +299,39 @@ def test_verify_is_deterministic():
 # -- symbolic anchor ---------------------------------------------------------
 
 
+def cofactor_det(rows):
+    """Cofactor-expansion determinant of a nested list of sympy expressions.
+
+    The naive n!-term expansion, kept as the reference for the memoized
+    Laplace expansion in `symbolic_determinant`.
+    """
+    import sympy
+
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = sympy.Integer(0)
+    for j in range(n):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * cofactor_det(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+@pytest.mark.parametrize("spec", ["A1", "A1xA1", "I2(3)"])
+def test_symbolic_determinant_equals_cofactor_reference(spec):
+    import sympy
+    g = group(spec)
+    for wa in (WeightAssignment.per_hyperplane(g),
+               WeightAssignment.per_orbit(g),
+               WeightAssignment.single_q(g)):
+        rows = [[sympy.Mul(*(sympy.Symbol(v) ** e for v, e in m.exps))
+                 for m in r]
+                for r in build_varchenko_matrix(g, wa).entries]
+        assert symbolic_determinant(g, wa) == \
+            sympy.expand(cofactor_det(rows))
+
+
 @pytest.mark.parametrize("spec", ["A1", "A1xA1", "I2(3)", "B2"])
 def test_symbolic_determinant_equals_closed_form(spec):
     import sympy
