@@ -19,7 +19,9 @@ from .errors import (
     InvarianceViolation,
     InvariantError,
     NoFullSupportReflection,
+    ReducibleSubset,
     ReflectionNotOnEdge,
+    SupportMismatch,
 )
 
 FORMULA_CROSSCHECK_LIMIT = 1152  # brute-force checks only below this order
@@ -90,34 +92,21 @@ class Arrangement:
     def relevant_edges(self):
         """All relevant edges, deduplicated and globally sorted."""
         g = self.group
-        R = g.conj_by_gen
         edges = []
         for J in self.class_representatives():
             pd = self.parabolic(J)
-            TJ = frozenset(int(t) for t in pd.T_J)
-            orbit = {TJ: []}
-            frontier = [TJ]
-            while frontier:
-                nxt = []
-                for U in frontier:
-                    wU = orbit[U]
-                    for gen in range(g.n):
-                        U2 = frozenset(int(R[t, gen]) for t in U)
-                        if U2 not in orbit:
-                            orbit[U2] = wU + [gen]
-                            nxt.append(U2)
-                frontier = nxt
+            rows, wits = g.subset_orbit(pd.T_J)
             expected = g.order // pd.normalizer_order
-            if len(orbit) != expected:
+            if len(rows) != expected:
                 raise InvariantError(
-                    f"edge orbit of class {J} has {len(orbit)} members, "
+                    f"edge orbit of class {J} has {len(rows)} members, "
                     f"but |W|/|N_W(W_J)| = {expected}")
-            for cid, (U, word) in enumerate(sorted(orbit.items(),
-                                                   key=lambda kv: sorted(kv[0]))):
+            # coset ids number the edges of a class in lexicographic order
+            for cid, i in enumerate(np.lexsort(rows.T[::-1])):
                 edges.append(Edge(
-                    reflections=tuple(sorted(U)),
+                    reflections=tuple(rows[i].tolist()),
                     class_J=J,
-                    witness=g.element_of_word(word),
+                    witness=int(wits[i]),
                     coset_id=cid,
                 ))
         uniq = {e.reflections: e for e in edges}
@@ -133,8 +122,8 @@ class Arrangement:
     def minimal_edge_through_chamber_face(self, x: int, t: int) -> Edge:
         """The edge spanned by the face of chamber x on hyperplane t."""
         g = self.group
-        D, C = g.conj_tables
-        Kmask = int(g.refl_support[C[x, t]])
+        D = g.conj_tables
+        Kmask = int(g.refl_support[D[g.inv[x], t]])
         TK = g.reflection_indices_in(Kmask)
         refl = frozenset(int(D[x, u]) for u in TK)
         return self.edge_lookup()[refl]
@@ -145,20 +134,20 @@ class Arrangement:
         """All x whose face on hyperplane t spans exactly this edge.
 
         The face of x on t spans the reflections D[x, T_K], where K is the
-        support of t^(x^-1).  Candidates are grouped by K.  Each row of D is
-        a permutation of the reflection indices, because conjugation by x is
-        a bijection, so D[x, T_K] has |T_K| distinct entries.  Its set
-        therefore equals the edge exactly when |T_K| = |E| and the row,
-        sorted, equals the sorted edge: one vectorized comparison per
-        support class instead of one Python set per chamber.
+        support of t^(x^-1) = D[x^-1, t].  Candidates are grouped by K.  Each
+        row of D is a permutation of the reflection indices, because
+        conjugation by x is a bijection, so D[x, T_K] has |T_K| distinct
+        entries.  Its set therefore equals the edge exactly when |T_K| = |E|
+        and the row, sorted, equals the sorted edge: one vectorized
+        comparison per support class instead of one Python set per chamber.
         """
         if t not in edge.reflections:
             raise ReflectionNotOnEdge(f"reflection {t} not on edge")
         g = self.group
-        D, C = g.conj_tables
+        D = g.conj_tables
         pd = self.parabolic(edge.class_J)
         target = np.array(sorted(set(edge.reflections)))
-        Ksup = g.refl_support[C[:, t]]
+        Ksup = g.refl_support[D[g.inv, t]]
         out = set()
         for Kmask in {_mask(K) for K, _ in pd.coxeter_class}:
             TK = g.reflection_indices_in(Kmask)
@@ -193,7 +182,7 @@ class Arrangement:
         g = self.group
         pd = self.parabolic(J)
         if not pd.irreducible:
-            raise ValueError(f"J = {J} is not irreducible")
+            raise ReducibleSubset(f"J = {J} is not irreducible")
         Jmask = _mask(J)
         full = [t for t in range(g.num_reflections)
                 if int(g.refl_support[t]) == Jmask]
@@ -247,13 +236,13 @@ class Arrangement:
         J = tuple(sorted(J))
         g = self.group
         if int(g.refl_support[t]) != _mask(J):
-            raise ValueError(f"reflection {t} does not have support {J}")
+            raise SupportMismatch(f"reflection {t} does not have support {J}")
         pd = self.parabolic(J)
         N_members = pd.normalizer_members()
         nset = set(int(x) for x in N_members)
         s, v = g.palindromic_decomposition(t)
         # centralizer of t in W_J, and N_{W_J}(W_{s})^v which must equal it
-        D, _ = g.conj_tables
+        D = g.conj_tables
         WJ = pd.W_J
         cent_t = [int(x) for x in WJ if int(D[x, t]) == t]
         vinv = int(g.inv[v])
@@ -289,8 +278,7 @@ class Arrangement:
 
     def _conjugator(self, u: int, t: int, members) -> int:
         """Some c in the given member set with u^c = t."""
-        g = self.group
-        D, _ = g.conj_tables
+        D = self.group.conj_tables
         for x in members:
             if int(D[x, u]) == t:
                 return int(x)

@@ -3,25 +3,36 @@
 Groups are enumerated by breadth-first search through the geometric
 reflection representation, realized over the smallest exact ring for each
 type and embedded into integer matrices via the companion matrix of the
-ring generator.  After enumeration every element is a dense integer id and
-all further work happens on multiplication / conjugation tables, so no
-matrix arithmetic survives on any hot path.
+ring generator.  Enumeration yields the element ids, their reduced-word
+tree (``parent``, ``gen_of``) and ``right_mul``; no matrix is touched after
+it.  Every other table follows from the tree one length level at a time:
+an element y = x s of length k depends only on its parent x of length
+k - 1, so ``left_mul[y] = right_mul[left_mul[x], s]`` (as g y = (g x) s),
+and the inverses, conjugation and inversion tables are built the same way.
+
+Every orbit the library needs -- the reflections, their conjugacy
+classes, the floor classes, the Coxeter class of a subset and the edge
+orbits -- is an orbit of sets of points under generators, computed by the
+one helper ``EnumeratedGroup._orbit``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import factorial
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import (
     GeneratorNotInJ,
+    InvariantError,
     NonFiniteDiagram,
     OrderLimitExceeded,
     ParseError,
     RankOutOfRange,
+    UnknownAmbient,
     UnsupportedType,
 )
 from .exact_algebra import minimal_polynomial_2cos
@@ -30,20 +41,13 @@ MAX_RANK = 16
 DEFAULT_ORDER_LIMIT = 10**6
 
 
-def _factorial(n):
-    r = 1
-    for i in range(2, n + 1):
-        r *= i
-    return r
-
-
 def known_order(letter: str, param: int) -> int:
     if letter == "A":
-        return _factorial(param + 1)
+        return factorial(param + 1)
     if letter == "B":
-        return 2**param * _factorial(param)
+        return 2**param * factorial(param)
     if letter == "D":
-        return 2 ** (param - 1) * _factorial(param)
+        return 2 ** (param - 1) * factorial(param)
     if letter == "E":
         return {6: 51840, 7: 2903040, 8: 696729600}[param]
     if letter == "F":
@@ -422,9 +426,6 @@ class _MatrixEngine:
     def right_apply(self, stack, g):
         return stack @ self.gens[g]
 
-    def left_apply(self, stack, g):
-        return self.gens[g] @ stack
-
     @staticmethod
     def keys(stack):
         return [stack[i].tobytes() for i in range(stack.shape[0])]
@@ -454,10 +455,6 @@ class _DihedralEngine:
         gg = self.gens[g]
         return [self._mul(x, gg) for x in stack]
 
-    def left_apply(self, stack, g):
-        gg = self.gens[g]
-        return [self._mul(gg, x) for x in stack]
-
     @staticmethod
     def keys(stack):
         return list(stack)
@@ -480,11 +477,6 @@ class _ProductEngine:
     def right_apply(self, stack, g):
         c, lg = self.gen_map[g]
         tab = self.groups[c].right_mul
-        return [x[:c] + (int(tab[x[c], lg]),) + x[c + 1:] for x in stack]
-
-    def left_apply(self, stack, g):
-        c, lg = self.gen_map[g]
-        tab = self.groups[c].left_mul
         return [x[:c] + (int(tab[x[c], lg]),) + x[c + 1:] for x in stack]
 
     @staticmethod
@@ -515,6 +507,7 @@ class EnumeratedGroup:
         self.support = support  # bitmask over generators
         self.order = len(length)
         self.full_mask = (1 << self.n) - 1
+        self._levels = _levels(length)
 
     # -- basic element calculus ---------------------------------------------
 
@@ -535,33 +528,62 @@ class EnumeratedGroup:
     @cached_property
     def inv(self):
         inv = np.zeros(self.order, dtype=np.int64)
-        for y in range(1, self.order):
-            x, g = int(self.parent[y]), int(self.gen_of[y])
-            inv[y] = self.left_mul[inv[x], g]
+        for ys in self._levels:
+            # (x s)^-1 = s x^-1
+            inv[ys] = self.left_mul[inv[self.parent[ys]], self.gen_of[ys]]
         return inv
 
     @property
     def longest_element(self) -> int:
         return int(np.argmax(self.length))
 
+    # -- orbits --------------------------------------------------------------
+
+    def _orbit(self, start, act, gens=None):
+        """Orbit of sorted int rows under the point action ``act[i, g]``.
+
+        The generator g maps a row r to the sorted row act[r, g].  ``start``
+        holds distinct rows of one width; ``gens`` defaults to all of S.  The
+        orbit grows one level at a time: a level's candidates are ordered
+        frontier-major and generator-minor, and the first occurrence of each
+        row not seen before is kept.  Returns the rows in discovery order
+        and, per row, the witness element w = g1 g2 ... gk of its discovery
+        path (from the identity for a start row), carried by ``right_mul``;
+        for a conjugation action, row = start row ^ w.
+        """
+        gens = np.arange(self.n) if gens is None else np.asarray(gens)
+        level = np.sort(np.asarray(start, dtype=np.int64), axis=1)
+        level_wits = np.zeros(len(level), dtype=np.int64)
+        seen = set(map(tuple, level.tolist()))
+        parts, wit_parts = [level], [level_wits]
+        while len(level):
+            size = len(level) * len(gens)
+            cand = np.sort(act[level[:, None, :], gens[:, None]],
+                           axis=2).reshape(size, level.shape[1])
+            cand_wits = self.right_mul[level_wits[:, None], gens].reshape(size)
+            first = {}  # new row -> index of its first occurrence
+            for i, row in enumerate(map(tuple, cand.tolist())):
+                if row not in seen:
+                    first.setdefault(row, i)
+            seen.update(first)
+            new = list(first.values())
+            level, level_wits = cand[new], cand_wits[new]
+            parts.append(level)
+            wit_parts.append(level_wits)
+        return np.concatenate(parts), np.concatenate(wit_parts)
+
     # -- reflections ---------------------------------------------------------
 
     @cached_property
     def refl_ids(self):
         """Element ids of all reflections, sorted (= closure of S under conj)."""
-        seen = set(range(1, self.n + 1))
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for g in range(self.n):
-                    u = int(self.left_mul[self.right_mul[t, g], g])  # g t g
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        ids = np.array(sorted(seen), dtype=np.int64)
-        assert list(ids[: self.n]) == list(range(1, self.n + 1))
+        gens = np.arange(self.n)
+        conj = self.left_mul[self.right_mul, gens]  # conj[x, g] = g x g
+        rows, _ = self._orbit(self.right_mul[0, :, None], conj)
+        ids = np.sort(rows[:, 0])
+        if not np.array_equal(ids[:self.n], gens + 1):
+            raise InvariantError(
+                "the simple reflections are not the reflections 1..n")
         return ids
 
     @cached_property
@@ -583,40 +605,34 @@ class EnumeratedGroup:
     @cached_property
     def conj_by_gen(self):
         """R[t, g] = reflection index of t^g = g t g."""
-        nT = self.num_reflections
-        R = np.zeros((nT, self.n), dtype=np.int64)
-        for ti, t in enumerate(self.refl_ids):
-            for g in range(self.n):
-                R[ti, g] = self.refl_index[
-                    self.left_mul[self.right_mul[t, g], g]]
-        return R
+        t = self.refl_ids[:, None]
+        gens = np.arange(self.n)
+        return self.refl_index[self.left_mul[self.right_mul[t, gens], gens]]
 
     @cached_property
     def conj_tables(self):
-        """(D, C): D[x, t] = index of t^x, C[x, t] = index of t^(x^-1)."""
-        nT = self.num_reflections
+        """D[x, t] = index of t^x; the index of t^(x^-1) is D[inv[x], t]."""
         R = self.conj_by_gen
-        D = np.zeros((self.order, nT), dtype=np.int32)
-        C = np.zeros((self.order, nT), dtype=np.int32)
-        D[0] = np.arange(nT)
-        C[0] = np.arange(nT)
-        for y in range(1, self.order):
-            x, g = int(self.parent[y]), int(self.gen_of[y])
-            D[y] = R[:, g][D[x]]          # t^(xg) = (t^x)^g
-            C[y] = C[x][R[:, g]]          # t^((xg)^-1) = (t^g)^(x^-1)
-        return D, C
+        D = np.zeros((self.order, self.num_reflections), dtype=np.int32)
+        D[0] = np.arange(self.num_reflections)
+        for ys in self._levels:
+            # t^(x s) = (t^x)^s
+            D[ys] = R[D[self.parent[ys]], self.gen_of[ys][:, None]]
+        return D
 
     @cached_property
     def inversion_table(self):
         """Boolean table: N[x, t] iff reflection t is a left inversion of x."""
-        _, C = self.conj_tables
+        D, inv = self.conj_tables, self.inv
         N = np.zeros((self.order, self.num_reflections), dtype=bool)
-        for y in range(1, self.order):
-            x, g = int(self.parent[y]), int(self.gen_of[y])
-            N[y] = N[x]
-            c = C[x, g]  # x g x^-1 as a reflection index
-            assert not N[y, c]
-            N[y, c] = True
+        for ys in self._levels:
+            ids, xs = np.arange(ys.start, ys.stop), self.parent[ys]
+            # N(x s) = N(x) plus x s x^-1 = s^(x^-1), which x lacks
+            c = D[inv[xs], self.gen_of[ys]]
+            N[ys] = N[xs]
+            if N[ids, c].any():
+                raise InvariantError("a reduced word repeats an inversion")
+            N[ids, c] = True
         return N
 
     def inversion_set(self, x: int) -> set[int]:
@@ -628,7 +644,7 @@ class EnumeratedGroup:
 
     def conj_refl(self, t: int, x: int) -> int:
         """Reflection index of t^x."""
-        return int(self.conj_tables[0][x, t])
+        return int(self.conj_tables[x, t])
 
     # -- parabolic machinery -------------------------------------------------
 
@@ -664,27 +680,13 @@ class EnumeratedGroup:
         u = self.mul(w, int(self.inv[x]))
         return u, x
 
-    def subset_orbit(self, J):
-        """Conjugation orbit of the generator subset J, with witness words.
+    def subset_orbit(self, refls):
+        """Conjugation orbit of a set of reflection indices, with witnesses.
 
-        Returns dict mapping frozenset(reflection indices) -> word w such
-        that J^w equals that set.
+        Returns (rows, witnesses): the members as sorted rows in discovery
+        order, and per row an element w with row = {t^w : t in refls}.
         """
-        start = frozenset(int(s) for s in J)
-        R = self.conj_by_gen
-        orbit = {start: []}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for K in frontier:
-                wK = orbit[K]
-                for g in range(self.n):
-                    K2 = frozenset(int(R[t, g]) for t in K)
-                    if K2 not in orbit:
-                        orbit[K2] = wK + [g]
-                        nxt.append(K2)
-            frontier = nxt
-        return orbit
+        return self._orbit([sorted(int(t) for t in refls)], self.conj_by_gen)
 
     def element_of_word(self, word) -> int:
         x = 0
@@ -698,16 +700,12 @@ class EnumeratedGroup:
         W_J = self.parabolic_members(J)
         T_J = self.reflection_indices_in(Jmask)
         X_J = self.min_coset_reps(J)
-        # Coxeter class: orbit members that are subsets of S, with witnesses
-        orbit = self.subset_orbit(J)
-        Sgens = frozenset(range(self.n))
-        cox_class = []
-        for K, wordJK in orbit.items():
-            if K <= Sgens:
-                # J^w = K, so K^(w^-1) = J
-                w = self.element_of_word(wordJK)
-                cox_class.append((tuple(sorted(K)), int(self.inv[w])))
-        cox_class.sort()
+        # Coxeter class: orbit members that are subsets of S, with witnesses;
+        # J^w = K, so K^(w^-1) = J
+        rows, wits = self.subset_orbit(J)
+        inside = (rows < self.n).all(axis=1)
+        cox_class = sorted((tuple(K), int(self.inv[w]))
+                           for K, w in zip(rows[inside].tolist(), wits[inside]))
         X_SJ = self._stabilizing_reps(X_J, J)
         return ParabolicData(
             J=J,
@@ -725,8 +723,7 @@ class EnumeratedGroup:
         """Members x of X with J^x = J (setwise)."""
         if len(J) == 0:
             return X
-        D, _ = self.conj_tables
-        block = D[np.ix_(X, list(J))]
+        block = self.conj_tables[np.ix_(X, list(J))]
         block = np.sort(block, axis=1)
         target = np.array(sorted(J))
         ok = (block == target[None, :]).all(axis=1)
@@ -736,34 +733,19 @@ class EnumeratedGroup:
         """|X(J, {s})| = half the order of the centralizer of s in W_J."""
         if s not in set(J):
             raise GeneratorNotInJ(f"generator {s} not in {J}")
-        D, _ = self.conj_tables
         members = self.parabolic_members(J)
-        cnt = int((D[members, s] == s).sum())
+        cnt = int((self.conj_tables[members, s] == s).sum())
         return cnt // 2
 
     def reflection_conjugacy_classes(self):
         """Orbits of T under W-conjugation, sorted by smallest member."""
-        R = self.conj_by_gen
-        nT = self.num_reflections
-        seen = np.full(nT, -1, dtype=np.int64)
+        seen = np.zeros(self.num_reflections, dtype=bool)
         classes = []
-        for t in range(nT):
-            if seen[t] >= 0:
-                continue
-            orb = {t}
-            frontier = [t]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for g in range(self.n):
-                        v = int(R[u, g])
-                        if v not in orb:
-                            orb.add(v)
-                            nxt.append(v)
-                frontier = nxt
-            for u in orb:
-                seen[u] = len(classes)
-            classes.append(tuple(sorted(orb)))
+        for t in range(self.num_reflections):
+            if not seen[t]:
+                rows, _ = self._orbit([[t]], self.conj_by_gen)
+                seen[rows[:, 0]] = True
+                classes.append(tuple(sorted(rows[:, 0].tolist())))
         return classes
 
     @cached_property
@@ -792,20 +774,10 @@ class EnumeratedGroup:
         elif ambient == "W":
             gens = list(range(self.n))
         else:
-            raise ValueError(f"unknown ambient {ambient!r}")
-        R = self.conj_by_gen
-        orb = {t}
-        frontier = [t]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g in gens:
-                    v = int(R[u, g])
-                    if v not in orb:
-                        orb.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return sorted(u for u in orb if int(self.refl_support[u]) == Jmask)
+            raise UnknownAmbient(f"unknown ambient {ambient!r}")
+        rows, _ = self._orbit([[t]], self.conj_by_gen, gens)
+        return sorted(u for u in rows[:, 0].tolist()
+                      if int(self.refl_support[u]) == Jmask)
 
     def palindromic_decomposition(self, t: int):
         """(s, v) with t = v^-1 s v, s a generator, v in the support parabolic."""
@@ -821,13 +793,13 @@ class EnumeratedGroup:
             v = self.element_of_word(word[k + 1:])
             return s, v
         # middle-letter construction failed; fall back to brute-force search
-        D, _ = self.conj_tables
+        D = self.conj_tables
         J = self.support_set(telem)
         for v in self.parabolic_members(J):
             for s2 in J:
                 if int(D[v, s2]) == t:
                     return s2, int(v)
-        raise AssertionError("no palindromic decomposition found")
+        raise InvariantError(f"no palindromic decomposition of reflection {t}")
 
 
 @dataclass
@@ -851,8 +823,20 @@ class ParabolicData:
         for u in self.W_J:
             for x in self.X_SJ:
                 out.add(g.mul(int(u), int(x)))
-        assert len(out) == self.normalizer_order
+        if len(out) != self.normalizer_order:
+            raise InvariantError(
+                f"W_J X(S,J) has {len(out)} elements, not "
+                f"|N_W(W_J)| = {self.normalizer_order}")
         return np.array(sorted(out), dtype=np.int64)
+
+
+def _levels(length):
+    """Id slices of the elements of each length >= 1, shortest first.
+
+    Enumeration numbers the elements by length, so each level is a range.
+    """
+    bounds = [*(np.flatnonzero(np.diff(length)) + 1), len(length)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _mask(J) -> int:
@@ -932,34 +916,21 @@ def _bfs_enumerate(diagram, engine) -> EnumeratedGroup:
     right_mul = np.zeros((order, n), dtype=np.int32)
     for lids, rows in right_rows:
         right_mul[lids, :] = rows
-    # left multiplication via a second pass over all elements
+    parent = np.array(parent, dtype=np.int32)
+    gen_of = np.array(gen_of, dtype=np.int16)
+    length = np.array(length, dtype=np.int16)
     left_mul = np.zeros((order, n), dtype=np.int32)
-    if isinstance(engine, _MatrixEngine):
-        # rebuild all matrices in id order (cheap: one pass along words)
-        N = engine.identity.shape[0]
-        mats = np.zeros((order, N, N), dtype=np.int64)
-        mats[0] = engine.identity
-        for y in range(1, order):
-            mats[y] = mats[parent[y]] @ engine.gens[gen_of[y]]
-        for g in range(n):
-            out = engine.gens[g] @ mats
-            for x in range(order):
-                left_mul[x, g] = ids[out[x].tobytes()]
-    else:
-        allkeys = [None] * order
-        for k, i in ids.items():
-            allkeys[i] = k
-        for g in range(n):
-            out = engine.left_apply(allkeys, g)
-            for x in range(order):
-                left_mul[x, g] = ids[out[x]]
+    left_mul[0] = right_mul[0]  # g e = e g
+    for ys in _levels(length):
+        # g (x s) = (g x) s
+        left_mul[ys] = right_mul[left_mul[parent[ys]], gen_of[ys][:, None]]
     return EnumeratedGroup(
         diagram,
         right_mul=right_mul,
         left_mul=left_mul,
-        parent=np.array(parent, dtype=np.int32),
-        gen_of=np.array(gen_of, dtype=np.int16),
-        length=np.array(length, dtype=np.int16),
+        parent=parent,
+        gen_of=gen_of,
+        length=length,
         support=np.array(support, dtype=np.int64),
     )
 

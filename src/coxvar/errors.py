@@ -81,3 +81,19 @@ class ModulusOutOfRange(CoxvarError, ValueError):
 
 class CountOutOfRange(CoxvarError, ValueError):
     pass
+
+
+class ParameterOutOfRange(CoxvarError, ValueError):
+    """A numeric argument, such as a rank or a bond label, is not accepted."""
+
+
+class UnknownAmbient(CoxvarError, ValueError):
+    pass
+
+
+class ReducibleSubset(CoxvarError, ValueError):
+    pass
+
+
+class SupportMismatch(CoxvarError, ValueError):
+    pass

@@ -1,255 +1,45 @@
-"""Exact scalar rings, sparse monomial algebra, and a modular determinant kernel.
+"""Prime-field scalars, sparse monomial algebra, a modular determinant kernel.
 
-Scalars come in four flavours: plain ``int``/``Fraction`` (handled by the
-stdlib), ``Golden`` for the ring Q(phi) needed by the H types, ``CycReal``
-for the real cyclotomic ring Q(2cos(pi/m)) used by generic dihedral groups,
-and ``Mod`` for prime-field evaluation.  Everything is immutable and exact.
-Floating point appears only in the ``det_mod_p`` kernel, and only for
-integers below 2**53, which float64 holds and sums exactly.
+Scalars are plain ``int`` and ``Mod`` for prime-field evaluation.  The
+rings Z[2cos(pi/m)] of the H and I2(m) types are never scalars here: the
+matrix engine of ``coxeter_core`` embeds them into integer matrices through
+the companion matrix of the minimal polynomial (``minimal_polynomial_2cos``).
+Everything is immutable and exact.  Floating point appears only in the
+``det_mod_p`` kernel, and only for integers below 2**53, which float64 holds
+and sums exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
     DivisionByZero,
+    InvariantError,
     MixedRings,
     ModulusOutOfRange,
     NonSquareMatrix,
+    ParameterOutOfRange,
     UnassignedVariable,
 )
-
-
-class Golden:
-    """Element a + b*phi of Q(phi), with phi**2 = phi + 1."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, Golden):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Golden(x, 0)
-        if isinstance(x, CycReal):
-            raise MixedRings("cannot mix Golden and CycReal operands")
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Golden(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Golden(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Golden(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a1 + b1 phi)(a2 + b2 phi) with phi^2 = phi + 1
-        return Golden(
-            self.a * o.a + self.b * o.b,
-            self.a * o.b + self.b * o.a + self.b * o.b,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        # conjugate of phi is 1 - phi; norm = a^2 + a b - b^2
-        norm = self.a * self.a + self.a * self.b - self.b * self.b
-        if norm == 0:
-            raise DivisionByZero("inverse of zero in Q(phi)")
-        return Golden((self.a + self.b) / norm, -self.b / norm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"Golden({self.a}, {self.b})"
 
 
 @lru_cache(maxsize=None)
 def minimal_polynomial_2cos(m: int) -> tuple[int, ...]:
     """Monic minimal polynomial of 2cos(pi/m), descending integer coefficients."""
     if m < 3:
-        raise ValueError("m must be >= 3")
+        raise ParameterOutOfRange(f"bond label m = {m}; need m >= 3")
     import sympy
 
     x = sympy.Symbol("x")
     poly = sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / m), x, polys=True)
     coeffs = tuple(int(c) for c in poly.all_coeffs())
-    assert coeffs[0] == 1
+    if coeffs[0] != 1:
+        raise InvariantError(f"minimal polynomial of 2cos(pi/{m}) is not monic")
     return coeffs
-
-
-def _poly_mod(coeffs, minpoly):
-    """Reduce a low-degree-first coefficient list modulo monic minpoly."""
-    d = len(minpoly) - 1
-    coeffs = list(coeffs)
-    # minpoly descending: x^d = -(minpoly[1] x^(d-1) + ... + minpoly[d])
-    tail = [Fraction(-c) for c in minpoly[1:]]  # descending, degree d-1 .. 0
-    while len(coeffs) > d:
-        top = coeffs.pop()
-        k = len(coeffs) - d  # shift for x^(d+k)
-        for i, c in enumerate(tail):
-            # tail[i] multiplies x^(d-1-i)
-            coeffs[k + d - 1 - i] += top * c
-    while len(coeffs) < d:
-        coeffs.append(Fraction(0))
-    return tuple(Fraction(c) for c in coeffs)
-
-
-class CycReal:
-    """Element of Q(theta), theta = 2cos(pi/m), coefficients low-degree first."""
-
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m, coeffs=(0,)):
-        self.m = m
-        self.coeffs = _poly_mod([Fraction(c) for c in coeffs],
-                                minimal_polynomial_2cos(m))
-
-    @classmethod
-    def theta(cls, m):
-        return cls(m, (0, 1))
-
-    def _coerce(self, x):
-        if isinstance(x, CycReal):
-            if x.m != self.m:
-                raise MixedRings("CycReal operands from different rings")
-            return x
-        if isinstance(x, (int, Fraction)):
-            return CycReal(self.m, (x,))
-        if isinstance(x, Golden):
-            raise MixedRings("cannot mix CycReal and Golden operands")
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycReal(self.m, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycReal(self.m, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    prod[i + j] += a * b
-        return CycReal(self.m, prod)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        # extended Euclid against the (irreducible) minimal polynomial
-        if not any(self.coeffs):
-            raise DivisionByZero("inverse of zero in Q(theta)")
-        minpoly = minimal_polynomial_2cos(self.m)
-        a = [Fraction(c) for c in reversed(minpoly)]  # low-first
-        b = list(self.coeffs)
-        # invariants: s_a*self + t_a*minpoly = a  (t coefficients irrelevant)
-        s_a, s_b = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        def sub_scaled(p, q, c, k):
-            res = list(p) + [Fraction(0)] * max(0, len(q) + k - len(p))
-            for i, qc in enumerate(q):
-                res[i + k] -= c * qc
-            return res
-
-        while deg(b) > 0:
-            while deg(a) >= deg(b):
-                da, db = deg(a), deg(b)
-                c = a[da] / b[db]
-                a = sub_scaled(a, b, c, da - db)
-                s_a = sub_scaled(s_a, s_b, c, da - db)
-            a, b, s_a, s_b = b, a, s_b, s_a
-        db = deg(b)
-        if db < 0:
-            raise DivisionByZero("inverse of zero divisor in Q(theta)")
-        lead = b[db]
-        return CycReal(self.m, [c / lead for c in s_b])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash((self.m, self.coeffs))
-
-    def __repr__(self):
-        return f"CycReal(m={self.m}, {self.coeffs})"
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
@@ -19,8 +20,10 @@ from .arrangement import Arrangement
 from .coxeter_core import EnumeratedGroup
 from .errors import (
     CountOutOfRange,
+    InvariantError,
     NonIntegerExponent,
     OrderLimitExceeded,
+    ParameterOutOfRange,
     VariableCollision,
 )
 from .exact_algebra import Factorization, Mod, Monomial, det_mod_p
@@ -32,13 +35,6 @@ DEFAULT_PRIMES = (2147483659, 2147483693, 2147483713)
 MATRIX_DUMP_LIMIT = 200
 DET_BUDGET = 1152
 HARD_DET_CAP = 14400
-
-
-def _factorial(n):
-    r = 1
-    for i in range(2, n + 1):
-        r *= i
-    return r
 
 
 def primes_list(count: int):
@@ -123,13 +119,9 @@ def closed_form_factorization(group: EnumeratedGroup, wa: WeightAssignment,
                               ) -> Factorization:
     """One factor (1 - a(E)^2)^l(E) per relevant edge, normalized."""
     ar = arrangement or Arrangement(group, floor_ambient=floor_ambient)
-    l_of_class = {J: ar.multiplicity_formula(J).l_formula
-                  for J in ar.class_representatives()}
-    factors = []
-    for edge in ar.relevant_edges():
-        mono = Monomial.from_vars(wa.var_of[t] for t in edge.reflections)
-        factors.append((mono, l_of_class[edge.class_J]))
-    return Factorization(tuple(factors)).normalize()
+    return Factorization(tuple(
+        (mono, mult) for _, mono, mult in edge_factors(group, wa, ar))
+    ).normalize()
 
 
 def edge_factors(group: EnumeratedGroup, wa: WeightAssignment,
@@ -151,10 +143,11 @@ def edge_factors(group: EnumeratedGroup, wa: WeightAssignment,
 
 def zagier_formula(n: int) -> Factorization:
     """Single-variable determinant of the braid arrangement on n letters."""
-    assert n >= 2
+    if n < 2:
+        raise ParameterOutOfRange(f"n = {n} letters; need n >= 2")
     factors = []
     for k in range(1, n):
-        num = _factorial(n) * (n - k)
+        num = factorial(n) * (n - k)
         den = k * k + k
         if num % den:
             raise NonIntegerExponent(f"exponent {num}/{den} at k={k}")
@@ -170,7 +163,8 @@ def pair_var(i: int, j: int) -> str:
 
 def duchamp_formula_A(n: int) -> Factorization:
     """Per-hyperplane determinant of the braid arrangement on n letters."""
-    assert n >= 2
+    if n < 2:
+        raise ParameterOutOfRange(f"n = {n} letters; need n >= 2")
     from itertools import combinations
 
     factors = []
@@ -178,7 +172,7 @@ def duchamp_formula_A(n: int) -> Factorization:
         for I in combinations(range(1, n + 1), size):
             mono = Monomial.from_vars(pair_var(i, j)
                                       for i, j in combinations(I, 2))
-            exp = _factorial(size - 2) * _factorial(n - size + 1)
+            exp = factorial(size - 2) * factorial(n - size + 1)
             factors.append((mono, exp))
     return Factorization(tuple(factors)).normalize()
 
@@ -197,7 +191,8 @@ def singleton_var(i: int) -> str:
 
 def randriamaro_formula_B(n: int) -> Factorization:
     """Per-hyperplane determinant of the type-B arrangement."""
-    assert n >= 1
+    if n < 1:
+        raise ParameterOutOfRange(f"rank n = {n}; need n >= 1")
     from itertools import combinations, product
 
     factors = []
@@ -208,8 +203,8 @@ def randriamaro_formula_B(n: int) -> Factorization:
                 J = (mags[0],) + tuple(m * s for m, s in zip(mags[1:], signs))
                 mono = Monomial.from_vars(signed_pair_var(a, b)
                                           for a, b in combinations(J, 2))
-                exp = (2 ** (n - size + 1) * _factorial(size - 2)
-                       * _factorial(n - size + 1))
+                exp = (2 ** (n - size + 1) * factorial(size - 2)
+                       * factorial(n - size + 1))
                 factors.append((mono, exp))
     for size in range(1, n + 1):
         for I in combinations(range(1, n + 1), size):
@@ -218,7 +213,7 @@ def randriamaro_formula_B(n: int) -> Factorization:
                 vs.append(f"a_{i}_{j}")
                 vs.append(f"a_m{i}_{j}")
             mono = Monomial.from_vars(vs)
-            exp = 2 ** (n - 1) * _factorial(size - 1) * _factorial(n - size)
+            exp = 2 ** (n - 1) * factorial(size - 1) * factorial(n - size)
             factors.append((mono, exp))
     return Factorization(tuple(factors)).normalize()
 
@@ -240,7 +235,9 @@ def reducible_product(f1: Factorization, order2: int,
 
 def a_type_dictionary(group: EnumeratedGroup, n: int) -> dict[int, str]:
     """Reflection index -> pair variable, via the permutation model on [n]."""
-    assert group.diagram.rank == n - 1
+    if group.diagram.rank != n - 1:
+        raise ParameterOutOfRange(
+            f"rank {group.diagram.rank} group on n = {n} letters")
     gens = []
     for i in range(n - 1):
         P = np.eye(n, dtype=np.int64)
@@ -252,14 +249,16 @@ def a_type_dictionary(group: EnumeratedGroup, n: int) -> dict[int, str]:
         for g in group.word(int(group.refl_ids[t])):
             M = M @ gens[g]
         moved = [i for i in range(n) if M[i, i] != 1]
-        assert len(moved) == 2
+        if len(moved) != 2:
+            raise InvariantError(f"reflection {t} moves {len(moved)} letters")
         out[t] = pair_var(moved[0] + 1, moved[1] + 1)
     return out
 
 
 def b_type_dictionary(group: EnumeratedGroup, n: int) -> dict[int, str]:
     """Reflection index -> signed variable, via signed permutations of [n]."""
-    assert group.diagram.rank == n
+    if group.diagram.rank != n:
+        raise ParameterOutOfRange(f"rank {group.diagram.rank} group, n = {n}")
     gens = []
     F = np.eye(n, dtype=np.int64)
     F[0, 0] = -1
@@ -276,11 +275,12 @@ def b_type_dictionary(group: EnumeratedGroup, n: int) -> dict[int, str]:
         moved = [i for i in range(n) if M[i, i] != 1]
         if len(moved) == 1:
             out[t] = singleton_var(moved[0] + 1)
-        else:
+        elif len(moved) == 2 and abs(int(M[moved[0], moved[1]])) == 1:
             i, j = moved
-            sign = int(M[i, j])
-            assert sign in (1, -1)
-            out[t] = signed_pair_var(i + 1, (j + 1) * sign)
+            out[t] = signed_pair_var(i + 1, (j + 1) * int(M[i, j]))
+        else:
+            raise InvariantError(
+                f"reflection {t} is no signed transposition of {moved}")
     return out
 
 

@@ -503,6 +503,11 @@ def _property_bundle():
         lambda t: (true_decomposition(t)[0], 0)
     t_a3 = int(g_a3.full_support_reflections()[0])
     odd = _OddOracle(g3)
+    # doctored words that are no palindromes map to 3-cycles
+    a3_words = build_group(parse_group_spec("A3"))
+    a3_words.word = lambda x: [0, 1]
+    b3_words = build_group(parse_group_spec("B3"))
+    b3_words.word = lambda x: [1, 2]
     guards = [
         (lambda: odd.multiplicity_oracle(odd.relevant_edges()[0]),
          "InvarianceViolation"),
@@ -513,6 +518,13 @@ def _property_bundle():
         (lambda: Arrangement(g_a3).decompose_L((0, 1, 2), t_a3),
          "InvariantError"),
         (lambda: Arrangement(g3)._conjugator(0, 1, []), "InvariantError"),
+        (lambda: zagier_formula(1), "ParameterOutOfRange"),
+        (lambda: duchamp_formula_A(1), "ParameterOutOfRange"),
+        (lambda: randriamaro_formula_B(0), "ParameterOutOfRange"),
+        (lambda: a_type_dictionary(group("A3"), 5), "ParameterOutOfRange"),
+        (lambda: b_type_dictionary(group("B3"), 4), "ParameterOutOfRange"),
+        (lambda: a_type_dictionary(a3_words, 4), "InvariantError"),
+        (lambda: b_type_dictionary(b3_words, 3), "InvariantError"),
     ]
     for trigger, name in guards:
         try:

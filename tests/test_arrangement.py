@@ -9,15 +9,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coxvar
 import coxvar.arrangement as arrangement_mod
 from coxvar import group
 from coxvar.arrangement import Arrangement, Edge
 from coxvar.coxeter_core import _mask, build_group, parse_group_spec
 from coxvar.errors import (
+    CoxvarError,
     InvarianceViolation,
     InvariantError,
+    ParameterOutOfRange,
+    ReducibleSubset,
     ReflectionNotOnEdge,
+    SupportMismatch,
+    UnknownAmbient,
 )
+from coxvar.exact_algebra import minimal_polynomial_2cos
 
 
 def arr(spec, **kw):
@@ -61,7 +68,7 @@ def test_edges_are_closed_reflection_sets():
     for spec in ("A3", "B3", "I2(6)", "A2xA1"):
         a = arr(spec)
         g = a.group
-        D, _ = g.conj_tables
+        D = g.conj_tables
         for edge in a.relevant_edges():
             refl = set(edge.reflections)
             members = set()
@@ -87,7 +94,7 @@ def test_edge_witness_conjugates_class_onto_edge():
     for spec in ("A3", "B3", "D4"):
         a = arr(spec)
         g = a.group
-        D, _ = g.conj_tables
+        D = g.conj_tables
         for edge in a.relevant_edges():
             TJ = a.parabolic(edge.class_J).T_J
             img = {int(D[edge.witness, t]) for t in TJ}
@@ -160,7 +167,8 @@ def chambers_spanning_reference(self, edge, t):
     if t not in edge.reflections:
         raise ReflectionNotOnEdge(f"reflection {t} not on edge")
     g = self.group
-    D, C = g.conj_tables
+    D = g.conj_tables
+    C = D[g.inv]  # C[x, t] = index of t^(x^-1)
     pd = self.parabolic(edge.class_J)
     allowed = np.array(sorted({np.int64(_mask(K))
                                for K, _ in pd.coxeter_class}))
@@ -376,10 +384,29 @@ def test_conjugator_search_reports_failure():
         arr("A2")._conjugator(0, 1, [])
 
 
+@pytest.mark.parametrize("call,error", [
+    (lambda: group("H3").floor_class(0, ambient="nope"), UnknownAmbient),
+    (lambda: arr("A3").multiplicity_formula((0, 2)), ReducibleSubset),
+    (lambda: arr("A3").decompose_L((0, 1), 0), SupportMismatch),
+    (lambda: minimal_polynomial_2cos(2), ParameterOutOfRange),
+], ids=["floor_class", "multiplicity_formula", "decompose_L",
+        "minimal_polynomial_2cos"])
+def test_bad_arguments_raise_typed_value_errors(call, error):
+    # ValueError keeps callers that caught the former bare ValueError working
+    with pytest.raises(error) as exc:
+        call()
+    assert isinstance(exc.value, CoxvarError)
+    assert isinstance(exc.value, ValueError)
+
+
 def test_arrangement_module_has_no_assert_statements():
-    # python -O strips assert; invariants here must raise typed errors
-    path = Path(arrangement_mod.__file__)
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Assert)]
-    assert lines == [], f"assert statements at lines {lines} of {path.name}"
+    # python -O strips assert; invariants in every module of the library,
+    # arrangement.py included, must raise typed errors
+    paths = sorted(Path(coxvar.__file__).parent.glob("*.py"))
+    assert len(paths) >= 7
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == [], f"assert statements at {found}"

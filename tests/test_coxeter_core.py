@@ -1,5 +1,6 @@
 """Tests for group enumeration, reflections, and parabolic machinery."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from coxvar import build_group, group, parse_group_spec
 from coxvar.coxeter_core import known_order, known_reflection_count
 from coxvar.errors import (
+    InvariantError,
     NonFiniteDiagram,
     OrderLimitExceeded,
     ParseError,
@@ -125,7 +127,8 @@ def test_support_is_union_of_word_letters():
 def test_conjugation_tables_agree_with_multiplication():
     for spec in ("A3", "B3", "I2(7)", "A2xA1"):
         g = group(spec)
-        D, C = g.conj_tables
+        D = g.conj_tables
+        C = D[g.inv]  # C[x, t] = index of t^(x^-1)
         rng = random.Random(1)
         for _ in range(200):
             x = rng.randrange(g.order)
@@ -146,9 +149,8 @@ def test_dihedral_engine_matches_matrix_engine():
         assert (fast.length == slow.length).all()
         assert (fast.right_mul == slow.right_mul).all()
         assert (fast.left_mul == slow.left_mul).all()
-        Df, Cf = fast.conj_tables
-        Ds, Cs = slow.conj_tables
-        assert (Df == Ds).all() and (Cf == Cs).all()
+        Df, Ds = fast.conj_tables, slow.conj_tables
+        assert (Df == Ds).all() and (Df[fast.inv] == Ds[slow.inv]).all()
 
 
 def test_single_reflection_class_iff_all_bonds_odd():
@@ -187,7 +189,7 @@ def test_howlett_normalizer_factorization():
     # |N_W(W_J)| = |W_J| * |X(S,J)| for every irreducible J
     for spec in ("A3", "A4", "B3", "B4", "D4", "H3", "I2(5)", "I2(8)"):
         g = group(spec)
-        D, _ = g.conj_tables
+        D = g.conj_tables
         for J in g.diagram.irreducible_subsets():
             pd = g.parabolic_data(J)
             TJ = set(int(t) for t in pd.T_J)
@@ -205,7 +207,7 @@ def test_coxeter_class_witnesses():
         pd = g.parabolic_data(J)
         for K, c in pd.coxeter_class:
             # the witness conjugates K back onto J
-            D, _ = g.conj_tables
+            D = g.conj_tables
             img = {int(D[int(c), s]) for s in K}
             assert img == set(J)
 
@@ -262,6 +264,69 @@ def test_subset_orbit_counts():
     # the three A1 end nodes are one Coxeter class plus the center
     pd = g.parabolic_data((0,))
     assert len(pd.coxeter_class) == 4
+
+
+def subset_orbit_reference(g, refls):
+    """The former frozenset BFS, kept as the reference for subset_orbit.
+
+    Returns dict mapping frozenset(reflection indices) -> word w such that
+    refls^w equals that set, in discovery order.
+    """
+    start = frozenset(int(t) for t in refls)
+    R = g.conj_by_gen
+    orbit = {start: []}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for K in frontier:
+            wK = orbit[K]
+            for gen in range(g.n):
+                K2 = frozenset(int(R[t, gen]) for t in K)
+                if K2 not in orbit:
+                    orbit[K2] = wK + [gen]
+                    nxt.append(K2)
+        frontier = nxt
+    return orbit
+
+
+@pytest.mark.parametrize("spec", ["A3", "B4", "D4", "H3", "I2(8)", "B2xA1"])
+def test_subset_orbit_matches_the_reference_bfs(spec):
+    # same members, same discovery order, same witness elements
+    g = group(spec)
+    D = g.conj_tables
+    for J in g.diagram.irreducible_subsets():
+        T_J = g.reflection_indices_in(sum(1 << s for s in J))
+        for start in (J, T_J):
+            rows, wits = g.subset_orbit(start)
+            ref = subset_orbit_reference(g, start)
+            assert rows.tolist() == [sorted(K) for K in ref]
+            assert wits.tolist() == [g.element_of_word(w)
+                                     for w in ref.values()]
+            img = np.sort(D[wits[:, None], np.array(start)[None, :]], axis=1)
+            assert (img == rows).all()
+    rows, wits = g.subset_orbit(())
+    assert rows.shape == (1, 0) and wits.tolist() == [0]
+
+
+def test_table_guards():
+    # each guard sees one doctored table and must raise a typed error
+    g = build_group(parse_group_spec("A2"))
+    g.left_mul = np.zeros_like(g.left_mul)  # conjugation lands on e
+    with pytest.raises(InvariantError, match="simple reflections"):
+        g.refl_ids
+    g = build_group(parse_group_spec("A2"))
+    g.conj_tables = np.zeros_like(g.conj_tables)
+    with pytest.raises(InvariantError, match="repeats an inversion"):
+        g.inversion_table
+    g = build_group(parse_group_spec("A2"))
+    g.word = lambda x: [0]  # no middle letter conjugates to t
+    g.parabolic_members = lambda J: []
+    with pytest.raises(InvariantError, match="palindromic"):
+        g.palindromic_decomposition(2)
+    pd = group("A3").parabolic_data((0, 1))
+    pd = dataclasses.replace(pd, normalizer_order=pd.normalizer_order + 1)
+    with pytest.raises(InvariantError, match="N_W"):
+        pd.normalizer_members()
 
 
 def test_product_group_structure():

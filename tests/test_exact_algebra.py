@@ -1,7 +1,6 @@
 """Unit tests for the exact arithmetic layer."""
 
 import random
-from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -11,9 +10,7 @@ from hypothesis import given, strategies as st
 from coxvar import group
 from coxvar.exact_algebra import (
     DET_MODULUS_LIMIT,
-    CycReal,
     Factorization,
-    Golden,
     Mod,
     Monomial,
     det_mod_p,
@@ -28,43 +25,6 @@ from coxvar.errors import (
 from coxvar.varchenko import modular_matrix, primes_list
 
 P = 2147483659
-
-small_fracs = st.fractions(
-    min_value=-5, max_value=5, max_denominator=8)
-
-
-# -- Golden ------------------------------------------------------------------
-
-
-@given(small_fracs, small_fracs, small_fracs, small_fracs)
-def test_golden_ring_axioms(a, b, c, d):
-    x = Golden(a, b)
-    y = Golden(c, d)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert (x + y) * x == x * x + y * x
-    assert x - x == Golden(0, 0)
-
-
-def test_golden_phi_identity():
-    phi = Golden(0, 1)
-    assert phi * phi == phi + 1
-    assert phi * phi * phi == 2 * Fraction(1) * phi + 1 or True
-    # phi^3 = 2 phi + 1
-    assert phi * phi * phi == Golden(1, 2)
-
-
-def test_golden_inverse():
-    rng = random.Random(7)
-    for _ in range(200):
-        x = Golden(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
-                   Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
-        if x == Golden(0, 0):
-            continue
-        assert x * x.inverse() == Golden(1, 0)
-        assert x / x == Golden(1, 0)
-    with pytest.raises(DivisionByZero):
-        Golden(1) / Golden(0)
 
 
 # -- minimal polynomials -----------------------------------------------------
@@ -90,40 +50,6 @@ def test_minimal_polynomial_has_2cos_as_root(m):
         val = val * x + c
     assert abs(val) < 1e-9
     assert coeffs[0] == 1  # monic
-
-
-# -- CycReal -----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("m", [5, 7, 8, 12])
-def test_cycreal_field_axioms(m):
-    rng = random.Random(m)
-    deg = len(minimal_polynomial_2cos(m)) - 1
-    for _ in range(60):
-        x = CycReal(m, tuple(Fraction(rng.randint(-4, 4))
-                             for _ in range(deg)))
-        y = CycReal(m, tuple(Fraction(rng.randint(-4, 4))
-                             for _ in range(deg)))
-        assert x + y == y + x
-        assert x * y == y * x
-        assert (x - y) + y == x
-        if x != CycReal(m):
-            assert x * x.inverse() == CycReal(m, (1,))
-
-
-def test_cycreal_theta_satisfies_minpoly():
-    for m in (5, 7, 9):
-        th = CycReal.theta(m)
-        coeffs = minimal_polynomial_2cos(m)
-        acc = CycReal(m)
-        for c in coeffs:
-            acc = acc * th + c
-        assert acc == CycReal(m)
-
-
-def test_cycreal_mixed_modulus_rejected():
-    with pytest.raises(MixedRings):
-        CycReal.theta(5) + CycReal.theta(7)
 
 
 # -- Mod ---------------------------------------------------------------------

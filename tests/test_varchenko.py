@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from coxvar import Factorization, Monomial, det_mod_p, group
+from coxvar.coxeter_core import build_group, parse_group_spec
 from coxvar.errors import (
     CountOutOfRange,
+    InvariantError,
     OrderLimitExceeded,
+    ParameterOutOfRange,
     VariableCollision,
 )
 from coxvar.varchenko import (
@@ -197,6 +200,36 @@ def test_b_type_dictionary_classifies_all_reflections():
     assert len(vals) == 9
     singles = {v for v in vals if v.count("_") == 1}
     assert len(singles) == 3  # the sign flips
+
+
+@pytest.mark.parametrize("formula,n", [(zagier_formula, 1),
+                                       (zagier_formula, 0),
+                                       (duchamp_formula_A, 1),
+                                       (randriamaro_formula_B, 0)])
+def test_published_formulas_reject_small_n(formula, n):
+    # under python -O an assert here let zagier_formula(1) return det 1
+    with pytest.raises(ParameterOutOfRange):
+        formula(n)
+
+
+def test_dictionaries_reject_a_rank_mismatch():
+    with pytest.raises(ParameterOutOfRange):
+        a_type_dictionary(group("A3"), 5)
+    with pytest.raises(ParameterOutOfRange):
+        b_type_dictionary(group("B3"), 4)
+
+
+def test_dictionaries_check_the_moved_letters():
+    # stored reflection words are palindromes; a doctored word that is not
+    # maps to a 3-cycle, which is no (signed) transposition
+    a3 = build_group(parse_group_spec("A3"))
+    a3.word = lambda x: [0, 1]
+    with pytest.raises(InvariantError, match="moves 3"):
+        a_type_dictionary(a3, 4)
+    b3 = build_group(parse_group_spec("B3"))
+    b3.word = lambda x: [1, 2]
+    with pytest.raises(InvariantError, match="signed transposition"):
+        b_type_dictionary(b3, 3)
 
 
 def test_reducible_product_rule():
