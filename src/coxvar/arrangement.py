@@ -3,13 +3,19 @@
 Edges are identified purely by their closed sets of reflections; no
 geometric subspace arithmetic happens anywhere.  Each edge multiplicity is
 computed twice: by the closed product formula over parabolic data, and by
-an independent chamber-counting oracle that scans the whole group.
+an independent chamber-counting oracle that scans the whole group.  The
+oracle tests which chambers can span an edge once per edge, then counts,
+for every hyperplane on the edge, those whose face on it does.
+
+An `Arrangement` memoizes its edges, class representatives, parabolic
+data and oracle candidates on the instance, so they live exactly as long
+as it does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -25,6 +31,18 @@ from .errors import (
 )
 
 FORMULA_CROSSCHECK_LIMIT = 1152  # brute-force checks only below this order
+
+
+def _memoized(method):
+    """Cache a method without arguments in its instance's ``_memo``."""
+    name = method.__name__
+
+    @wraps(method)
+    def cached(self):
+        if name not in self._memo:
+            self._memo[name] = method(self)
+        return self._memo[name]
+    return cached
 
 
 @dataclass(frozen=True)
@@ -60,6 +78,8 @@ class Arrangement:
         self.group = group
         self.floor_ambient = floor_ambient
         self._parabolic_cache = {}
+        self._memo = {}
+        self._candidates = {}  # (reflections, class_J) -> (chambers, masks)
 
     # -- basic chamber combinatorics ----------------------------------------
 
@@ -75,7 +95,7 @@ class Arrangement:
 
     # -- relevant edges ------------------------------------------------------
 
-    @lru_cache(maxsize=1)
+    @_memoized
     def class_representatives(self):
         """One representative per Coxeter class of irreducible subsets."""
         reps = []
@@ -88,7 +108,7 @@ class Arrangement:
             reps.append(J)
         return reps
 
-    @lru_cache(maxsize=1)
+    @_memoized
     def relevant_edges(self):
         """All relevant edges, deduplicated and globally sorted."""
         g = self.group
@@ -115,7 +135,7 @@ class Arrangement:
                 f"{len(edges) - len(uniq)} edges occur in two classes")
         return sorted(uniq.values(), key=lambda e: (len(e), e.reflections))
 
-    @lru_cache(maxsize=1)
+    @_memoized
     def edge_lookup(self):
         return {frozenset(e.reflections): e for e in self.relevant_edges()}
 
@@ -134,32 +154,62 @@ class Arrangement:
         """All x whose face on hyperplane t spans exactly this edge.
 
         The face of x on t spans the reflections D[x, T_K], where K is the
-        support of t^(x^-1) = D[x^-1, t].  Candidates are grouped by K.  Each
-        row of D is a permutation of the reflection indices, because
-        conjugation by x is a bijection, so D[x, T_K] has |T_K| distinct
-        entries.  Its set therefore equals the edge exactly when |T_K| = |E|
-        and the row, sorted, equals the sorted edge: one vectorized
-        comparison per support class instead of one Python set per chamber.
+        support of t^(x^-1) = D[x^-1, t].  Only the support depends on t, so
+        the test "D[x, T_K] = E" runs once per edge, in `_edge_candidates`,
+        and each t keeps the candidates x whose support is their own K.
+        That test is exact without a sort: each row of D is a permutation of
+        the reflection indices, because conjugation by x is a bijection, so
+        D[x, T_K] has |T_K| distinct entries, and its set equals E exactly
+        when |T_K| = |E| and every entry lies in E.  A chamber is a
+        candidate for at most one K: D[x, T_K] = E means T_K is the image of
+        E under conjugation by x^-1, and T_K determines K, its simple
+        reflections.  So the sets are those of the per-t test.
         """
+        xs, spans = self._candidates_spanning(edge, t)
+        return set(xs[spans].tolist())
+
+    def count_L(self, edge: Edge, t: int) -> int:
+        """|L(E, t)|, counted without building the chamber set.
+
+        Each candidate occurs once, so this is len(chambers_spanning).
+        """
+        return int(np.count_nonzero(self._candidates_spanning(edge, t)[1]))
+
+    def _candidates_spanning(self, edge: Edge, t: int):
+        """The edge's candidates, and which of them span it from t."""
         if t not in edge.reflections:
             raise ReflectionNotOnEdge(f"reflection {t} not on edge")
         g = self.group
-        D = g.conj_tables
-        pd = self.parabolic(edge.class_J)
-        target = np.array(sorted(set(edge.reflections)))
-        Ksup = g.refl_support[D[g.inv, t]]
-        out = set()
-        for Kmask in {_mask(K) for K, _ in pd.coxeter_class}:
-            TK = g.reflection_indices_in(Kmask)
-            if len(TK) != len(target):
-                continue
-            xs = np.flatnonzero(Ksup == Kmask)
-            rows = np.sort(D[xs[:, None], TK[None, :]], axis=1)
-            out.update(xs[(rows == target).all(axis=1)].tolist())
-        return out
+        xs, masks = self._edge_candidates(edge)
+        return xs, g.refl_support[g.conj_tables[g.inv[xs], t]] == masks
 
-    def count_L(self, edge: Edge, t: int) -> int:
-        return len(self.chambers_spanning(edge, t))
+    def _edge_candidates(self, edge: Edge):
+        """Chambers x with D[x, T_K] = E for some K in the edge's class.
+
+        Returns the chambers and, aligned with them, the bitmask of each
+        chamber's K.  The edge's class is part of the memo key: one
+        reflection set can be labelled with different classes.
+        """
+        key = (edge.reflections, edge.class_J)
+        if key not in self._candidates:
+            g = self.group
+            D = g.conj_tables
+            inE = np.zeros(g.num_reflections, dtype=bool)
+            inE[list(edge.reflections)] = True
+            size = int(inE.sum())
+            xs = [np.empty(0, dtype=np.int64)]
+            masks = [np.empty(0, dtype=np.int64)]
+            pd = self.parabolic(edge.class_J)
+            for Kmask in {_mask(K) for K, _ in pd.coxeter_class}:
+                TK = g.reflection_indices_in(Kmask)
+                if len(TK) != size:
+                    continue
+                found = np.flatnonzero(inE[D[:, TK]].all(axis=1))
+                xs.append(found)
+                masks.append(np.full(len(found), Kmask, dtype=np.int64))
+            self._candidates[key] = (np.concatenate(xs),
+                                     np.concatenate(masks))
+        return self._candidates[key]
 
     def multiplicity_oracle(self, edge: Edge) -> int:
         """l(E): half the chamber count, checked for hyperplane independence."""

@@ -2,8 +2,13 @@
 
 import ast
 import dataclasses
+import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +236,82 @@ def test_chambers_spanning_skips_classes_of_the_wrong_size(monkeypatch):
     assert a.chambers_spanning(edge, 0) == set()
 
 
+def chambers_spanning_sorted_rows(self, edge, t):
+    """The sorted-row oracle, kept as the reference for the per-edge hoist.
+
+    `self` is an Arrangement; the body is the library code before the test
+    "D[x, T_K] = E" moved out of the per-hyperplane loop.
+    """
+    if t not in edge.reflections:
+        raise ReflectionNotOnEdge(f"reflection {t} not on edge")
+    g = self.group
+    D = g.conj_tables
+    pd = self.parabolic(edge.class_J)
+    target = np.array(sorted(set(edge.reflections)))
+    Ksup = g.refl_support[D[g.inv, t]]
+    out = set()
+    for Kmask in {_mask(K) for K, _ in pd.coxeter_class}:
+        TK = g.reflection_indices_in(Kmask)
+        if len(TK) != len(target):
+            continue
+        xs = np.flatnonzero(Ksup == Kmask)
+        rows = np.sort(D[xs[:, None], TK[None, :]], axis=1)
+        out.update(xs[(rows == target).all(axis=1)].tolist())
+    return out
+
+
+@pytest.mark.parametrize("spec", ["F4", "H4", "E6", "B6"])
+def test_chambers_spanning_matches_sorted_rows_on_every_hyperplane(spec):
+    a = arr(spec)
+    for J in a.class_representatives():
+        pd = a.parabolic(J)
+        edge = Edge(reflections=tuple(int(t) for t in pd.T_J),
+                    class_J=J, witness=0, coset_id=0)
+        for t in edge.reflections:
+            got = a.chambers_spanning(edge, t)
+            assert got, (J, t)
+            assert got == chambers_spanning_sorted_rows(a, edge, t), (J, t)
+            assert a.count_L(edge, t) == len(got), (J, t)
+
+
+@pytest.mark.parametrize("true_first", [True, False])
+def test_chamber_candidates_are_keyed_by_the_class_too(true_first):
+    # one reflection set under its own class and under the A2 class, whose
+    # faces span three reflections: a memo keyed on the reflections alone
+    # would answer the second query with the first one's chambers
+    a = arr("A3")
+    true_edge = a.edge_lookup()[frozenset({0})]
+    wrong_edge = Edge(reflections=(0,), class_J=(0, 1), witness=0,
+                      coset_id=0)
+    assert true_edge.reflections == (0,) and true_edge.class_J != (0, 1)
+    expected = chambers_spanning_reference(a, true_edge, 0)
+    assert expected
+    queries = [(true_edge, expected), (wrong_edge, set())]
+    if not true_first:
+        queries.reverse()
+    for edge, want in queries + queries:
+        assert a.chambers_spanning(edge, 0) == want, edge
+
+
+def test_arrangement_memos_belong_to_the_instance():
+    a3, b3 = arr("A3"), arr("B3")
+    for name in ("class_representatives", "relevant_edges", "edge_lookup"):
+        first = {a: getattr(a, name)() for a in (a3, b3)}
+        assert first[a3] != first[b3], name
+        for a in (a3, b3, a3, b3):
+            assert getattr(a, name)() is first[a], name
+    # nothing outside the instance keeps it, or its group, alive
+    g = build_group(parse_group_spec("A3"))
+    a = Arrangement(g)
+    a.relevant_edges()
+    a.edge_lookup()
+    a.chambers_spanning(a.relevant_edges()[-1], 0)
+    refs = weakref.ref(a), weakref.ref(g)
+    del a, g
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
 def test_count_L_rejects_foreign_reflection():
     a = arr("A2")
     e = [e for e in a.relevant_edges() if len(e) == 1][0]
@@ -397,6 +478,55 @@ def test_bad_arguments_raise_typed_value_errors(call, error):
         call()
     assert isinstance(exc.value, CoxvarError)
     assert isinstance(exc.value, ValueError)
+
+
+_GUARDS_UNDER_O = """
+from coxvar import group
+from coxvar.arrangement import Arrangement
+from coxvar.varchenko import zagier_formula
+
+
+class OddOracle(Arrangement):
+    def count_L(self, edge, t):
+        return 3
+
+
+class HyperplaneDependentOracle(Arrangement):
+    def count_L(self, edge, t):
+        return 4 if t == edge.reflections[-1] else 2
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc).__name__
+    return "nothing"
+
+
+a = Arrangement(group("A2"))
+center = max(a.relevant_edges(), key=len)
+print(__debug__)
+print(raised(lambda: OddOracle(a.group).multiplicity_oracle(center)))
+print(raised(lambda: HyperplaneDependentOracle(a.group)
+             .multiplicity_oracle(center)))
+print(raised(lambda: zagier_formula(1)))
+"""
+
+
+def test_guards_raise_under_python_O():
+    # python -O strips assert statements; run the guards there for real
+    src = str(Path(coxvar.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-O", "-c", _GUARDS_UNDER_O],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "InvarianceViolation",
+                                   "InvarianceViolation",
+                                   "ParameterOutOfRange"]
 
 
 def test_arrangement_module_has_no_assert_statements():

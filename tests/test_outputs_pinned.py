@@ -71,6 +71,13 @@ PINNED = [
      "e55bedd889c52b9c7254dffcdc3e665589e028af248e884b429277bf737582a6"),
     (('verify', 'B4', '--seed', '7', '--format', 'json'), 0,
      "bbcbb00cb02d5771bf445a33ca6488458fdb745c7bf0e259fb9e1ee66e6bfbe9"),
+    # the chamber oracle's largest runs: every class edge of H4 and E6
+    (('multiplicity', 'H4', '--format', 'json'), 0,
+     "daa6965f4548f594e35f0b05c612ac43d0ecddd411a0c6f18e55f35ad0f707ef"),
+    (('multiplicity', 'H4'), 0,
+     "12051494f8b5d7833cf5729e937d6d63788d53e73984c90ad8837eb1747d7475"),
+    (('multiplicity', 'E6', '--format', 'json'), 0,
+     "f44b14d83ce1b2e404b8fcd98182a80c844109aa6bc3c924c9fce94fc8e01fde"),
 ]
 
 
