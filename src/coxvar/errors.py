@@ -97,3 +97,7 @@ class ReducibleSubset(CoxvarError, ValueError):
 
 class SupportMismatch(CoxvarError, ValueError):
     pass
+
+
+class NonIntegerMatrix(CoxvarError, ValueError):
+    """A matrix handed to an integer kernel has a non-integer entry or dtype."""

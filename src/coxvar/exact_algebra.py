@@ -4,13 +4,21 @@ Scalars are plain ``int`` and ``Mod`` for prime-field evaluation.  The
 rings Z[2cos(pi/m)] of the H and I2(m) types are never scalars here: the
 matrix engine of ``coxeter_core`` embeds them into integer matrices through
 the companion matrix of the minimal polynomial (``minimal_polynomial_2cos``).
-Everything is immutable and exact.  Floating point appears only in the
-``det_mod_p`` kernel, and only for integers below 2**53, which float64 holds
-and sums exactly.
+Everything is immutable and exact.
+
+``det_mod_p`` is a blocked elimination over F_p for any p < 2**32.  Each
+32 x 32 diagonal block is inverted by Gauss-Jordan in uint64 residues,
+where every update stays below p**2 < 2**64; the rest of the matrix is
+updated through float64 GEMMs on 16-bit limbs, where every sum is an
+integer below 2**53, which float64 holds and sums exactly.  A block that
+is singular mod p exchanges a row with one from below and is inverted
+again, so a row-permuted matrix, which needs that for nearly every
+column, is the slowest input.  Floating point appears nowhere else.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,6 +29,7 @@ from .errors import (
     InvariantError,
     MixedRings,
     ModulusOutOfRange,
+    NonIntegerMatrix,
     NonSquareMatrix,
     ParameterOutOfRange,
     UnassignedVariable,
@@ -109,7 +118,7 @@ class Mod:
 # in float64 as integers; a product of two residues is formed from 16-bit
 # limbs, so that every sum BLAS forms stays an exact integer below 2**53.
 DET_MODULUS_LIMIT = 1 << 32  # det_mod_p is exact for 2 <= p below this
-_PANEL = 32  # columns eliminated per panel
+_PANEL = 32  # order of the diagonal blocks inverted one at a time
 _ROW_CHUNK = 128  # trailing rows per Schur-update GEMM, to bound temporaries
 
 
@@ -129,7 +138,11 @@ def _with_shift(x, p):
     """[x | 2**16 x mod p] for residues x, in (-p/2, p/2], as float64.
 
     Times ``_split`` of an inner dimension k this is a sum of 2k terms of
-    at most 2**31 * 2**15 each: below 2**52 for k <= _PANEL.
+    at most 2**31 * 2**15 each: below 2**52 for k <= _PANEL, the inner
+    dimension of every product the kernel forms (A21 times the block
+    inverse, the trailing update, the reduction of a column below the
+    block).  Added to an entry of A, below p/2 + 1 < 2**31, the sum stays
+    below 2**53.
     """
     both = np.concatenate([x, (x << 16) % p], axis=-1)
     return (both - p * (both > p // 2)).astype(np.float64)
@@ -148,64 +161,89 @@ def _residues(a, p):
     return a.astype(np.int64) % p
 
 
-def _eliminate_panel(A, k0, k1, p):
-    """Eliminate columns k0..k1-1 below the diagonal, first-nonzero pivoting.
+def _gauss_jordan(G, p):
+    """Gauss-Jordan on the w x w block G of uint64 residues, in place.
 
-    Row swaps are applied to the trailing columns of ``A`` too.  Returns the
-    determinant of the pivot block with its sign, and the multipliers as
-    residues with ``LT[j, i]`` for row k0 + i and column k0 + j; or
-    ``(0, None)`` when a column has no pivot.  The panel is held transposed
-    and unreduced: w - 1 rank-one updates of at most 2**47 each keep it
-    below 2**53.
+    This is [A11 | I] reduced to [I | A11^-1] with the inverse stored
+    over the block: after step j, column j holds the inverse's column, not
+    a unit vector.  Pivots are the first nonzero entry at or below the
+    diagonal of the current column; each update adds at most p (p - 1) to
+    an entry below p, and p**2 - 1 < 2**64.  Returns ``(det, j, rows)``
+    with ``rows[i]`` the block row now at position i.  When j equals w,
+    det is det(A11) and G is A11^-1.  Otherwise column j has no pivot:
+    G[:j, j] is column j of the j reduced pivot rows, which are 1 in their
+    own column and 0 in the other columns before j, and det is meaningless.
     """
-    w = k1 - k0
-    PT = A[k0:, k0:k1].T.copy()
-    LT = np.zeros(PT.shape, dtype=np.int64)
+    w = G.shape[0]
+    up = np.uint64(p)
+    rows = list(range(w))
     det = 1
     for j in range(w):
-        col = _residues(PT[j, j:], p)
-        if not col[0]:
-            nz = np.flatnonzero(col)
+        if not G[j, j]:
+            nz = np.flatnonzero(G[j + 1:, j])
             if nz.size == 0:
-                return 0, None
-            a, b = j, j + int(nz[0])
-            PT[:, [a, b]] = PT[:, [b, a]]
-            LT[:, [a, b]] = LT[:, [b, a]]
-            A[[k0 + a, k0 + b], k1:] = A[[k0 + b, k0 + a], k1:]
-            col[[0, b - j]] = col[[b - j, 0]]
+                return det, j, rows
+            b = j + 1 + int(nz[0])
+            G[[j, b]] = G[[b, j]]
+            rows[j], rows[b] = rows[b], rows[j]
             det = -det
-        pivot = int(col[0])
+        pivot = int(G[j, j])
         det = det * pivot % p
-        # (p - 1)**2 < 2**64: the multipliers are formed in uint64
-        f = (col[1:].view(np.uint64) * np.uint64(pow(pivot, -1, p))
-             % np.uint64(p)).view(np.int64)
-        LT[j, j + 1:] = f
-        if j + 1 < w:
-            row = _residues(PT[j + 1:, j], p)
-            PT[j + 1:, j + 1:] -= (_split(row[None, :], p).T
-                                   @ _with_shift(f[:, None], p).T)
-    return det, LT
+        inverse = pow(pivot, -1, p)
+        row = G[j] * np.uint64(inverse) % up
+        row[j] = inverse
+        f = up - G[:, j]
+        G[:, j] = 0
+        G += f[:, None] * row
+        G %= up
+        G[j] = row
+    # G is the inverse of the block with its rows in the order ``rows``
+    G[:, rows] = G.copy()
+    return det % p, w, rows
 
 
-def _unit_lower_inverse(LT, p):
-    """Residues of L^-1, L unit lower triangular with L[i, j] = LT[j, i]."""
-    w = LT.shape[0]
-    up = np.uint64(p)
-    inv = np.eye(w, dtype=np.uint64)
-    for j in range(w - 1):
-        below = inv[j + 1:]
-        below += up - np.outer(LT[j, j + 1:w].view(np.uint64), inv[j]) % up
-        below %= up
-    return inv.view(np.int64)
+def _invert_diagonal_block(A, k0, k1, p):
+    """Determinant and inverse of A11 = A[k0:k1, k0:k1], exchanging rows.
 
-
-def _schur_update(A, LT, k0, k1, p):
-    """A22 -= L21 U12 mod p, with U12 = L11^-1 A12, in row chunks."""
+    Gauss-Jordan runs on the block alone.  If column j of A11 has no pivot,
+    column j of the rows below the block is reduced against the j pivot
+    rows, the first row with a nonzero entry there is exchanged for the
+    block row at position j (over columns k0 onward), and the block is
+    inverted again from the start.  The exchange raises the rank of the
+    block's first j + 1 columns to j + 1, so each redo passes a later
+    column: at most w exchanges per block, and a redo that does not pass a
+    later column raises InvariantError.  Returns ``(d, inverse)``,
+    d the determinant of the final A11 times the sign of the exchanges, or
+    ``(0, None)`` when no row below can supply a pivot, so that det(A) = 0.
+    """
     w = k1 - k0
-    a12 = _residues(A[k0:k1, k1:], p)
-    u12 = _with_shift(_unit_lower_inverse(LT[:, :w], p), p) @ _split(a12, p)
-    right = _split(_residues(u12, p), p)
-    left = _with_shift(LT[:, w:].T, p)
+    sign = 1
+    last = -1
+    while True:
+        G = _residues(A[k0:k1, k0:k1], p).view(np.uint64)
+        d, j, rows = _gauss_jordan(G, p)
+        if j == w:
+            return sign * d % p, G.view(np.int64)
+        if j <= last:
+            raise InvariantError(
+                f"row exchange at column {k0 + last} did not advance the "
+                "diagonal block's pivots")
+        last = j
+        below = _residues(A[k1:, k0:k0 + j], p)
+        g = _with_shift(below, p) @ _split(G[:j, j].view(np.int64), p)
+        nz = np.flatnonzero(_residues(A[k1:, k0 + j] - g, p))
+        if nz.size == 0:
+            return 0, None
+        a, b = k0 + rows[j], k1 + int(nz[0])
+        A[[a, b], k0:] = A[[b, a], k0:]
+        sign = -sign
+
+
+def _schur_update(A, inverse, k0, k1, p):
+    """A22 -= (A21 A11^-1) A12 mod p, in row chunks."""
+    z = _with_shift(_residues(A[k1:, k0:k1], p), p) @ _split(inverse, p)
+    left = _with_shift(_residues(z, p), p)
+    right = _split(_residues(A[k0:k1, k1:], p), p)
     for r0 in range(0, left.shape[0], _ROW_CHUNK):
         r1 = r0 + _ROW_CHUNK
         block = A[k1 + r0:k1 + r1, k1:]
@@ -214,42 +252,80 @@ def _schur_update(A, LT, k0, k1, p):
         _reduce(g, p, out=block)
 
 
+def _entry(e, p):
+    if isinstance(e, Mod):
+        if e.p != p:
+            raise MixedRings(f"Mod entry of modulus {e.p} in a matrix mod {p}")
+        return e.value
+    try:
+        return operator.index(e) % p
+    except TypeError:
+        raise NonIntegerMatrix(f"matrix entry {e!r} is not an integer") \
+            from None
+
+
+def _residue_matrix(matrix, p):
+    """Residues in [0, p) of a square integer matrix, as float64."""
+    if isinstance(matrix, np.ndarray) and matrix.dtype != object:
+        kind = matrix.dtype.kind
+        if kind not in "biu":
+            raise NonIntegerMatrix(
+                f"matrix of dtype {matrix.dtype} is not an integer matrix")
+        A = np.empty(matrix.shape, dtype=np.float64)
+        # unsigned entries are reduced as uint64, signed ones as int64, so
+        # that no entry wraps before it is reduced
+        if kind == "u":
+            np.remainder(matrix, np.uint64(p), out=A)
+        else:
+            np.remainder(matrix.astype(np.int64, copy=False), p, out=A)
+    else:
+        if isinstance(matrix, np.ndarray) and matrix.ndim != 2:
+            raise NonSquareMatrix(
+                f"matrix of shape {matrix.shape} is not square")
+        rows = [[_entry(e, p) for e in row] for row in matrix]
+        try:
+            A = np.array(rows, dtype=np.float64)
+        except ValueError:
+            raise NonSquareMatrix("matrix rows differ in length") from None
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise NonSquareMatrix(f"matrix of shape {A.shape} is not square")
+    return A
+
+
 def det_mod_p(matrix, p: int) -> Mod:
     """Determinant over the field of p elements.
 
-    Accepts nested int lists, Mod entries, or an integer ndarray.  Blocked
-    right-looking LU with first-nonzero pivoting: panels of _PANEL columns
-    are eliminated one column at a time, and the trailing matrix is updated
-    by exact float64 GEMMs on 16-bit limbs.  Exact for 2 <= p < 2**32 (p is
-    assumed prime); deterministic for fixed input.  Raises NonSquareMatrix
-    and ModulusOutOfRange.
+    Accepts nested lists of ints and Mod entries, or an ndarray of integer
+    or object dtype; every entry is reduced mod p before any cast.  Blocked
+    right-looking elimination: for each diagonal block A11 of _PANEL
+    columns, Gauss-Jordan on [A11 | I] gives det(A11) and A11^-1 in uint64
+    residues, and the trailing matrix becomes A22 - (A21 A11^-1) A12
+    through exact float64 GEMMs on 16-bit limbs.  A block singular mod p
+    at column j takes, in exchange for its row at position j, the first row
+    below whose column j is nonzero once reduced by the block's pivot rows,
+    and is inverted again; a row-permuted matrix can need such an exchange
+    for nearly every column, which makes it the slowest input.  Pivots are
+    the first nonzero entry wherever one is searched, so the result is
+    deterministic for fixed input.  Exact for 2 <= p < 2**32 (p is assumed
+    prime): the uint64 updates stay below p**2 < 2**64 and every GEMM sum
+    below 2**53.  Raises NonSquareMatrix, NonIntegerMatrix (float, complex
+    or other non-integer entries), MixedRings (a Mod entry of another
+    modulus) and ModulusOutOfRange.
     """
     if not 2 <= p < DET_MODULUS_LIMIT:
         raise ModulusOutOfRange(
             f"modulus {p} outside the exact range 2 <= p < 2**32")
-    if isinstance(matrix, np.ndarray):
-        M = matrix.astype(np.int64) % p
-    else:
-        rows = [[(e.value if isinstance(e, Mod) else int(e)) % p for e in row]
-                for row in matrix]
-        try:
-            M = np.array(rows, dtype=np.int64)
-        except ValueError:
-            raise NonSquareMatrix("matrix rows differ in length") from None
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NonSquareMatrix(f"matrix of shape {M.shape} is not square")
-    n = M.shape[0]
-    A = M.astype(np.float64)  # every entry stays an integer of size <= p
-    del M
+    A = _residue_matrix(matrix, p)
+    n = A.shape[0]
     det = 1
     for k0 in range(0, n, _PANEL):
         k1 = min(k0 + _PANEL, n)
-        d, LT = _eliminate_panel(A, k0, k1, p)
-        if LT is None:
+        d, inverse = _invert_diagonal_block(A, k0, k1, p)
+        if inverse is None:
             return Mod(0, p)
         det = det * d % p
         if k1 < n:
-            _schur_update(A, LT, k0, k1, p)
+            _schur_update(A, inverse, k0, k1, p)
     return Mod(det, p)
 
 

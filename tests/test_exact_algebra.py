@@ -17,9 +17,11 @@ from coxvar.exact_algebra import (
     minimal_polynomial_2cos,
 )
 from coxvar.errors import (
+    CoxvarError,
     DivisionByZero,
     MixedRings,
     ModulusOutOfRange,
+    NonIntegerMatrix,
     NonSquareMatrix,
 )
 from coxvar.varchenko import modular_matrix, primes_list
@@ -196,17 +198,10 @@ def test_det_mod_p_singular_repeated_rows():
     assert _agree_with_reference(M, P) == 0
 
 
-@pytest.mark.parametrize("n", [7, 33, 70, 140])
-def test_det_mod_p_row_swaps(n):
-    # rows of an upper triangular matrix in shuffled order: every column
-    # needs a swap to find its pivot; det = sign(perm) * prod(diagonal)
-    rng = np.random.default_rng(n)
-    U = np.triu(rng.integers(0, P, size=(n, n)))
-    np.fill_diagonal(U, rng.integers(1, P, size=n))
-    perm = rng.permutation(n)
+def _perm_sign(perm):
     sign = 1
-    seen = np.zeros(n, dtype=bool)
-    for i in range(n):
+    seen = np.zeros(len(perm), dtype=bool)
+    for i in range(len(perm)):
         j, length = i, 0
         while not seen[j]:
             seen[j] = True
@@ -214,14 +209,64 @@ def test_det_mod_p_row_swaps(n):
             length += 1
         if length and length % 2 == 0:
             sign = -sign
-    expect = sign
+    return sign
+
+
+def _shuffled_upper_triangular(n, p, rng):
+    """Rows of a random upper triangular matrix in shuffled order, and its
+    determinant mod p."""
+    U = np.triu(rng.integers(0, p, size=(n, n)))
+    np.fill_diagonal(U, rng.integers(1, p, size=n))
+    perm = rng.permutation(n)
+    expect = _perm_sign(perm)
     for d in np.diag(U):
-        expect = expect * int(d) % P
-    assert _agree_with_reference(U[perm], P) == expect % P
+        expect = expect * int(d) % p
+    return U[perm], expect % p
+
+
+@pytest.mark.parametrize("n", [7, 33, 70, 140])
+def test_det_mod_p_row_swaps(n):
+    # rows of an upper triangular matrix in shuffled order: every column
+    # needs a swap to find its pivot; det = sign(perm) * prod(diagonal)
+    rng = np.random.default_rng(n)
+    shuffled, expect = _shuffled_upper_triangular(n, P, rng)
+    assert _agree_with_reference(shuffled, P) == expect
     # a random mix of the shuffled rows keeps the swaps nontrivial
     L = np.tril(rng.integers(0, 2, size=(n, n)), -1) + np.eye(n, dtype=int)
-    mixed = (L.astype(object) @ U[perm].astype(object)) % P
-    assert _agree_with_reference(mixed.astype(np.int64), P) == expect % P
+    mixed = (L.astype(object) @ shuffled.astype(object)) % P
+    assert _agree_with_reference(mixed.astype(np.int64), P) == expect
+
+
+def _exchange_case(name):
+    """Order-300 matrices whose diagonal blocks need rows from far below.
+
+    M = L T mod P, with L unit lower triangular of 0/1 entries, keeps the
+    Schur complements of T up to row mixing.  T is upper triangular except
+    that T[100, 100] = 0 and T[290, 100] != 0: in the fourth panel column
+    100 is zero on the block and on every row below it except row 290 and
+    the rows L mixes it into, although the raw entries of column 100 are
+    nonzero on most rows.  In "no-pivot-middle-panel" column 170 is moreover
+    a combination of the columns before it, so the exchange in the sixth
+    panel finds no row and the determinant is 0.
+    """
+    n, c = 300, 100
+    rng = np.random.default_rng(300)
+    T = np.triu(rng.integers(0, P, size=(n, n)))
+    np.fill_diagonal(T, rng.integers(1, P, size=n))
+    T[c, c] = 0
+    T[290, c] = rng.integers(1, P)
+    L = np.tril(rng.integers(0, 2, size=(n, n)), -1) + np.eye(n, dtype=int)
+    M = (L @ T) % P  # below 300 * 2**32: exact in int64
+    if name == "no-pivot-middle-panel":
+        coeffs = rng.integers(0, P, size=170).astype(object)
+        M[:, 170] = (M[:, :170].astype(object) @ coeffs) % P
+    return M
+
+
+@pytest.mark.parametrize("name", ["pivot-far-below", "no-pivot-middle-panel"])
+def test_det_mod_p_block_exchange_matches_reference(name):
+    det = _agree_with_reference(_exchange_case(name), P)
+    assert (det == 0) == (name == "no-pivot-middle-panel")
 
 
 @pytest.mark.parametrize("p", primes_list(5))
@@ -271,6 +316,82 @@ def test_det_mod_p_exact_below_2_pow_32():
     blo, bhi = B & 0xFFFF, B >> 16
     MB = (M @ blo % p + ((M @ bhi) % p << 16)) % p
     assert det_mod_p(MB, p) == det_mod_p(M, p) * det_mod_p(B, p)
+
+
+EDGE_P = 4294967291  # the largest prime below 2**32: the tightest bounds
+
+
+@pytest.mark.parametrize("n", [33, 64, 130])
+@pytest.mark.parametrize("c", [EDGE_P - 1, (EDGE_P + 1) // 2])
+def test_det_mod_p_scaled_all_ones_minus_identity_at_the_edge_prime(n, c):
+    # det(c (J - I)) = c**n * (-1)**(n-1) * (n-1); p - 1 is the largest
+    # residue of the uint64 Gauss-Jordan, and (p + 1)/2, taken as
+    # -(p - 1)/2, the largest in magnitude that the limb products see
+    M = np.full((n, n), c, dtype=np.int64)
+    np.fill_diagonal(M, 0)
+    expect = pow(c, n, EDGE_P) * (-1) ** (n - 1) * (n - 1) % EDGE_P
+    assert det_mod_p(M, EDGE_P).value == expect
+
+
+@pytest.mark.parametrize("n", [33, 70, 140])
+def test_det_mod_p_row_swaps_at_the_edge_prime(n):
+    # shuffled rows make nearly every diagonal block singular, so the row
+    # exchange runs at the largest prime as well
+    rng = np.random.default_rng(n + 1)
+    shuffled, expect = _shuffled_upper_triangular(n, EDGE_P, rng)
+    assert det_mod_p(shuffled, EDGE_P).value == expect
+    perm = rng.permutation(n)
+    perm_matrix = np.eye(n, dtype=np.int64)[perm]
+    assert det_mod_p(perm_matrix, EDGE_P).value == _perm_sign(perm) % EDGE_P
+    assert det_mod_p(perm_matrix * 5, EDGE_P).value == \
+        _perm_sign(perm) * pow(5, n, EDGE_P) % EDGE_P
+    # one transposition across the first block: a single exchange, det -1
+    swap = np.eye(n, dtype=np.int64)
+    swap[[0, n - 1]] = swap[[n - 1, 0]]
+    assert det_mod_p(swap, EDGE_P).value == EDGE_P - 1
+
+
+def test_det_mod_p_reads_integer_arrays_without_wrapping():
+    # uint64 entries above 2**63 and object entries above 2**64 are
+    # reduced mod p before any cast to a fixed-width type
+    assert det_mod_p(np.array([[2 ** 64 - 1]], dtype=np.uint64), 7).value == 1
+    assert det_mod_p(np.array([[10 ** 30]], dtype=object), 7).value == \
+        10 ** 30 % 7
+    rng = random.Random(64)
+    big = [[rng.randrange(2 ** 64) for _ in range(3)] for _ in range(3)]
+    expect = _det_permanent_style([[e % P for e in row] for row in big], P)
+    assert det_mod_p(np.array(big, dtype=np.uint64), P).value == expect
+    huge = [[e * 2 ** 70 + 1 for e in row] for row in big]
+    expect = _det_permanent_style([[e % P for e in row] for row in huge], P)
+    assert det_mod_p(np.array(huge, dtype=object), P).value == expect
+    assert det_mod_p(huge, P).value == expect
+    small = np.array([[-3, 1], [2, 5]], dtype=np.int8)
+    assert det_mod_p(small, P).value == -17 % P
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[1.5]]),
+    np.array([[1.0, 0.0], [0.0, 1.0]]),
+    np.array([[1j]]),
+    np.array([["1"]]),
+    [[1, 2.5], [3, 4]],
+    np.array([[1, 0.5], [0, 1]], dtype=object),
+], ids=["float", "integral-float", "complex", "str", "list-float",
+        "object-float"])
+def test_det_mod_p_rejects_non_integer_entries(matrix):
+    # float entries used to be truncated: [[1.5]] gave 1
+    with pytest.raises(NonIntegerMatrix) as info:
+        det_mod_p(matrix, P)
+    assert isinstance(info.value, CoxvarError)
+    assert isinstance(info.value, ValueError)
+
+
+def test_det_mod_p_rejects_mod_entries_of_another_modulus():
+    with pytest.raises(MixedRings):
+        det_mod_p([[Mod(3, 5)]], 7)
+    with pytest.raises(MixedRings):
+        det_mod_p(np.array([[Mod(1, 7), 0], [0, Mod(3, 11)]], dtype=object), 7)
+    assert det_mod_p([[Mod(3, 7), 1], [0, Mod(2, 7)]], 7) == Mod(6, 7)
 
 
 def test_det_mod_p_rejects_non_square():
