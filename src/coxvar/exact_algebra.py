@@ -9,11 +9,19 @@ Everything is immutable and exact.
 ``det_mod_p`` is a blocked elimination over F_p for any p < 2**32.  Each
 32 x 32 diagonal block is inverted by Gauss-Jordan in uint64 residues,
 where every update stays below p**2 < 2**64; the rest of the matrix is
-updated through float64 GEMMs on 16-bit limbs, where every sum is an
+updated through float64 products on 16-bit limbs, where every sum is an
 integer below 2**53, which float64 holds and sums exactly.  A block that
-is singular mod p exchanges a row with one from below and is inverted
-again, so a row-permuted matrix, which needs that for nearly every
-column, is the slowest input.  Floating point appears nowhere else.
+is singular mod p at column j takes a row from below, reduced against its
+j pivot rows, and Gauss-Jordan goes on from column j, so every block runs
+exactly 32 pivot steps.  Floating point appears nowhere else.
+
+Every matrix product goes through ``_product``, in tiles of at most 2**19
+multiply-adds.  OpenBLAS 0.3.31, the BLAS numpy ships, forms a product of
+that size on the calling thread and hands one of about 2**20 or more to
+its worker threads; on a 2-core host the second thread saved no wall time
+on these products, spun between them and doubled the CPU time.  So
+``det_mod_p`` wakes no BLAS worker, and it sets no thread count and reads
+no environment variable to get there.
 """
 
 from __future__ import annotations
@@ -119,37 +127,70 @@ class Mod:
 # limbs, so that every sum BLAS forms stays an exact integer below 2**53.
 DET_MODULUS_LIMIT = 1 << 32  # det_mod_p is exact for 2 <= p below this
 _PANEL = 32  # order of the diagonal blocks inverted one at a time
-_ROW_CHUNK = 128  # trailing rows per Schur-update GEMM, to bound temporaries
+_ROW_CHUNK = 128  # rows of A per product, to bound temporaries
+# Most multiply-adds (M * N * K) in one float64 product.  OpenBLAS 0.3.31
+# runs a GEMM on its worker threads from about 2**20 multiply-adds on
+# (measured on a 2-core host: M, K = 128, 64 ran on one thread up to
+# N = 120 and on two from N = 127), so 2**19 keeps a factor of two of
+# margin.  Row chunks of _ROW_CHUNK also keep every matrix-vector product
+# at M * K <= 2**13, far below OpenBLAS's threshold for those (between
+# 4.6e5 and 4.9e5 multiply-adds, measured the same way).
+_PRODUCT_LIMIT = 1 << 19
+
+
+def _product(a, b, out):
+    """out = a @ b in column tiles of at most _PRODUCT_LIMIT multiply-adds.
+
+    a is one row chunk of at most _ROW_CHUNK rows and out, which may be a
+    view of a larger buffer, receives every tile in place.  Each tile is
+    small enough that BLAS forms it on the calling thread.  This is the
+    only place where the kernel multiplies matrices.
+    """
+    m, k = a.shape
+    width = max(1, _PRODUCT_LIMIT // max(1, m * k))
+    for c0 in range(0, b.shape[1], width):
+        c1 = c0 + width
+        np.matmul(a, b[:, c0:c1], out=out[:, c0:c1])
+    return out
 
 
 def _split(x, p):
-    """Limbs [lo; hi] of residues x, stacked on axis 0, as float64.
+    """Limbs [lo; hi] of integers x mod p, stacked on axis 0, as float64.
 
-    Each x in [0, p) is taken in (-p/2, p/2] and written lo + 2**16 hi with
-    |lo|, |hi| <= 2**15.
+    Each x is taken by ``_reduce`` to |b| <= p/2 + 2 and written
+    lo + 2**16 hi with |lo|, |hi| <= 2**15.
     """
-    b = x - p * (x > p // 2)
-    hi = (b + (1 << 15)) >> 16
-    lo = b - (hi << 16)
-    return np.concatenate([lo, hi]).astype(np.float64)
+    b = np.empty(x.shape)
+    _reduce(x, p, out=b)
+    hi = np.rint(b * (1.0 / (1 << 16)))
+    lo = b - hi * (1 << 16)
+    return np.concatenate([lo, hi])
 
 
 def _with_shift(x, p):
-    """[x | 2**16 x mod p] for residues x, in (-p/2, p/2], as float64.
+    """[x | 2**16 x] mod p for integers x, as float64, each entry taken by
+    ``_reduce`` to at most p/2 + 2 in magnitude.
 
     Times ``_split`` of an inner dimension k this is a sum of 2k terms of
-    at most 2**31 * 2**15 each: below 2**52 for k <= _PANEL, the inner
+    less than 2**31 * 2**15 each: below 2**52 for k <= _PANEL, the inner
     dimension of every product the kernel forms (A21 times the block
-    inverse, the trailing update, the reduction of a column below the
-    block).  Added to an entry of A, below p/2 + 1 < 2**31, the sum stays
-    below 2**53.
+    inverse, the trailing update, the reduction of rows below the block).
+    Added to an entry of A, below 2**32, the sum stays below 2**53 - p.
     """
-    both = np.concatenate([x, (x << 16) % p], axis=-1)
-    return (both - p * (both > p // 2)).astype(np.float64)
+    w = x.shape[-1]
+    out = np.empty(x.shape[:-1] + (2 * w,))
+    _reduce(x, p, out=out[..., :w])
+    np.multiply(out[..., :w], 1 << 16, out=out[..., w:])
+    _reduce(out[..., w:], p, out=out[..., w:])
+    return out
 
 
 def _reduce(d, p, out):
-    """out = d - p * round(d / p), so |out| <= p/2 + 1, for |d| < 2**53."""
+    """out = d - p * round(d / p) for integers d with |d| + p <= 2**53.
+
+    Then out = d mod p and |out| <= p/2 + 2 < 2**31.  d may be float64 or
+    int64; out is float64 and may be d itself.
+    """
     q = d * (1.0 / p)
     np.rint(q, out=q)
     q *= p
@@ -161,28 +202,28 @@ def _residues(a, p):
     return a.astype(np.int64) % p
 
 
-def _gauss_jordan(G, p):
-    """Gauss-Jordan on the w x w block G of uint64 residues, in place.
+def _gauss_jordan(G, p, rows, start, det):
+    """Gauss-Jordan on the w x w block G of uint64 residues from column start.
 
-    This is [A11 | I] reduced to [I | A11^-1] with the inverse stored
-    over the block: after step j, column j holds the inverse's column, not
-    a unit vector.  Pivots are the first nonzero entry at or below the
-    diagonal of the current column; each update adds at most p (p - 1) to
-    an entry below p, and p**2 - 1 < 2**64.  Returns ``(det, j, rows)``
-    with ``rows[i]`` the block row now at position i.  When j equals w,
-    det is det(A11) and G is A11^-1.  Otherwise column j has no pivot:
-    G[:j, j] is column j of the j reduced pivot rows, which are 1 in their
-    own column and 0 in the other columns before j, and det is meaningless.
+    This is [A11 | I] reduced to [I | A11^-1] in place, with the inverse
+    stored over the block: after step j, column j holds the inverse's
+    column, not a unit vector.  Columns before start are already reduced.
+    Pivots are the first nonzero entry at or below the diagonal of the
+    current column; each update adds at most p (p - 1) to an entry below
+    p, and p**2 - 1 < 2**64.  ``rows[i]`` is the block row at position i,
+    and in-block swaps update it.  Returns ``(det, j)``, det the given det
+    times the pivots and swap signs.  When j equals w, G is the inverse of
+    the block with its rows in the order ``rows``.  Otherwise column j has
+    no pivot: G[:j, j] is column j of the j reduced pivot rows, which are
+    1 in their own column and 0 in the other columns before j.
     """
     w = G.shape[0]
     up = np.uint64(p)
-    rows = list(range(w))
-    det = 1
-    for j in range(w):
+    for j in range(start, w):
         if not G[j, j]:
             nz = np.flatnonzero(G[j + 1:, j])
             if nz.size == 0:
-                return det, j, rows
+                return det, j
             b = j + 1 + int(nz[0])
             G[[j, b]] = G[[b, j]]
             rows[j], rows[b] = rows[b], rows[j]
@@ -197,59 +238,95 @@ def _gauss_jordan(G, p):
         G += f[:, None] * row
         G %= up
         G[j] = row
-    # G is the inverse of the block with its rows in the order ``rows``
-    G[:, rows] = G.copy()
-    return det % p, w, rows
+    return det, w
 
 
-def _invert_diagonal_block(A, k0, k1, p):
+def _reduced_row_below(a21, G, j, p):
+    """First row below the block that supplies a pivot in column j.
+
+    a21 is ``_with_shift`` of the rows below the block, over its columns.
+    One such row v, reduced against the j pivot rows of G, is
+    [0, v[j:]] - v[:j] G[:j]: the row Gauss-Jordan would hold at position
+    j had v been in the block from the start, its first j entries on the
+    stored inverse columns.  Column j is reduced one chunk of _ROW_CHUNK
+    rows at a time until an entry is nonzero.  Returns ``(i, row)``, i the
+    index in a21 of the first such row and row its reduced residues, or
+    None when there is none.
+    """
+    w = G.shape[0]
+    pivot_rows = G.view(np.int64).copy()
+    pivot_rows[j:] = 0
+    right = _split(pivot_rows, p)
+    column = right[:, j:j + 1]
+    g = np.empty((_ROW_CHUNK, 1))
+    for r0 in range(0, a21.shape[0], _ROW_CHUNK):
+        chunk = a21[r0:r0 + _ROW_CHUNK]
+        m = chunk.shape[0]
+        _product(chunk, column, g[:m])
+        nz = np.flatnonzero(_residues(chunk[:, j] - g[:m, 0], p))
+        if nz.size:
+            i = r0 + int(nz[0])
+            row = _product(a21[i:i + 1], right, np.empty((1, w)))[0]
+            v = a21[i, :w].copy()
+            v[:j] = 0
+            return i, _residues(v - row, p)
+    return None
+
+
+def _invert_diagonal_block(A, a21, k0, k1, p):
     """Determinant and inverse of A11 = A[k0:k1, k0:k1], exchanging rows.
 
     Gauss-Jordan runs on the block alone.  If column j of A11 has no pivot,
-    column j of the rows below the block is reduced against the j pivot
-    rows, the first row with a nonzero entry there is exchanged for the
-    block row at position j (over columns k0 onward), and the block is
-    inverted again from the start.  The exchange raises the rank of the
-    block's first j + 1 columns to j + 1, so each redo passes a later
-    column: at most w exchanges per block, and a redo that does not pass a
-    later column raises InvariantError.  Returns ``(d, inverse)``,
-    d the determinant of the final A11 times the sign of the exchanges, or
+    the first row below whose column j, reduced against the j pivot rows,
+    is nonzero is exchanged for the block row at position j (over columns
+    k0 onward, and in a21, the ``_with_shift`` of A21), its reduced row
+    takes position j in G, and Gauss-Jordan goes on from column j, so each
+    block runs exactly w pivot steps.  An exchange that does not supply
+    the pivot raises InvariantError.  Returns ``(d, inverse)``, d the
+    determinant of the final A11 times the sign of the exchanges, or
     ``(0, None)`` when no row below can supply a pivot, so that det(A) = 0.
     """
     w = k1 - k0
-    sign = 1
-    last = -1
-    while True:
-        G = _residues(A[k0:k1, k0:k1], p).view(np.uint64)
-        d, j, rows = _gauss_jordan(G, p)
-        if j == w:
-            return sign * d % p, G.view(np.int64)
-        if j <= last:
-            raise InvariantError(
-                f"row exchange at column {k0 + last} did not advance the "
-                "diagonal block's pivots")
-        last = j
-        below = _residues(A[k1:, k0:k0 + j], p)
-        g = _with_shift(below, p) @ _split(G[:j, j].view(np.int64), p)
-        nz = np.flatnonzero(_residues(A[k1:, k0 + j] - g, p))
-        if nz.size == 0:
+    G = _residues(A[k0:k1, k0:k1], p).view(np.uint64)
+    rows = list(range(w))
+    d, j = _gauss_jordan(G, p, rows, 0, 1)
+    while j < w:
+        found = _reduced_row_below(a21, G, j, p)
+        if found is None:
             return 0, None
-        a, b = k0 + rows[j], k1 + int(nz[0])
+        i, G[j] = found
+        a, b = k0 + rows[j], k1 + i
         A[[a, b], k0:] = A[[b, a], k0:]
-        sign = -sign
+        a21[i] = _with_shift(A[b, k0:k1], p)
+        d, stop = _gauss_jordan(G, p, rows, j, -d)
+        if stop == j:
+            raise InvariantError(
+                f"row exchange at column {k0 + j} did not supply a pivot")
+        j = stop
+    # G is the inverse of the block with its rows in the order ``rows``
+    G[:, rows] = G.copy()
+    return d % p, G.view(np.int64)
 
 
-def _schur_update(A, inverse, k0, k1, p):
-    """A22 -= (A21 A11^-1) A12 mod p, in row chunks."""
-    z = _with_shift(_residues(A[k1:, k0:k1], p), p) @ _split(inverse, p)
-    left = _with_shift(_residues(z, p), p)
-    right = _split(_residues(A[k0:k1, k1:], p), p)
-    for r0 in range(0, left.shape[0], _ROW_CHUNK):
-        r1 = r0 + _ROW_CHUNK
-        block = A[k1 + r0:k1 + r1, k1:]
-        g = left[r0:r1] @ right
-        np.subtract(block, g, out=g)
-        _reduce(g, p, out=block)
+def _schur_update(A, a21, inverse, k0, k1, p):
+    """A22 -= (A21 A11^-1) A12 mod p, one chunk of _ROW_CHUNK rows at a time.
+
+    a21 is ``_with_shift`` of A21.  Per chunk, z = A21 A11^-1 and then
+    z A12 are formed by ``_product`` into two buffers allocated once per
+    update.
+    """
+    n = A.shape[0]
+    inverse_limbs = _split(inverse, p)
+    right = _split(A[k0:k1, k1:], p)
+    z = np.empty((_ROW_CHUNK, k1 - k0))
+    g = np.empty((_ROW_CHUNK, n - k1))
+    for r0 in range(0, n - k1, _ROW_CHUNK):
+        block = A[k1 + r0:k1 + r0 + _ROW_CHUNK, k1:]
+        m = block.shape[0]
+        _product(a21[r0:r0 + m], inverse_limbs, z[:m])
+        _product(_with_shift(z[:m], p), right, g[:m])
+        np.subtract(block, g[:m], out=g[:m])
+        _reduce(g[:m], p, out=block)
 
 
 def _entry(e, p):
@@ -300,15 +377,17 @@ def det_mod_p(matrix, p: int) -> Mod:
     right-looking elimination: for each diagonal block A11 of _PANEL
     columns, Gauss-Jordan on [A11 | I] gives det(A11) and A11^-1 in uint64
     residues, and the trailing matrix becomes A22 - (A21 A11^-1) A12
-    through exact float64 GEMMs on 16-bit limbs.  A block singular mod p
-    at column j takes, in exchange for its row at position j, the first row
-    below whose column j is nonzero once reduced by the block's pivot rows,
-    and is inverted again; a row-permuted matrix can need such an exchange
-    for nearly every column, which makes it the slowest input.  Pivots are
+    through exact float64 products on 16-bit limbs, each small enough to
+    run on the calling thread.  A block singular mod p at column j takes,
+    in exchange for its row at position j, the first row below whose
+    column j is nonzero once reduced by the block's pivot rows, and
+    Gauss-Jordan goes on from column j; a row-permuted matrix can need
+    such an exchange for nearly every column, which makes it the slowest
+    input.  Pivots are
     the first nonzero entry wherever one is searched, so the result is
     deterministic for fixed input.  Exact for 2 <= p < 2**32 (p is assumed
-    prime): the uint64 updates stay below p**2 < 2**64 and every GEMM sum
-    below 2**53.  Raises NonSquareMatrix, NonIntegerMatrix (float, complex
+    prime): the uint64 updates stay below p**2 < 2**64 and every sum of a
+    product below 2**53.  Raises NonSquareMatrix, NonIntegerMatrix (float, complex
     or other non-integer entries), MixedRings (a Mod entry of another
     modulus) and ModulusOutOfRange.
     """
@@ -320,12 +399,13 @@ def det_mod_p(matrix, p: int) -> Mod:
     det = 1
     for k0 in range(0, n, _PANEL):
         k1 = min(k0 + _PANEL, n)
-        d, inverse = _invert_diagonal_block(A, k0, k1, p)
+        a21 = _with_shift(A[k1:, k0:k1], p)
+        d, inverse = _invert_diagonal_block(A, a21, k0, k1, p)
         if inverse is None:
             return Mod(0, p)
         det = det * d % p
         if k1 < n:
-            _schur_update(A, inverse, k0, k1, p)
+            _schur_update(A, a21, inverse, k0, k1, p)
     return Mod(det, p)
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the exact arithmetic layer."""
 
+import ast
+import inspect
 import random
 from itertools import permutations
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coxvar import group
+from coxvar import exact_algebra, group
 from coxvar.exact_algebra import (
     DET_MODULUS_LIMIT,
     Factorization,
@@ -19,6 +21,7 @@ from coxvar.exact_algebra import (
 from coxvar.errors import (
     CoxvarError,
     DivisionByZero,
+    InvariantError,
     MixedRings,
     ModulusOutOfRange,
     NonIntegerMatrix,
@@ -282,12 +285,16 @@ def test_det_mod_p_extreme_entries(p):
     assert _agree_with_reference(M, p) == expect
 
 
-def test_det_mod_p_real_chamber_matrix():
-    g = group("B4")
-    rng = random.Random(5)
-    values = np.array([rng.randrange(1, P) for _ in range(g.num_reflections)],
+def _chamber_matrix(name, p, seed=5):
+    g = group(name)
+    rng = random.Random(seed)
+    values = np.array([rng.randrange(1, p) for _ in range(g.num_reflections)],
                       dtype=np.int64)
-    M = modular_matrix(g, values, P)
+    return modular_matrix(g, values, p)
+
+
+def test_det_mod_p_real_chamber_matrix():
+    M = _chamber_matrix("B4", P)
     assert M.shape == (384, 384)
     assert _agree_with_reference(M, P) != 0
 
@@ -349,6 +356,121 @@ def test_det_mod_p_row_swaps_at_the_edge_prime(n):
     swap = np.eye(n, dtype=np.int64)
     swap[[0, n - 1]] = swap[[n - 1, 0]]
     assert det_mod_p(swap, EDGE_P).value == EDGE_P - 1
+
+
+def _product_inputs():
+    rng = np.random.default_rng(17)
+    for n in (1, 33, 129, 300):
+        yield f"random-{n}", rng.integers(0, P, size=(n, n))
+    yield "F4", _chamber_matrix("F4", P)
+    for name in ("pivot-far-below", "no-pivot-middle-panel"):
+        yield name, _exchange_case(name)
+
+
+def test_det_mod_p_products_stay_below_the_threading_size(monkeypatch):
+    # every float64 product is small enough for BLAS to form it on the
+    # calling thread; np.matmul is recorded, since _product alone calls it
+    shapes = []
+    matmul = np.matmul
+
+    def recording(a, b, out=None):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, out=out)
+
+    for name, M in _product_inputs():
+        expect = det_mod_p(M, P)
+        shapes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_algebra.np, "matmul", recording)
+            assert det_mod_p(M, P) == expect, name
+        assert shapes or M.shape[0] == 1, name
+        for (m, k), (k2, n) in shapes:
+            assert k == k2
+            assert m * n * k <= exact_algebra._PRODUCT_LIMIT, (name, m, n, k)
+
+
+def test_matrix_products_appear_only_in_the_product_helper():
+    tree = ast.parse(inspect.getsource(exact_algebra))
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for inner in ast.walk(node):
+                owner.setdefault(inner, node.name)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, owner.get(node)))
+        elif isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot"):
+            found.append((node.lineno, owner.get(node)))
+    assert found, "the kernel forms no product at all"
+    assert {name for _, name in found} == {"_product"}, found
+
+
+def _row_permuted_diagonal(n, p, rng):
+    """Rows of a diagonal matrix with nonzero entries, in shuffled order,
+    and its determinant mod p.  A diagonal block holds few of its own
+    diagonal entries, so nearly every column needs an exchange."""
+    diagonal = rng.integers(1, p, size=n)
+    perm = rng.permutation(n)
+    expect = _perm_sign(perm)
+    for d in diagonal:
+        expect = expect * int(d) % p
+    return np.diag(diagonal)[perm], expect % p
+
+
+def _count_pivot_steps(monkeypatch):
+    """Record (G, start, stop) of every Gauss-Jordan call of det_mod_p."""
+    calls = []
+    gauss_jordan = exact_algebra._gauss_jordan
+
+    def counting(G, p, rows, start, det):
+        det, stop = gauss_jordan(G, p, rows, start, det)
+        calls.append((G, start, stop))
+        return det, stop
+
+    monkeypatch.setattr(exact_algebra, "_gauss_jordan", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", [P, EDGE_P], ids=["P", "edge-prime"])
+@pytest.mark.parametrize("n", [140, 300])
+@pytest.mark.parametrize("build", [_row_permuted_diagonal,
+                                   _shuffled_upper_triangular],
+                         ids=["row-permuted", "shuffled-upper"])
+def test_det_mod_p_resumes_gauss_jordan_after_an_exchange(
+        monkeypatch, build, n, p):
+    M, expect = build(n, p, np.random.default_rng(n))
+    calls = _count_pivot_steps(monkeypatch)
+    assert det_mod_p(M, p).value == expect
+    if p == P:
+        assert det_mod_p_unblocked(M, p).value == expect
+    # each block has its own G; after an exchange Gauss-Jordan resumes
+    # where it stopped, so every block runs exactly w pivot steps
+    blocks = []
+    for G, start, stop in calls:
+        if blocks and blocks[-1][0] is G:
+            assert start == blocks[-1][2]
+        else:
+            assert start == 0
+            blocks.append([G, 0, 0])
+        blocks[-1][1] += stop - start
+        blocks[-1][2] = stop
+    assert len(blocks) == -(-n // 32)
+    assert [steps for _, steps, _ in blocks] == \
+        [G.shape[0] for G, _, _ in blocks]
+    assert len(calls) > 2 * len(blocks)  # exchanges did happen
+
+
+def test_det_mod_p_exchange_that_supplies_no_pivot_raises(monkeypatch):
+    # a reduced row whose column j is zero cannot advance the block
+    def no_pivot(a21, G, j, p):
+        return 0, np.zeros(G.shape[0], dtype=np.int64)
+
+    monkeypatch.setattr(exact_algebra, "_reduced_row_below", no_pivot)
+    M, _ = _row_permuted_diagonal(70, P, np.random.default_rng(70))
+    with pytest.raises(InvariantError):
+        det_mod_p(M, P)
 
 
 def test_det_mod_p_reads_integer_arrays_without_wrapping():
