@@ -1,14 +1,17 @@
 """Finite Coxeter groups: diagrams, exact enumeration, parabolic machinery.
 
-Groups are enumerated by breadth-first search through the geometric
-reflection representation, realized over the smallest exact ring for each
-type and embedded into integer matrices via the companion matrix of the
-ring generator.  Enumeration yields the element ids, their reduced-word
-tree (``parent``, ``gen_of``) and ``right_mul``; no matrix is touched after
-it.  Every other table follows from the tree one length level at a time:
-an element y = x s of length k depends only on its parent x of length
-k - 1, so ``left_mul[y] = right_mul[left_mul[x], s]`` (as g y = (g x) s),
-and the inverses, conjugation and inversion tables are built the same way.
+Every group is enumerated by breadth-first search through one table, the
+permutation action of the simple reflections on the roots: I2(m) in closed
+form, every other irreducible type as the orbit of its simple roots under
+exact integer reflections (Cartan integers, or Z[phi] for H3 and H4), and a
+product as the disjoint union of its components' roots.  An element is
+keyed by the roots to which its inverse sends the simple roots.
+Enumeration yields the element ids, their reduced-word tree (``parent``,
+``gen_of``) and ``right_mul``; no root is touched after it.  Every other
+table follows from the tree one length level at a time: an element
+y = x s of length k depends only on its parent x of length k - 1, so
+``left_mul[y] = right_mul[left_mul[x], s]`` (as g y = (g x) s), and the
+inverses, conjugation and inversion tables are built the same way.
 
 Every orbit the library needs -- the reflections, their conjugacy
 classes, the floor classes, the Coxeter class of a subset and the edge
@@ -35,7 +38,6 @@ from .errors import (
     UnknownAmbient,
     UnsupportedType,
 )
-from .exact_algebra import minimal_polynomial_2cos
 
 MAX_RANK = 16
 DEFAULT_ORDER_LIMIT = 10**6
@@ -325,163 +327,96 @@ def _classify_component(bonds, nodes):
 
 
 # ---------------------------------------------------------------------------
-# element engines
+# the action of S on the roots
+
+# multiplication by the golden ratio phi = 2cos(pi/5) on a + b phi, as the
+# column (a, b): phi (a + b phi) = b + (a + b) phi, since phi^2 = phi + 1
+_PHI = np.array([[0, 1], [1, 1]], dtype=np.int64)
 
 
-class _MatrixEngine:
-    """Reflection matrices over the exact ring, embedded into integer matrices."""
+def _simple_reflections(letter: str, param: int) -> np.ndarray:
+    """Simple reflections of one irreducible type other than I2(m).
 
-    def __init__(self, bonds):
-        n = len(bonds)
-        labels = {bonds[i][j] for i in range(n) for j in range(n) if i < j}
-        labels.discard(2)
-        if labels <= {3, 4, 6}:
-            # crystallographic: asymmetric Cartan integers, trivial embedding
-            d = 1
-            gamma_min = None
-        elif labels <= {3, 5}:
-            d = 2
-            gamma_min = (1, -1, -1)  # x^2 - x - 1, golden ratio
+    gens[i] is an integer matrix acting on root coordinates, column vectors
+    in the basis of simple roots: s_i(v) = v - <v, alpha_i^vee> alpha_i.  The
+    crystallographic types use their Cartan integers; H3 and H4 use Z[phi],
+    each coordinate a pair (a, b) standing for a + b phi.
+    """
+    bonds = _component_bonds(letter, param)
+    n = len(bonds)
+    d = 2 if letter == "H" else 1
+    one = np.eye(d, dtype=np.int64)
+    # <alpha_j, alpha_i^vee> by bond label, for i < j and for i > j
+    cartan = {2: (0 * one, 0 * one), 3: (-one, -one), 4: (-one, -2 * one),
+              5: (-_PHI, -_PHI)}
+    gens = np.zeros((n, n * d, n * d), dtype=np.int64)
+    for i in range(n):
+        gens[i] = np.eye(n * d, dtype=np.int64)
+        for j in range(n):
+            c = 2 * one if i == j else cartan[bonds[i][j]][i > j]
+            gens[i, i * d:(i + 1) * d, j * d:(j + 1) * d] -= c
+    return gens
+
+
+def _root_orbit(gens: np.ndarray, expected: int) -> np.ndarray:
+    """sigma[g, i] = index of s_g(r_i) on the orbit of the simple roots.
+
+    The roots r_0, r_1, ... are numbered in discovery order, the simple
+    roots first.  The orbit must have ``expected`` roots (2|T|); growth stops
+    as soon as it has more, so a broken action fails instead of running on.
+    """
+    n, N, _ = gens.shape
+    roots = [tuple(r) for r in np.eye(N, dtype=np.int64)[::N // n].tolist()]
+    index = {r: i for i, r in enumerate(roots)}
+    rows = []  # rows[i][g] = index of s_g(r_i)
+    while len(rows) < len(roots) <= expected:
+        row = []
+        for w in map(tuple, (gens @ roots[len(rows)]).tolist()):
+            if w not in index:
+                index[w] = len(roots)
+                roots.append(w)
+            row.append(index[w])
+        rows.append(row)
+    if len(roots) != expected:
+        raise InvariantError(
+            f"the orbit of the simple roots is not 2|T| = {expected} roots "
+            f"(reached {len(roots)})")
+    return np.array(rows, dtype=np.int32).T
+
+
+def _root_action(diagram: CoxeterDiagram):
+    """The permutation action of S on the roots, and the simple roots.
+
+    Returns (sigma, simple): sigma[g, i] is the index of the root s_g(r_i)
+    and simple[g] that of alpha_g.  A product's roots are the disjoint union
+    of its components' roots, and a generator fixes every root of the other
+    components.  I2(m) is closed form: r_k lies at angle k pi / m (k < 2m),
+    the simple roots are r_0 and r_(m-1), and the reflections send the angle
+    theta to pi - theta (k -> m - k) and to pi + 2(m - 1) pi / m - theta
+    (k -> 3m - 2 - k).  Every other type is the orbit of its simple roots.
+    """
+    parts = []
+    for comp in diagram.components:
+        if comp.letter == "I":
+            m = comp.param
+            k = np.arange(2 * m, dtype=np.int32)
+            parts.append((np.stack([(m - k) % (2 * m),
+                                    (3 * m - 2 - k) % (2 * m)]), [0, m - 1]))
         else:
-            m = max(labels)
-            if labels != {m}:
-                raise NonFiniteDiagram(f"mixed bond labels {labels} unsupported")
-            gamma_min = minimal_polynomial_2cos(m)
-            d = len(gamma_min) - 1
-        self.n, self.d = n, d
-        N = n * d
-        if d == 1:
-            def coeff(m):
-                # pair (c_ij, c_ji); returned for (i<j, j>i) positions
-                return {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3)}[m]
-
-            cart = [[0] * n for _ in range(n)]
-            for i in range(n):
-                cart[i][i] = 2
-                for j in range(i + 1, n):
-                    cij, cji = coeff(bonds[i][j])
-                    cart[i][j], cart[j][i] = cij, cji
-
-            def entry_block(c):
-                return np.array([[c]], dtype=np.int64)
-        else:
-            # companion matrix of the ring generator gamma
-            # gamma_min descending: x^d + a_{d-1} x^(d-1) + ... + a_0
-            comp = np.zeros((d, d), dtype=np.int64)
-            for i in range(1, d):
-                comp[i, i - 1] = 1
-            for i in range(d):
-                comp[i, d - 1] = -gamma_min[d - i]
-            ident = np.eye(d, dtype=np.int64)
-
-            def c_poly(m):
-                # 2cos(pi/m) as polynomial in gamma, low-degree first
-                if m == 2:
-                    return [0]
-                if m == 3:
-                    return [1]
-                # gamma itself (m equals the defining label)
-                return [0, 1]
-
-            def entry_block(poly):
-                if isinstance(poly, int):
-                    poly = [poly]
-                B = np.zeros((d, d), dtype=np.int64)
-                P = ident
-                for c in poly:
-                    if c:
-                        B = B + c * P
-                    P = P @ comp
-                return B
-
-            cart = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        cart[i][j] = [2]
-                    else:
-                        cart[i][j] = [-c for c in c_poly(bonds[i][j])]
-        gens = []
-        for i in range(n):
-            M = np.zeros((N, N), dtype=np.int64)
-            for a in range(n):
-                for b in range(n):
-                    if a == i:
-                        blk = entry_block(cart[i][b])
-                        val = (np.eye(d, dtype=np.int64) if a == b else 0) - blk
-                        M[a * d:(a + 1) * d, b * d:(b + 1) * d] = val
-                    elif a == b:
-                        M[a * d:(a + 1) * d, b * d:(b + 1) * d] = np.eye(
-                            d, dtype=np.int64)
-            gens.append(M)
-        self.gens = gens
-        self.identity = np.eye(N, dtype=np.int64)
-
-    def identity_key(self):
-        return self.identity.tobytes()
-
-    def start_stack(self):
-        return self.identity[None, :, :]
-
-    def right_apply(self, stack, g):
-        return stack @ self.gens[g]
-
-    @staticmethod
-    def keys(stack):
-        return [stack[i].tobytes() for i in range(stack.shape[0])]
-
-
-class _DihedralEngine:
-    """I2(m) closed form: element (k, f) is rotation^k * flip^f."""
-
-    def __init__(self, m):
-        self.m = m
-        self.gens = [(0, 1), (1, 1)]
-
-    def identity_key(self):
-        return (0, 0)
-
-    def start_stack(self):
-        return [(0, 0)]
-
-    def _mul(self, x, y):
-        a, fa = x
-        b, fb = y
-        if fa == 0:
-            return ((a + b) % self.m, fb)
-        return ((a - b) % self.m, 1 - fb)
-
-    def right_apply(self, stack, g):
-        gg = self.gens[g]
-        return [self._mul(x, gg) for x in stack]
-
-    @staticmethod
-    def keys(stack):
-        return list(stack)
-
-
-class _ProductEngine:
-    """Direct product of already-enumerated component groups."""
-
-    def __init__(self, groups, gen_map):
-        # gen_map: global generator -> (component index, local generator)
-        self.groups = groups
-        self.gen_map = gen_map
-
-    def identity_key(self):
-        return tuple(0 for _ in self.groups)
-
-    def start_stack(self):
-        return [self.identity_key()]
-
-    def right_apply(self, stack, g):
-        c, lg = self.gen_map[g]
-        tab = self.groups[c].right_mul
-        return [x[:c] + (int(tab[x[c], lg]),) + x[c + 1:] for x in stack]
-
-    @staticmethod
-    def keys(stack):
-        return list(stack)
+            expected = 2 * known_reflection_count(comp.letter, comp.param)
+            parts.append((_root_orbit(
+                _simple_reflections(comp.letter, comp.param), expected),
+                range(comp.rank)))
+    total = sum(sig.shape[1] for sig, _ in parts)
+    sigma = np.tile(np.arange(total, dtype=np.int32), (diagram.rank, 1))
+    simple = np.zeros(diagram.rank, dtype=np.int32)
+    offset = 0
+    for comp, (sig, simple_local) in zip(diagram.components, parts):
+        nodes = list(comp.nodes)
+        sigma[nodes, offset:offset + sig.shape[1]] = sig + offset
+        simple[nodes] = np.asarray(simple_local) + offset
+        offset += sig.shape[1]
+    return sigma, simple
 
 
 # ---------------------------------------------------------------------------
@@ -846,84 +781,70 @@ def _mask(J) -> int:
     return m
 
 
-def build_group(diagram: CoxeterDiagram, limit: int = DEFAULT_ORDER_LIMIT,
-                force_matrix: bool = False) -> EnumeratedGroup:
-    """Enumerate the whole group by BFS through the chosen representation."""
+def build_group(diagram: CoxeterDiagram,
+                limit: int = DEFAULT_ORDER_LIMIT) -> EnumeratedGroup:
+    """Enumerate the whole group through the action of S on its roots."""
     if diagram.order > limit:
         raise OrderLimitExceeded(
             f"{diagram.type_label} has order {diagram.order} > limit {limit}",
             known_order=diagram.order)
-    if len(diagram.components) > 1:
-        subgroups = []
-        gen_map = {}
-        for ci, comp in enumerate(diagram.components):
-            sub = parse_group_spec(comp.label)
-            subgroups.append(build_group(sub, limit=limit,
-                                         force_matrix=force_matrix))
-            for li, gnode in enumerate(comp.nodes):
-                gen_map[gnode] = (ci, li)
-        engine = _ProductEngine(subgroups, gen_map)
-    else:
-        comp = diagram.components[0]
-        if comp.letter == "I" and not force_matrix:
-            engine = _DihedralEngine(comp.param)
-        else:
-            engine = _MatrixEngine([list(r) for r in diagram.bonds])
-    return _bfs_enumerate(diagram, engine)
+    return _bfs_enumerate(diagram, *_root_action(diagram))
 
 
-def _bfs_enumerate(diagram, engine) -> EnumeratedGroup:
+def _bfs_enumerate(diagram, sigma, simple) -> EnumeratedGroup:
+    """Breadth-first enumeration of W, one length level per pass.
+
+    Element x is keyed by the root indices of x^-1(alpha_1), ...,
+    x^-1(alpha_n), which determine x.  As (x s)^-1 = s x^-1, right
+    multiplication by s maps a key to sigma[s][key].  x s has length
+    l(x) + 1 or l(x) - 1, so each candidate of the next level is either an
+    element of the previous level or new.  Candidates are ordered
+    generator-major and element-minor, and the first occurrence of each new
+    key gets the next id.
+    """
     n = diagram.rank
-    ids = {engine.identity_key(): 0}
-    parent, gen_of, length, support = [0], [-1], [0], [0]
-    right_rows = []
-    level_stack = engine.start_stack()
-    level_ids = [0]
-    depth = 0
-    while level_ids:
-        next_stack_parts, next_ids = [], []
-        level_rows = np.zeros((len(level_ids), n), dtype=np.int32)
-        for g in range(n):
-            out = engine.right_apply(level_stack, g)
-            keys = engine.keys(out)
-            for i, key in enumerate(keys):
-                j = ids.get(key)
-                if j is None:
-                    j = len(ids)
-                    ids[key] = j
-                    parent.append(level_ids[i])
-                    gen_of.append(g)
-                    length.append(depth + 1)
-                    support.append(support[level_ids[i]] | (1 << g))
-                    next_stack_parts.append(
-                        out[i] if isinstance(out, list) else out[i:i + 1])
-                    next_ids.append(j)
-                level_rows[i, g] = j
-        right_rows.append((level_ids, level_rows))
-        if next_ids:
-            if isinstance(level_stack, list):
-                level_stack = next_stack_parts
-            else:
-                level_stack = np.concatenate(next_stack_parts, axis=0)
-            level_ids = next_ids
-        else:
-            level_ids = []
-        depth += 1
-    order = len(ids)
-    if order != diagram.order:
-        raise NonFiniteDiagram(
-            f"enumeration found {order} elements, expected {diagram.order}")
-    right_mul = np.zeros((order, n), dtype=np.int32)
-    for lids, rows in right_rows:
-        right_mul[lids, :] = rows
-    parent = np.array(parent, dtype=np.int32)
-    gen_of = np.array(gen_of, dtype=np.int16)
-    length = np.array(length, dtype=np.int16)
-    left_mul = np.zeros((order, n), dtype=np.int32)
+    gens = np.arange(n)
+    parents, gen_ofs, right_rows = [np.zeros(1, np.int64)], [[-1]], []
+    prev = np.empty((0, n), dtype=sigma.dtype)
+    bits = (sigma.shape[1] - 1).bit_length()
+    level = simple[None, :]
+    prev_start, start, count = 0, 0, 1
+    while len(level):
+        m, p = len(level), len(prev)
+        cand = sigma[gens[:, None, None], level[None]].reshape(n * m, n)
+        first, inverse = _first_occurrences(np.concatenate([prev, cand]),
+                                            bits)
+        # a key first seen among the candidates is new, and new keys are
+        # numbered in order of first occurrence
+        new = first >= p
+        new_first = np.sort(first[new])
+        ids = prev_start + first
+        ids[new] = count + np.searchsorted(new_first, first[new])
+        right_rows.append(ids[inverse[p:]].reshape(n, m).T)
+        pos = new_first - p  # the candidate index of each new element
+        count += len(pos)
+        if count > diagram.order:
+            raise InvariantError(
+                f"enumeration passed |W| = {diagram.order} elements")
+        parents.append(start + pos % m)
+        gen_ofs.append(pos // m)
+        prev, prev_start = level, start
+        level, start = cand[pos], start + m
+    if count != diagram.order:
+        raise InvariantError(
+            f"enumeration found {count} elements, expected {diagram.order}")
+    right_mul = np.concatenate(right_rows).astype(np.int32)
+    parent = np.concatenate(parents).astype(np.int32)
+    gen_of = np.concatenate(gen_ofs).astype(np.int16)
+    length = np.repeat(np.arange(len(parents), dtype=np.int16),
+                       [len(a) for a in parents])
+    support = np.zeros(count, dtype=np.int64)
+    left_mul = np.zeros((count, n), dtype=np.int32)
     left_mul[0] = right_mul[0]  # g e = e g
     for ys in _levels(length):
-        # g (x s) = (g x) s
+        # g (x s) = (g x) s, and x s has the generators of x and s
         left_mul[ys] = right_mul[left_mul[parent[ys]], gen_of[ys][:, None]]
+        support[ys] = support[parent[ys]] | (1 << gen_of[ys].astype(np.int64))
     return EnumeratedGroup(
         diagram,
         right_mul=right_mul,
@@ -931,8 +852,31 @@ def _bfs_enumerate(diagram, engine) -> EnumeratedGroup:
         parent=parent,
         gen_of=gen_of,
         length=length,
-        support=np.array(support, dtype=np.int64),
+        support=support,
     )
+
+
+def _first_occurrences(rows, bits):
+    """Group equal rows: rows[i] == rows[first[inverse[i]]].
+
+    first holds the smallest index of each distinct row; the entries are
+    below 2**bits.  Each row is packed into as few int64 words as hold its
+    bits, and a stable sort of the words keeps equal rows in index order,
+    so the head of each run is the first occurrence.
+    """
+    per = 63 // bits
+    shifts = bits * np.arange(per, dtype=np.int64)
+    words = [(rows[:, j:j + per].astype(np.int64) << shifts[:rows.shape[1] - j]
+              ).sum(axis=1) for j in range(0, rows.shape[1], per)]
+    order = np.lexsort(words)
+    head = np.zeros(len(rows), dtype=bool)
+    head[:1] = True
+    for w in words:
+        sw = w[order]
+        head[1:] |= sw[1:] != sw[:-1]
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(head) - 1
+    return order[head], inverse
 
 
 @lru_cache(maxsize=32)

@@ -1,10 +1,9 @@
 """Prime-field scalars, sparse monomial algebra, a modular determinant kernel.
 
-Scalars are plain ``int`` and ``Mod`` for prime-field evaluation.  The
-rings Z[2cos(pi/m)] of the H and I2(m) types are never scalars here: the
-matrix engine of ``coxeter_core`` embeds them into integer matrices through
-the companion matrix of the minimal polynomial (``minimal_polynomial_2cos``).
-Everything is immutable and exact.
+Scalars are plain ``int`` and ``Mod`` for prime-field evaluation; the
+golden ratio of H3 and H4 appears only in the root orbit of
+``coxeter_core``, and no other ring does.  Everything is immutable and
+exact.
 
 ``det_mod_p`` is a blocked elimination over F_p for any p < 2**32.  Each
 32 x 32 diagonal block is inverted by Gauss-Jordan in uint64 residues,
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,24 +37,8 @@ from .errors import (
     ModulusOutOfRange,
     NonIntegerMatrix,
     NonSquareMatrix,
-    ParameterOutOfRange,
     UnassignedVariable,
 )
-
-
-@lru_cache(maxsize=None)
-def minimal_polynomial_2cos(m: int) -> tuple[int, ...]:
-    """Monic minimal polynomial of 2cos(pi/m), descending integer coefficients."""
-    if m < 3:
-        raise ParameterOutOfRange(f"bond label m = {m}; need m >= 3")
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / m), x, polys=True)
-    coeffs = tuple(int(c) for c in poly.all_coeffs())
-    if coeffs[0] != 1:
-        raise InvariantError(f"minimal polynomial of 2cos(pi/{m}) is not monic")
-    return coeffs
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,11 @@ from coxvar.errors import (
     CoxvarError,
     InvarianceViolation,
     InvariantError,
-    ParameterOutOfRange,
     ReducibleSubset,
     ReflectionNotOnEdge,
     SupportMismatch,
     UnknownAmbient,
 )
-from coxvar.exact_algebra import minimal_polynomial_2cos
 
 
 def arr(spec, **kw):
@@ -469,9 +467,7 @@ def test_conjugator_search_reports_failure():
     (lambda: group("H3").floor_class(0, ambient="nope"), UnknownAmbient),
     (lambda: arr("A3").multiplicity_formula((0, 2)), ReducibleSubset),
     (lambda: arr("A3").decompose_L((0, 1), 0), SupportMismatch),
-    (lambda: minimal_polynomial_2cos(2), ParameterOutOfRange),
-], ids=["floor_class", "multiplicity_formula", "decompose_L",
-        "minimal_polynomial_2cos"])
+], ids=["floor_class", "multiplicity_formula", "decompose_L"])
 def test_bad_arguments_raise_typed_value_errors(call, error):
     # ValueError keeps callers that caught the former bare ValueError working
     with pytest.raises(error) as exc:

@@ -2,11 +2,13 @@
 
 import dataclasses
 import random
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from coxvar import build_group, group, parse_group_spec
+from coxvar import build_group, coxeter_core, group, parse_group_spec
 from coxvar.coxeter_core import known_order, known_reflection_count
 from coxvar.errors import (
     InvariantError,
@@ -141,16 +143,48 @@ def test_conjugation_tables_agree_with_multiplication():
             assert int(g.refl_ids[int(C[x, t])]) == conj2
 
 
-def test_dihedral_engine_matches_matrix_engine():
-    for m in range(3, 9):
-        fast = group(f"I2({m})")
-        slow = build_group(parse_group_spec(f"I2({m})"), force_matrix=True)
-        assert fast.order == slow.order
-        assert (fast.length == slow.length).all()
-        assert (fast.right_mul == slow.right_mul).all()
-        assert (fast.left_mul == slow.left_mul).all()
-        Df, Ds = fast.conj_tables, slow.conj_tables
-        assert (Df == Ds).all() and (Df[fast.inv] == Ds[slow.inv]).all()
+def geometric_matrices(g):
+    """M[x]: float64 matrix of x in the geometric representation.
+
+    The bilinear form is B(alpha_i, alpha_j) = -cos(pi / m_ij), s_i maps v to
+    v - 2 B(alpha_i, v) alpha_i, and M[x] is the product of the matrices of
+    the letters of the stored reduced word of x.
+    """
+    bonds = np.array(g.diagram.bonds, dtype=float)
+    B = -np.cos(np.pi / bonds)
+    gens = np.eye(g.n) - 2 * np.eye(g.n)[:, :, None] * B[:, None, :]
+    M = np.empty((g.order, g.n, g.n))
+    M[0] = np.eye(g.n)
+    for x in range(1, g.order):
+        M[x] = M[g.parent[x]] @ gens[g.gen_of[x]]
+    return M, gens
+
+
+@pytest.mark.parametrize("spec", [
+    "A3", "B4", "D4", "F4", "H3", "H4", "I2(5)", "I2(7)", "I2(8)", "I2(12)",
+    "B2xA1", "H3xB3", "I2(5)xI2(7)xA2"])
+def test_tables_match_the_geometric_representation(spec):
+    # an independent faithful representation: distinct ids are distinct
+    # matrices, and right_mul is matrix multiplication
+    g = group(spec)
+    M, gens = geometric_matrices(g)
+    flat = np.round(M.reshape(g.order, -1), 6)
+    assert len(np.unique(flat, axis=0)) == g.order
+    for s in range(g.n):
+        assert np.abs(M @ gens[s] - M[g.right_mul[:, s]]).max() < 1e-9
+
+
+@pytest.mark.parametrize("dihedral,crystallographic", [
+    ("I2(3)", "A2"), ("I2(4)", "B2")])
+def test_closed_form_dihedral_roots_match_the_cartan_roots(dihedral,
+                                                           crystallographic):
+    # same bond matrix, roots from the closed form and from the Cartan
+    # integers: every table must agree
+    a, b = group(dihedral), group(crystallographic)
+    for name in ("right_mul", "left_mul", "parent", "gen_of", "length",
+                 "support", "inv", "refl_ids", "conj_tables",
+                 "inversion_table"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_single_reflection_class_iff_all_bonds_odd():
@@ -306,6 +340,44 @@ def test_subset_orbit_matches_the_reference_bfs(spec):
             assert (img == rows).all()
     rows, wits = g.subset_orbit(())
     assert rows.shape == (1, 0) and wits.tolist() == [0]
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block instead of hanging when it runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_root_orbit_of_the_wrong_size_raises(monkeypatch, delta):
+    # a claimed |T| one too small stops the orbit early, one too large
+    # leaves it short; both are typed errors
+    monkeypatch.setattr(coxeter_core, "known_reflection_count",
+                        lambda letter, param:
+                        known_reflection_count(letter, param) + delta)
+    with deadline(10), pytest.raises(InvariantError, match="simple roots"):
+        build_group(parse_group_spec("H3"))
+
+
+def test_broken_root_action_stops_at_the_group_order(monkeypatch):
+    # s_0 doctored into a 6-cycle of the roots: x s s is no longer x, so
+    # keys come back beyond the previous level, where no dedup looks, and
+    # only the order guard ends the search
+    sigma, simple = coxeter_core._root_action(parse_group_spec("A2"))
+    sigma[0] = np.roll(np.arange(sigma.shape[1]), 1)
+    monkeypatch.setattr(coxeter_core, "_root_action",
+                        lambda diagram: (sigma, simple))
+    with deadline(10), pytest.raises(InvariantError, match="passed"):
+        build_group(parse_group_spec("A2"))
 
 
 def test_table_guards():

@@ -16,7 +16,6 @@ from coxvar.exact_algebra import (
     Mod,
     Monomial,
     det_mod_p,
-    minimal_polynomial_2cos,
 )
 from coxvar.errors import (
     CoxvarError,
@@ -30,31 +29,6 @@ from coxvar.errors import (
 from coxvar.varchenko import modular_matrix, primes_list
 
 P = 2147483659
-
-
-# -- minimal polynomials -----------------------------------------------------
-
-
-def test_minimal_polynomial_2cos_known_values():
-    # 2cos(pi/3) = 1, 2cos(pi/4) = sqrt2, 2cos(pi/5) = phi,
-    # 2cos(pi/6) = sqrt3, 2cos(pi/12) has degree 4
-    assert minimal_polynomial_2cos(3) == (1, -1)
-    assert minimal_polynomial_2cos(4) == (1, 0, -2)
-    assert minimal_polynomial_2cos(5) == (1, -1, -1)
-    assert minimal_polynomial_2cos(6) == (1, 0, -3)
-    assert minimal_polynomial_2cos(12) == (1, 0, -4, 0, 1)
-
-
-@pytest.mark.parametrize("m", range(3, 16))
-def test_minimal_polynomial_has_2cos_as_root(m):
-    import math
-    x = 2 * math.cos(math.pi / m)
-    coeffs = minimal_polynomial_2cos(m)
-    val = 0.0
-    for c in coeffs:
-        val = val * x + c
-    assert abs(val) < 1e-9
-    assert coeffs[0] == 1  # monic
 
 
 # -- Mod ---------------------------------------------------------------------

@@ -78,6 +78,14 @@ PINNED = [
      "12051494f8b5d7833cf5729e937d6d63788d53e73984c90ad8837eb1747d7475"),
     (('multiplicity', 'E6', '--format', 'json'), 0,
      "f44b14d83ce1b2e404b8fcd98182a80c844109aa6bc3c924c9fce94fc8e01fde"),
+    # a dihedral group of large m, and products that mix rings: H3 (Z[phi])
+    # with B3 (Cartan integers), and two dihedral factors with A2
+    (('det', 'I2(1000)', '--format', 'json'), 0,
+     "971eb00413ed7390041abc3a0614aee8ee29732a72f322bb6d918dee2dab6e57"),
+    (('det', 'H3xB3', '--format', 'json'), 0,
+     "dbb90928b335686d1779374c45905134fe6c08514b30dba8e2b227a9bbe9eee9"),
+    (('multiplicity', 'I2(5)xI2(7)xA2', '--format', 'json'), 0,
+     "c1814d7a6f33674aaadf6b2b45e964ed9dcf8ab6c7a643865f385d07315a812c"),
 ]
 
 
