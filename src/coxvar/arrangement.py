@@ -1,25 +1,34 @@
 """Reflection arrangement combinatorics: edges and their multiplicities.
 
 Edges are identified purely by their closed sets of reflections; no
-geometric subspace arithmetic happens anywhere.  Each edge multiplicity is
-computed twice: by the closed product formula over parabolic data, and by
-an independent chamber-counting oracle that scans the whole group.  The
-oracle tests which chambers can span an edge once per edge, then counts,
-for every hyperplane on the edge, those whose face on it does.
+geometric subspace arithmetic happens anywhere.  The edges and the closed
+product formula for their multiplicities need only the reflection table,
+never W.  An independent chamber-counting oracle computes each
+multiplicity again over the enumerated group: it tests which chambers can
+span an edge once per edge, then counts, for every hyperplane on the
+edge, those whose face on it does.
 
-An `Arrangement` memoizes its edges, class representatives, parabolic
-data and oracle candidates on the instance, so they live exactly as long
-as it does.
+An `Arrangement` memoizes its edges, class orbits, class
+representatives, parabolic data and oracle candidates on the instance,
+so they live exactly as long as it does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import cached_property, wraps
 
 import numpy as np
 
-from .coxeter_core import EnumeratedGroup, _mask
+from .coxeter_core import (
+    DEFAULT_ORDER_LIMIT,
+    EnumeratedGroup,
+    _bits,
+    _mask,
+    _orbit,
+    build_group,
+    reflection_table,
+)
 from .errors import (
     BlocksOverlap,
     InvarianceViolation,
@@ -29,8 +38,6 @@ from .errors import (
     ReflectionNotOnEdge,
     SupportMismatch,
 )
-
-FORMULA_CROSSCHECK_LIMIT = 1152  # brute-force checks only below this order
 
 
 def _memoized(method):
@@ -51,7 +58,6 @@ class Edge:
 
     reflections: tuple[int, ...]
     class_J: tuple[int, ...]
-    witness: int  # element w with reflections == T_J^w
     coset_id: int
 
     def __len__(self):
@@ -72,14 +78,30 @@ class MultiplicityReport:
 
 
 class Arrangement:
-    """Cached per-group view of the reflection arrangement."""
+    """Cached per-group view of the reflection arrangement.
 
-    def __init__(self, group: EnumeratedGroup, floor_ambient: str = "WJ"):
-        self.group = group
-        self.floor_ambient = floor_ambient
+    Built from an enumerated group, or from a diagram alone; then W is
+    enumerated, up to ``limit`` elements, only when ``group`` is first
+    read, and ``limit`` also bounds the members of each edge orbit.
+    """
+
+    def __init__(self, group: EnumeratedGroup | None = None, diagram=None,
+                 limit: int = DEFAULT_ORDER_LIMIT):
+        if group is not None:
+            self.group = group
+            diagram = group.diagram
+            limit = max(limit, group.order)
+        self.diagram = diagram
+        self.limit = limit
+        self.roots = reflection_table(diagram)
+        self._orbits = {}  # J -> (edge rows of roots, Coxeter class [J])
         self._parabolic_cache = {}
         self._memo = {}
         self._candidates = {}  # (reflections, class_J) -> (chambers, masks)
+
+    @cached_property
+    def group(self) -> EnumeratedGroup:
+        return build_group(self.diagram, limit=self.limit)
 
     # -- basic chamber combinatorics ----------------------------------------
 
@@ -93,42 +115,72 @@ class Arrangement:
             self._parabolic_cache[J] = self.group.parabolic_data(J)
         return self._parabolic_cache[J]
 
-    # -- relevant edges ------------------------------------------------------
+    # -- edge orbits, from the reflection table -----------------------------
+
+    def _class_orbit(self, J):
+        """The edges of the class of J as sorted rows of roots, and [J].
+
+        The edges are the orbit of T_J under conjugation, and the Coxeter
+        class [J] is the sorted list of those K in S whose T_K is a member.
+        """
+        if J not in self._orbits:
+            roots = self.roots
+            rows = _orbit([roots.reflections_in(_mask(J))], roots.R,
+                          limit=self.limit)
+            of_rows = self._subsets_by_reflections()
+            self._orbits[J] = (rows, sorted(
+                of_rows[K] for K in map(tuple, rows.tolist())
+                if K in of_rows))
+        return self._orbits[J]
+
+    @_memoized
+    def _subsets_by_reflections(self):
+        """T_K, as a tuple of roots, -> K, for every irreducible K."""
+        return {tuple(self.roots.reflections_in(_mask(K)).tolist()): K
+                for K in self.diagram.irreducible_subsets()}
+
+    def coxeter_class(self, J):
+        """[J]: the subsets K of S with W_K conjugate to W_J, sorted."""
+        return self._class_orbit(tuple(sorted(J)))[1]
 
     @_memoized
     def class_representatives(self):
         """One representative per Coxeter class of irreducible subsets."""
-        reps = []
-        seen = set()
-        for J in self.group.diagram.irreducible_subsets():
-            if J in seen:
-                continue
-            pd = self.parabolic(J)
-            seen.update(K for K, _ in pd.coxeter_class)
-            reps.append(J)
+        reps, seen = [], set()
+        for J in self.diagram.irreducible_subsets():
+            if J not in seen:
+                seen.update(self.coxeter_class(J))
+                reps.append(J)
         return reps
+
+    def _x_S_J(self, J) -> int:
+        """|X(S,J)| = |N_W(W_J)| / |W_J|, the orbit of T_J being W / N_W(W_J)."""
+        edges = len(self._class_orbit(J)[0])
+        order_J = self.diagram.subdiagram(J).order
+        x, rest = divmod(self.diagram.order, order_J * edges)
+        if rest:
+            raise InvariantError(
+                f"|W_J| = {order_J} times the {edges} edges of class {J} "
+                f"does not divide |W| = {self.diagram.order}, so the edges "
+                "are no orbit W / N_W(W_J)")
+        return x
+
+    @_memoized
+    def numbering(self):
+        """The reflection index, in W's element order, of every root."""
+        return self.roots.numbering(self.group.conj_by_gen)
 
     @_memoized
     def relevant_edges(self):
         """All relevant edges, deduplicated and globally sorted."""
-        g = self.group
+        num = self.numbering()
         edges = []
         for J in self.class_representatives():
-            pd = self.parabolic(J)
-            rows, wits = g.subset_orbit(pd.T_J)
-            expected = g.order // pd.normalizer_order
-            if len(rows) != expected:
-                raise InvariantError(
-                    f"edge orbit of class {J} has {len(rows)} members, "
-                    f"but |W|/|N_W(W_J)| = {expected}")
+            self._x_S_J(J)  # checks the orbit size
+            rows = np.sort(num[self._class_orbit(J)[0]], axis=1)
             # coset ids number the edges of a class in lexicographic order
             for cid, i in enumerate(np.lexsort(rows.T[::-1])):
-                edges.append(Edge(
-                    reflections=tuple(rows[i].tolist()),
-                    class_J=J,
-                    witness=int(wits[i]),
-                    coset_id=cid,
-                ))
+                edges.append(Edge(tuple(rows[i].tolist()), J, cid))
         uniq = {e.reflections: e for e in edges}
         if len(uniq) != len(edges):
             raise InvariantError(
@@ -199,8 +251,7 @@ class Arrangement:
             size = int(inE.sum())
             xs = [np.empty(0, dtype=np.int64)]
             masks = [np.empty(0, dtype=np.int64)]
-            pd = self.parabolic(edge.class_J)
-            for Kmask in {_mask(K) for K, _ in pd.coxeter_class}:
+            for Kmask in {_mask(K) for K in self.coxeter_class(edge.class_J)}:
                 TK = g.reflection_indices_in(Kmask)
                 if len(TK) != size:
                     continue
@@ -227,40 +278,54 @@ class Arrangement:
     # -- multiplicity: closed formula ---------------------------------------
 
     def multiplicity_formula(self, J) -> MultiplicityReport:
-        """Ingredient cardinalities and their product for the class of J."""
+        """Ingredient cardinalities and their product for the class of J.
+
+        |[J]| and |X(S,J)| come from the orbit of T_J.  The floor and
+        |X(J,{s})| come from the W_J-class of t_J, the first reflection of
+        support J in W's element order.  Every W_J-class of reflections of
+        support J must give the same product.
+        """
         J = tuple(sorted(J))
-        g = self.group
-        pd = self.parabolic(J)
-        if not pd.irreducible:
+        if not self.diagram.is_connected_subset(J):
             raise ReducibleSubset(f"J = {J} is not irreducible")
-        Jmask = _mask(J)
-        full = [t for t in range(g.num_reflections)
-                if int(g.refl_support[t]) == Jmask]
+        roots = self.roots
+        full = np.flatnonzero(roots.support == _mask(J)).tolist()
         if not full:
             raise NoFullSupportReflection(f"no full-support reflection for {J}")
-        reports = []
-        choices = full if len(pd.W_J) <= FORMULA_CROSSCHECK_LIMIT else full[:1]
-        for tJ in choices:
-            s, _v = g.palindromic_decomposition(tJ)
-            ing = (
-                len(g.floor_class(tJ, ambient=self.floor_ambient)),
-                len(pd.coxeter_class),
-                len(pd.X_SJ),
-                g.x_J_s(J, s),
-            )
-            reports.append(ing)
+        head = (len(self.coxeter_class(J)), self._x_S_J(J))
+        reports, covered = [], set()
+        for t in [roots.first_in_element_order(full)] + full:
+            if t not in covered:
+                members, floor, x = self._floor_and_x_J_s(t)
+                covered.update(members.tolist())
+                reports.append((floor, *head, x))
         products = {a * b * c * d for a, b, c, d in reports}
         if len(products) != 1:
             raise InvariantError(
                 f"ingredient products for {J} depend on the full-support "
                 f"reflection: {reports}")
-        ing = reports[0]
         return MultiplicityReport(
             class_J=J,
-            label=g.diagram.subdiagram_label(J),
-            ingredients=ing,
-            l_formula=ing[0] * ing[1] * ing[2] * ing[3],
+            label=self.diagram.subdiagram(J).label,
+            ingredients=reports[0],
+            l_formula=products.pop(),
         )
+
+    def _floor_and_x_J_s(self, t: int):
+        """The W_J-class of root t (J its support), |floor(t)| and |X(J,{s})|.
+
+        s is a simple reflection conjugate to s_t in W_J, so |X(J,{s})|, half
+        the order of the centralizer of s in W_J, is |W_J| / (2 |t^W_J|).
+        """
+        roots = self.roots
+        members = roots.parabolic_class(t)
+        order_J = self.diagram.subdiagram(_bits(int(roots.support[t]))).order
+        x, rest = divmod(order_J, 2 * len(members))
+        if rest:
+            raise InvariantError(
+                f"2 |t^W_J| = {2 * len(members)} does not divide "
+                f"|W_J| = {order_J}")
+        return members, len(roots.floor_class(t)), x
 
     def multiplicity_reports(self, with_oracle=False):
         """One report per irreducible Coxeter class."""
@@ -268,10 +333,8 @@ class Arrangement:
         for J in self.class_representatives():
             rep = self.multiplicity_formula(J)
             if with_oracle:
-                pd = self.parabolic(J)
-                edge = Edge(
-                    reflections=tuple(int(t) for t in pd.T_J),
-                    class_J=J, witness=0, coset_id=0)
+                TJ = self.group.reflection_indices_in(_mask(J))
+                edge = Edge(tuple(TJ.tolist()), J, 0)
                 rep.l_oracle = self.multiplicity_oracle(edge)
             out.append(rep)
         return out
@@ -289,7 +352,6 @@ class Arrangement:
             raise SupportMismatch(f"reflection {t} does not have support {J}")
         pd = self.parabolic(J)
         N_members = pd.normalizer_members()
-        nset = set(int(x) for x in N_members)
         s, v = g.palindromic_decomposition(t)
         # centralizer of t in W_J, and N_{W_J}(W_{s})^v which must equal it
         D = g.conj_tables
@@ -302,16 +364,21 @@ class Arrangement:
             raise InvariantError(
                 f"centralizer of reflection {t} in W_J is not the "
                 f"centralizer of {s} conjugated by element {v}")
-        floor = g.floor_class(t, ambient=self.floor_ambient)
+        num = self.numbering()
+        root = int(np.flatnonzero(num == t)[0])
+        floor = sorted(num[self.roots.floor_class(root)].tolist())
         lengths = g.length
         blocks = {}
         union = set()
-        for K, cKJ in pd.coxeter_class:
-            # minimal-length representative of the coset cKJ * N_W(W_J)
-            coset = [g.mul(int(cKJ), int(x)) for x in N_members]
+        for K in self.coxeter_class(J):
+            # minimal-length representative of the coset c N_W(W_J), where
+            # c is any element conjugating W_K onto W_J
+            TK = g.reflection_indices_in(_mask(K))
+            cKJ = self._conjugator(TK, pd.T_J, range(g.order))
+            coset = [g.mul(cKJ, int(x)) for x in N_members]
             cK = min(coset, key=lambda e: (int(lengths[e]), e))
             for u in floor:
-                cut = self._conjugator(u, t, WJ)
+                cut = self._conjugator([u], [t], WJ)
                 coset_u = [g.mul(int(cut), int(c)) for c in cent_t]
                 cu = min(coset_u, key=lambda e: (int(lengths[e]), e))
                 block = set()
@@ -326,10 +393,11 @@ class Arrangement:
                 union |= block
         return blocks, union
 
-    def _conjugator(self, u: int, t: int, members) -> int:
-        """Some c in the given member set with u^c = t."""
+    def _conjugator(self, U, T, members) -> int:
+        """Some c among the members with {u^c : u in U} = T."""
         D = self.group.conj_tables
+        target = np.sort(np.ravel(T))
         for x in members:
-            if int(D[x, u]) == t:
+            if np.array_equal(np.sort(D[x, U]), target):
                 return int(x)
-        raise InvariantError(f"no conjugator from {u} to {t}")
+        raise InvariantError(f"no conjugator from {U} to {T}")

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .arrangement import Arrangement
-from .coxeter_core import DEFAULT_ORDER_LIMIT, group
+from .coxeter_core import DEFAULT_ORDER_LIMIT, group, parse_group_spec
 from .errors import (
     BlocksOverlap,
     CoxvarError,
@@ -41,43 +41,6 @@ EXIT_LIMIT = 3
 # errors meaning that a computed result failed a check, not that the input
 # was bad
 _VERIFICATION_ERRORS = (InvarianceViolation, BlocksOverlap, InvariantError)
-
-# Multiplicity ingredient tables for the two groups too large to enumerate
-# here.  Values are reproduced from the literature and are not recomputed,
-# so every row is flagged accordingly.
-_LITERATURE_ROWS = {
-    "E7": [
-        ("A1", 1, 7, 23040, 1),
-        ("A2", 1, 6, 1440, 1),
-        ("A3", 1, 6, 96, 2),
-        ("A4", 1, 5, 12, 6),
-        ("D4", 2, 1, 48, 8),
-        ("A5'", 1, 1, 12, 24),
-        ("A5''", 1, 1, 4, 24),
-        ("D5", 3, 2, 4, 48),
-        ("A6", 1, 1, 2, 120),
-        ("D6", 4, 1, 2, 384),
-        ("E6", 7, 1, 2, 720),
-        ("E7", 16, 1, 1, 23040),
-    ],
-    "E8": [
-        ("A1", 1, 8, 2903040, 1),
-        ("A2", 1, 7, 103680, 1),
-        ("A3", 1, 7, 3840, 2),
-        ("A4", 1, 6, 240, 6),
-        ("D4", 2, 1, 1154, 8),
-        ("A5", 1, 4, 24, 24),
-        ("D5", 3, 2, 48, 48),
-        ("A6", 1, 3, 4, 120),
-        ("D6", 4, 1, 8, 384),
-        ("E6", 7, 1, 12, 720),
-        ("A7", 1, 1, 2, 720),
-        ("D7", 5, 1, 2, 3840),
-        ("E7", 16, 1, 2, 23040),
-        ("E8", 44, 1, 1, 2903040),
-    ],
-}
-
 
 def _read_explicit_file(path: str) -> dict[int, str]:
     mapping = {}
@@ -137,7 +100,7 @@ def _variables_json(g, wa):
 def cmd_det(args):
     g = group(args.group, limit=args.limit)
     wa = _weight_assignment(g, args.assign)
-    ar = Arrangement(g, floor_ambient=args.floor_ambient)
+    ar = Arrangement(g)
     if args.format == "json":
         factors = []
         for edge, mono, mult in edge_factors(g, wa, arrangement=ar):
@@ -145,7 +108,7 @@ def cmd_det(args):
                 "monomial": {v: e for v, e in mono.exps},
                 "multiplicity": mult,
                 "edge": {
-                    "class": g.diagram.subdiagram_label(edge.class_J),
+                    "class": g.diagram.subdiagram(edge.class_J).label,
                     "size": len(edge.reflections),
                     "coset": edge.coset_id,
                 },
@@ -157,8 +120,7 @@ def cmd_det(args):
             "factors": factors,
         })
     else:
-        fact = closed_form_factorization(
-            g, wa, floor_ambient=args.floor_ambient, arrangement=ar)
+        fact = closed_form_factorization(g, wa, arrangement=ar)
         print(fact)
     return EXIT_OK
 
@@ -185,39 +147,18 @@ def cmd_matrix(args):
     return EXIT_OK
 
 
-def _literature_tables(label, fmt):
-    rows = _LITERATURE_ROWS[label]
-    if fmt == "json":
-        _emit_json({
-            "group": label,
-            "source": "paper value, unverified",
-            "rows": [
-                {"class": lbl, "floor": a, "coxeter_class": b,
-                 "x_S_J": c, "x_J_s": d, "l": a * b * c * d}
-                for lbl, a, b, c, d in rows
-            ],
-        })
-    else:
-        print(f"# {label}: paper value, unverified")
-        for lbl, a, b, c, d in rows:
-            print(f"{lbl:<6} {a:>8} {b:>4} {c:>8} {d:>8}  "
-                  f"l = {a * b * c * d}")
-    return EXIT_OK
-
-
 def cmd_tables(args):
-    if args.group in _LITERATURE_ROWS:
-        return _literature_tables(args.group, args.format)
-    g = group(args.group, limit=args.limit)
+    # W is enumerated only for the oracle
+    diagram = parse_group_spec(args.group)
     oracle_budget = HARD_DET_CAP if args.unsafe_large else DET_BUDGET
-    with_oracle = g.order <= oracle_budget
-    ar = Arrangement(g, floor_ambient=args.floor_ambient)
-    reports = ar.multiplicity_reports(with_oracle=with_oracle)
+    ar = Arrangement(diagram=diagram, limit=args.limit)
+    reports = ar.multiplicity_reports(
+        with_oracle=diagram.order <= oracle_budget)
     ok = all(r.match for r in reports)
     if args.format == "json":
         _emit_json({
-            "group": g.diagram.type_label,
-            "floor_ambient": args.floor_ambient,
+            "group": diagram.type_label,
+            "floor_ambient": "WJ",
             "rows": [
                 {"class": r.label,
                  "floor": r.ingredients[0],
@@ -248,8 +189,7 @@ def cmd_verify(args):
         print(f"warning: |W| = {g.order}, dense modular determinants "
               "will take a while", file=sys.stderr)
     report = verify_mod_p(g, wa, trials=args.trials, primes=args.primes,
-                          seed=args.seed, budget=budget,
-                          floor_ambient=args.floor_ambient)
+                          seed=args.seed, budget=budget)
     extra = concordance_checks(g)
     ok = report["verdict"] == "PASS" and all(
         r["verdict"] == "PASS" for r in extra)
@@ -278,13 +218,13 @@ def cmd_verify(args):
 
 def cmd_multiplicity(args):
     g = group(args.group, limit=args.limit)
-    ar = Arrangement(g, floor_ambient=args.floor_ambient)
+    ar = Arrangement(g)
     reports = ar.multiplicity_reports(with_oracle=True)
     ok = all(r.match for r in reports)
     if args.format == "json":
         _emit_json({
             "group": g.diagram.type_label,
-            "floor_ambient": args.floor_ambient,
+            "floor_ambient": "WJ",
             "reports": [
                 {"class": r.label,
                  "ingredients": list(r.ingredients),
@@ -329,7 +269,6 @@ def _build_parser():
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--primes", type=int, default=3)
         sp.add_argument("--trials", type=int, default=5)
-        sp.add_argument("--floor-ambient", choices=("WJ", "W"), default="WJ")
         sp.add_argument("--limit", type=int, default=DEFAULT_ORDER_LIMIT)
         sp.add_argument("--unsafe-large", action="store_true")
     return p

@@ -1,22 +1,28 @@
-"""Finite Coxeter groups: diagrams, exact enumeration, parabolic machinery.
+"""Finite Coxeter groups: diagrams, the reflection table, exact enumeration.
 
-Every group is enumerated by breadth-first search through one table, the
-permutation action of the simple reflections on the roots: I2(m) in closed
-form, every other irreducible type as the orbit of its simple roots under
-exact integer reflections (Cartan integers, or Z[phi] for H3 and H4), and a
-product as the disjoint union of its components' roots.  An element is
-keyed by the roots to which its inverse sends the simple roots.
-Enumeration yields the element ids, their reduced-word tree (``parent``,
-``gen_of``) and ``right_mul``; no root is touched after it.  Every other
-table follows from the tree one length level at a time: an element
+Everything starts from one table, the permutation action of the simple
+reflections on the roots: I2(m) in closed form, every other irreducible
+type as the orbit of its simple roots under exact integer reflections
+(Cartan integers, or Z[phi] for H3 and H4), and a product as the disjoint
+union of its components' roots.
+
+``ReflectionTable`` reads the reflections off that action without
+enumerating W: each positive root stands for its reflection, with its
+support, its depth and the conjugation action of S on it.  Every
+ingredient of the multiplicity formula and every edge orbit is computed
+from it.
+
+``EnumeratedGroup`` is W itself, enumerated by breadth-first search
+through the same action; an element is keyed by the roots to which its
+inverse sends the simple roots.  Enumeration yields the element ids,
+their reduced-word tree (``parent``, ``gen_of``) and ``right_mul``; every
+other table follows from the tree one length level at a time: an element
 y = x s of length k depends only on its parent x of length k - 1, so
 ``left_mul[y] = right_mul[left_mul[x], s]`` (as g y = (g x) s), and the
 inverses, conjugation and inversion tables are built the same way.
 
-Every orbit the library needs -- the reflections, their conjugacy
-classes, the floor classes, the Coxeter class of a subset and the edge
-orbits -- is an orbit of sets of points under generators, computed by the
-one helper ``EnumeratedGroup._orbit``.
+Every orbit the library needs is an orbit of sets of points under
+generators, computed by the one helper ``_orbit``.
 """
 
 from __future__ import annotations
@@ -29,13 +35,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (
-    GeneratorNotInJ,
     InvariantError,
     NonFiniteDiagram,
     OrderLimitExceeded,
     ParseError,
     RankOutOfRange,
-    UnknownAmbient,
     UnsupportedType,
 )
 
@@ -210,10 +214,9 @@ class CoxeterDiagram:
         out.sort(key=lambda J: (len(J), J))
         return out
 
-    def subdiagram_label(self, J) -> str:
-        """Classify the (connected) induced subdiagram of J by type name."""
-        comp = _classify_component(self.bonds, tuple(sorted(J)))
-        return comp.label
+    def subdiagram(self, J) -> Component:
+        """The type of the (connected) induced subdiagram of J."""
+        return _classify_component(self.bonds, tuple(sorted(J)))
 
 
 _NAME_RE = re.compile(r"^(A|B|D)([0-9]+)$|^(E6|E7|E8|F4|H3|H4)$|^I2\(([0-9]+)\)$")
@@ -384,11 +387,13 @@ def _root_orbit(gens: np.ndarray, expected: int) -> np.ndarray:
     return np.array(rows, dtype=np.int32).T
 
 
+@lru_cache(maxsize=32)
 def _root_action(diagram: CoxeterDiagram):
     """The permutation action of S on the roots, and the simple roots.
 
     Returns (sigma, simple): sigma[g, i] is the index of the root s_g(r_i)
-    and simple[g] that of alpha_g.  A product's roots are the disjoint union
+    and simple[g] that of alpha_g.  Cached per diagram, so the reflection
+    table and the enumeration share it; both arrays are read-only.  A product's roots are the disjoint union
     of its components' roots, and a generator fixes every root of the other
     components.  I2(m) is closed form: r_k lies at angle k pi / m (k < 2m),
     the simple roots are r_0 and r_(m-1), and the reflections send the angle
@@ -416,7 +421,167 @@ def _root_action(diagram: CoxeterDiagram):
         sigma[nodes, offset:offset + sig.shape[1]] = sig + offset
         simple[nodes] = np.asarray(simple_local) + offset
         offset += sig.shape[1]
+    sigma.flags.writeable = simple.flags.writeable = False
     return sigma, simple
+
+
+def _orbit(start, act, gens=None, limit=None):
+    """Orbit of sorted int rows under the point action ``act[i, g]``.
+
+    The generator g maps a row r to the sorted row act[r, g].  ``start``
+    holds distinct rows of one width; ``gens`` defaults to every column of
+    ``act``.  The orbit grows one level at a time, and a level keeps the
+    first occurrence of each new row among its candidates, ordered
+    frontier-major and generator-minor.  As every generator is an
+    involution, a candidate is new unless it lies in the last two levels.
+    Returns the rows in discovery order; past ``limit`` rows it raises
+    OrderLimitExceeded.
+    """
+    gens = np.arange(act.shape[1]) if gens is None else np.asarray(gens)
+    bits = max(1, (act.shape[0] - 1).bit_length())
+    level = np.sort(np.asarray(start, dtype=np.int64), axis=1)
+    parts, known = [level], level
+    total = len(level)
+    while len(level):
+        cand = np.sort(act[level[:, None, :], gens[:, None]],
+                       axis=2).reshape(len(level) * len(gens), level.shape[1])
+        first, _ = _first_occurrences(np.concatenate([known, cand]), bits)
+        new = np.sort(first[first >= len(known)]) - len(known)
+        total += len(new)
+        if limit is not None and total > limit:
+            raise OrderLimitExceeded(
+                f"an orbit passed {limit} members (the limit)")
+        known = np.concatenate([level, cand[new]])
+        level = cand[new]
+        parts.append(level)
+    return np.concatenate(parts)
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class ReflectionTable:
+    """The reflections of W as its positive roots, and how S conjugates them.
+
+    Built from the root action alone; W is never enumerated.  The positive
+    roots are numbered breadth first from the simple roots, so root g is
+    alpha_g, and root t stands for the reflection s_t.  ``R[t, g]`` is the
+    root of s_g s_t s_g; ``support[t]`` (a bitmask) is that of the root and
+    of s_t, and l(s_t) = 2 ``depth[t]`` - 1.  Root t past the simple ones
+    is s_gen[t](parent[t]), one deeper, with gen[t] added to its support.
+    """
+
+    def __init__(self, diagram: CoxeterDiagram):
+        self.sigma, self.simple = sigma, simple = _root_action(diagram)
+        n = diagram.rank
+        action = sigma.T.tolist()  # action[r][g] = index of s_g(r)
+        roots = simple.tolist()
+        index = {r: t for t, r in enumerate(roots)}
+        parent, gen, R = [-1] * n, [-1] * n, []
+        support, depth = [1 << g for g in range(n)], [1] * n
+        # roots grows while it is walked: breadth first, by depth.  s_g
+        # permutes the positive roots other than alpha_g, which it negates.
+        for t, r in enumerate(roots):
+            row = []
+            for g, image in enumerate(action[r]):
+                if r == roots[g]:
+                    image = r  # s_g s_g s_g = s_g
+                elif image not in index:
+                    index[image] = len(roots)
+                    roots.append(image)
+                    parent.append(t)
+                    gen.append(g)
+                    support.append(support[t] | 1 << g)
+                    depth.append(depth[t] + 1)
+                row.append(index[image])
+            R.append(row)
+        if 2 * len(roots) != sigma.shape[1]:
+            raise InvariantError(
+                f"{len(roots)} positive roots of {sigma.shape[1]} roots")
+        self.R = np.array(R, dtype=np.int64).reshape(len(roots), n)
+        self.parent, self.gen, self.support, self.depth = (
+            np.array(a, dtype=np.int64) for a in (parent, gen, support, depth))
+        self.positive = np.zeros(sigma.shape[1], dtype=bool)
+        self.positive[roots] = True
+
+    def __len__(self):
+        return len(self.R)
+
+    def reflections_in(self, Jmask: int):
+        """T_J: the roots with support inside J."""
+        return np.flatnonzero((self.support & ~np.int64(Jmask)) == 0)
+
+    def parabolic_class(self, t: int):
+        """The class of s_t in W_J, J its support, as sorted roots."""
+        J = _bits(int(self.support[t]))
+        return np.sort(_orbit([[t]], self.R, J)[:, 0])
+
+    def floor_class(self, t: int):
+        """floor(t): the members of t's W_J-class with t's support J.
+
+        A finite Coxeter diagram is a forest, so reflections of W_J that
+        are conjugate in W are conjugate in W_J.
+        """
+        cls = self.parabolic_class(t)
+        return cls[self.support[cls] == self.support[t]]
+
+    def first_in_element_order(self, roots) -> int:
+        """The root among ``roots`` whose reflection has the smallest id.
+
+        Enumeration numbers W by length and then by the normal form of
+        ``_normal_form``, and l(s_t) = 2 depth - 1; so the least depth
+        decides first, and the normal form breaks ties.
+        """
+        roots = np.asarray(roots)
+        least = roots[self.depth[roots] == self.depth[roots].min()]
+        return min(least.tolist(), key=self._normal_form)
+
+    def _normal_form(self, t: int) -> list[int]:
+        """The letters g1, g2, ... peeled off s_t from the right.
+
+        g1 is the least right descent of s_t, g2 that of s_t g1, and so on;
+        g is a right descent of w when w(alpha_g) is negative, w acting on
+        all the roots.  ``_bfs_enumerate`` numbers the elements of one
+        length in the order of this list.
+        """
+        chain = []
+        while self.parent[t] >= 0:
+            chain.append(int(self.gen[t]))
+            t = int(self.parent[t])
+        w = np.arange(self.sigma.shape[1])
+        for g in chain + [t] + chain[::-1]:
+            w = w[self.sigma[g]]
+        letters = []
+        while True:
+            descents = np.flatnonzero(~self.positive[w[self.simple]])
+            if not len(descents):
+                return letters
+            letters.append(int(descents[0]))
+            w = w[self.sigma[descents[0]]]
+
+    def numbering(self, conj_by_gen):
+        """The index of each root's reflection in another numbering of T.
+
+        ``conj_by_gen`` is S's conjugation action in that numbering, which
+        starts with the simple reflections.  A root takes the number of its
+        parent conjugated by its generator; InvariantError where the two
+        actions then disagree.
+        """
+        num = np.arange(len(self))
+        if conj_by_gen.shape == self.R.shape:
+            for ts in _levels(self.depth):
+                num[ts] = conj_by_gen[num[self.parent[ts]], self.gen[ts]]
+            if np.array_equal(np.sort(num), np.arange(len(self))) and \
+                    np.array_equal(conj_by_gen[num], num[self.R]):
+                return num
+        raise InvariantError(
+            "S conjugates the roots and the reflections differently")
+
+
+@lru_cache(maxsize=32)
+def reflection_table(diagram: CoxeterDiagram) -> ReflectionTable:
+    return ReflectionTable(diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -472,41 +637,6 @@ class EnumeratedGroup:
     def longest_element(self) -> int:
         return int(np.argmax(self.length))
 
-    # -- orbits --------------------------------------------------------------
-
-    def _orbit(self, start, act, gens=None):
-        """Orbit of sorted int rows under the point action ``act[i, g]``.
-
-        The generator g maps a row r to the sorted row act[r, g].  ``start``
-        holds distinct rows of one width; ``gens`` defaults to all of S.  The
-        orbit grows one level at a time: a level's candidates are ordered
-        frontier-major and generator-minor, and the first occurrence of each
-        row not seen before is kept.  Returns the rows in discovery order
-        and, per row, the witness element w = g1 g2 ... gk of its discovery
-        path (from the identity for a start row), carried by ``right_mul``;
-        for a conjugation action, row = start row ^ w.
-        """
-        gens = np.arange(self.n) if gens is None else np.asarray(gens)
-        level = np.sort(np.asarray(start, dtype=np.int64), axis=1)
-        level_wits = np.zeros(len(level), dtype=np.int64)
-        seen = set(map(tuple, level.tolist()))
-        parts, wit_parts = [level], [level_wits]
-        while len(level):
-            size = len(level) * len(gens)
-            cand = np.sort(act[level[:, None, :], gens[:, None]],
-                           axis=2).reshape(size, level.shape[1])
-            cand_wits = self.right_mul[level_wits[:, None], gens].reshape(size)
-            first = {}  # new row -> index of its first occurrence
-            for i, row in enumerate(map(tuple, cand.tolist())):
-                if row not in seen:
-                    first.setdefault(row, i)
-            seen.update(first)
-            new = list(first.values())
-            level, level_wits = cand[new], cand_wits[new]
-            parts.append(level)
-            wit_parts.append(level_wits)
-        return np.concatenate(parts), np.concatenate(wit_parts)
-
     # -- reflections ---------------------------------------------------------
 
     @cached_property
@@ -514,8 +644,7 @@ class EnumeratedGroup:
         """Element ids of all reflections, sorted (= closure of S under conj)."""
         gens = np.arange(self.n)
         conj = self.left_mul[self.right_mul, gens]  # conj[x, g] = g x g
-        rows, _ = self._orbit(self.right_mul[0, :, None], conj)
-        ids = np.sort(rows[:, 0])
+        ids = np.sort(_orbit(self.right_mul[0, :, None], conj)[:, 0])
         if not np.array_equal(ids[:self.n], gens + 1):
             raise InvariantError(
                 "the simple reflections are not the reflections 1..n")
@@ -577,10 +706,6 @@ class EnumeratedGroup:
         mask = int(self.support[x])
         return tuple(i for i in range(self.n) if mask >> i & 1)
 
-    def conj_refl(self, t: int, x: int) -> int:
-        """Reflection index of t^x."""
-        return int(self.conj_tables[x, t])
-
     # -- parabolic machinery -------------------------------------------------
 
     def reflection_indices_in(self, Jmask: int):
@@ -615,14 +740,6 @@ class EnumeratedGroup:
         u = self.mul(w, int(self.inv[x]))
         return u, x
 
-    def subset_orbit(self, refls):
-        """Conjugation orbit of a set of reflection indices, with witnesses.
-
-        Returns (rows, witnesses): the members as sorted rows in discovery
-        order, and per row an element w with row = {t^w : t in refls}.
-        """
-        return self._orbit([sorted(int(t) for t in refls)], self.conj_by_gen)
-
     def element_of_word(self, word) -> int:
         x = 0
         for g in word:
@@ -635,21 +752,12 @@ class EnumeratedGroup:
         W_J = self.parabolic_members(J)
         T_J = self.reflection_indices_in(Jmask)
         X_J = self.min_coset_reps(J)
-        # Coxeter class: orbit members that are subsets of S, with witnesses;
-        # J^w = K, so K^(w^-1) = J
-        rows, wits = self.subset_orbit(J)
-        inside = (rows < self.n).all(axis=1)
-        cox_class = sorted((tuple(K), int(self.inv[w]))
-                           for K, w in zip(rows[inside].tolist(), wits[inside]))
         X_SJ = self._stabilizing_reps(X_J, J)
         return ParabolicData(
             J=J,
             group=self,
             W_J=W_J,
             T_J=T_J,
-            X_J=X_J,
-            irreducible=self.diagram.is_connected_subset(J),
-            coxeter_class=cox_class,
             X_SJ=X_SJ,
             normalizer_order=len(W_J) * len(X_SJ),
         )
@@ -664,23 +772,15 @@ class EnumeratedGroup:
         ok = (block == target[None, :]).all(axis=1)
         return X[ok]
 
-    def x_J_s(self, J, s: int) -> int:
-        """|X(J, {s})| = half the order of the centralizer of s in W_J."""
-        if s not in set(J):
-            raise GeneratorNotInJ(f"generator {s} not in {J}")
-        members = self.parabolic_members(J)
-        cnt = int((self.conj_tables[members, s] == s).sum())
-        return cnt // 2
-
     def reflection_conjugacy_classes(self):
         """Orbits of T under W-conjugation, sorted by smallest member."""
         seen = np.zeros(self.num_reflections, dtype=bool)
         classes = []
         for t in range(self.num_reflections):
             if not seen[t]:
-                rows, _ = self._orbit([[t]], self.conj_by_gen)
-                seen[rows[:, 0]] = True
-                classes.append(tuple(sorted(rows[:, 0].tolist())))
+                members = _orbit([[t]], self.conj_by_gen)[:, 0]
+                seen[members] = True
+                classes.append(tuple(sorted(members.tolist())))
         return classes
 
     @cached_property
@@ -696,23 +796,6 @@ class EnumeratedGroup:
     def full_support_reflections(self):
         sup = self.refl_support
         return np.nonzero(sup == self.full_mask)[0]
-
-    def floor_class(self, t: int, ambient: str = "WJ"):
-        """Reflections with the same support as t, conjugate to t.
-
-        ambient "WJ" restricts conjugation to the parabolic on the support
-        of t; "W" uses the whole group.
-        """
-        Jmask = int(self.refl_support[t])
-        if ambient == "WJ":
-            gens = [i for i in range(self.n) if Jmask >> i & 1]
-        elif ambient == "W":
-            gens = list(range(self.n))
-        else:
-            raise UnknownAmbient(f"unknown ambient {ambient!r}")
-        rows, _ = self._orbit([[t]], self.conj_by_gen, gens)
-        return sorted(u for u in rows[:, 0].tolist()
-                      if int(self.refl_support[u]) == Jmask)
 
     def palindromic_decomposition(self, t: int):
         """(s, v) with t = v^-1 s v, s a generator, v in the support parabolic."""
@@ -739,15 +822,12 @@ class EnumeratedGroup:
 
 @dataclass
 class ParabolicData:
-    """Everything Theorem-1 style bookkeeping needs about one subset J."""
+    """W_J and its normalizer as element sets, for the chamber-set blocks."""
 
     J: tuple[int, ...]
     group: EnumeratedGroup
     W_J: np.ndarray
     T_J: np.ndarray
-    X_J: np.ndarray
-    irreducible: bool
-    coxeter_class: list  # (K sorted tuple, witness id c with K^c = J)
     X_SJ: np.ndarray
     normalizer_order: int
 
@@ -867,7 +947,8 @@ def _first_occurrences(rows, bits):
     per = 63 // bits
     shifts = bits * np.arange(per, dtype=np.int64)
     words = [(rows[:, j:j + per].astype(np.int64) << shifts[:rows.shape[1] - j]
-              ).sum(axis=1) for j in range(0, rows.shape[1], per)]
+              ).sum(axis=1) for j in range(0, rows.shape[1], per)] or [
+        np.zeros(len(rows), dtype=np.int64)]  # rows of width 0 are equal
     order = np.lexsort(words)
     head = np.zeros(len(rows), dtype=bool)
     head[:1] = True

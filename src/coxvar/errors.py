@@ -27,19 +27,7 @@ class NonFiniteDiagram(CoxvarError):
     pass
 
 
-class MixedRings(CoxvarError, TypeError):
-    pass
-
-
-class DivisionByZero(CoxvarError, ZeroDivisionError):
-    pass
-
-
 class UnassignedVariable(CoxvarError, KeyError):
-    pass
-
-
-class GeneratorNotInJ(CoxvarError):
     pass
 
 
@@ -85,10 +73,6 @@ class CountOutOfRange(CoxvarError, ValueError):
 
 class ParameterOutOfRange(CoxvarError, ValueError):
     """A numeric argument, such as a rank or a bond label, is not accepted."""
-
-
-class UnknownAmbient(CoxvarError, ValueError):
-    pass
 
 
 class ReducibleSubset(CoxvarError, ValueError):

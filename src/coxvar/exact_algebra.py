@@ -1,9 +1,9 @@
-"""Prime-field scalars, sparse monomial algebra, a modular determinant kernel.
+"""Sparse monomial algebra and a modular determinant kernel.
 
-Scalars are plain ``int`` and ``Mod`` for prime-field evaluation; the
-golden ratio of H3 and H4 appears only in the root orbit of
-``coxeter_core``, and no other ring does.  Everything is immutable and
-exact.
+Scalars are plain ``int``; a value over the prime field of p elements is
+an int in range(p).  The golden ratio of H3 and H4 appears only in the
+root orbit of ``coxeter_core``, and no other ring does.  Everything is
+immutable and exact.
 
 ``det_mod_p`` is a blocked elimination over F_p for any p < 2**32.  Each
 32 x 32 diagonal block is inverted by Gauss-Jordan in uint64 residues,
@@ -31,76 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DivisionByZero,
     InvariantError,
-    MixedRings,
     ModulusOutOfRange,
     NonIntegerMatrix,
     NonSquareMatrix,
     UnassignedVariable,
 )
-
-
-@dataclass(frozen=True)
-class Mod:
-    """Residue in the prime field of p elements."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _check(self, other):
-        if isinstance(other, int):
-            return Mod(other, self.p)
-        if isinstance(other, Mod):
-            if other.p != self.p:
-                raise MixedRings("Mod operands with different moduli")
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return Mod(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Mod(-self.value, self.p)
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return Mod(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return Mod(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.value == 0:
-            raise DivisionByZero("inverse of 0 mod p")
-        return Mod(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, e):
-        return Mod(pow(self.value, e, self.p), self.p)
 
 
 # Blocked elimination over F_p after Dumas, Giorgi and Pernet, "Dense linear
@@ -312,10 +248,6 @@ def _schur_update(A, a21, inverse, k0, k1, p):
 
 
 def _entry(e, p):
-    if isinstance(e, Mod):
-        if e.p != p:
-            raise MixedRings(f"Mod entry of modulus {e.p} in a matrix mod {p}")
-        return e.value
     try:
         return operator.index(e) % p
     except TypeError:
@@ -351,11 +283,11 @@ def _residue_matrix(matrix, p):
     return A
 
 
-def det_mod_p(matrix, p: int) -> Mod:
-    """Determinant over the field of p elements.
+def det_mod_p(matrix, p: int) -> int:
+    """Determinant over the field of p elements, as an int in range(p).
 
-    Accepts nested lists of ints and Mod entries, or an ndarray of integer
-    or object dtype; every entry is reduced mod p before any cast.  Blocked
+    Accepts nested lists of ints, or an ndarray of integer or object
+    dtype; every entry is reduced mod p before any cast.  Blocked
     right-looking elimination: for each diagonal block A11 of _PANEL
     columns, Gauss-Jordan on [A11 | I] gives det(A11) and A11^-1 in uint64
     residues, and the trailing matrix becomes A22 - (A21 A11^-1) A12
@@ -369,9 +301,8 @@ def det_mod_p(matrix, p: int) -> Mod:
     the first nonzero entry wherever one is searched, so the result is
     deterministic for fixed input.  Exact for 2 <= p < 2**32 (p is assumed
     prime): the uint64 updates stay below p**2 < 2**64 and every sum of a
-    product below 2**53.  Raises NonSquareMatrix, NonIntegerMatrix (float, complex
-    or other non-integer entries), MixedRings (a Mod entry of another
-    modulus) and ModulusOutOfRange.
+    product below 2**53.  Raises NonSquareMatrix, NonIntegerMatrix (float,
+    complex or other non-integer entries) and ModulusOutOfRange.
     """
     if not 2 <= p < DET_MODULUS_LIMIT:
         raise ModulusOutOfRange(
@@ -384,11 +315,11 @@ def det_mod_p(matrix, p: int) -> Mod:
         a21 = _with_shift(A[k1:, k0:k1], p)
         d, inverse = _invert_diagonal_block(A, a21, k0, k1, p)
         if inverse is None:
-            return Mod(0, p)
+            return 0
         det = det * d % p
         if k1 < n:
             _schur_update(A, a21, inverse, k0, k1, p)
-    return Mod(det, p)
+    return det
 
 
 @dataclass(frozen=True, order=True)
@@ -430,10 +361,7 @@ class Monomial:
         for v, e in self.exps:
             if v not in point:
                 raise UnassignedVariable(v)
-            val = point[v]
-            if isinstance(val, Mod):
-                val = val.value
-            r = r * pow(val % p, e, p) % p
+            r = r * pow(point[v] % p, e, p) % p
         return r
 
     def sort_key(self):
@@ -470,12 +398,12 @@ class Factorization:
     def scale_exponents(self, k: int) -> "Factorization":
         return Factorization(tuple((m, e * k) for m, e in self.factors))
 
-    def eval_mod(self, point, p) -> Mod:
+    def eval_mod(self, point, p) -> int:
         r = 1
         for m, e in self.factors:
             val = m.eval_mod(point, p)
             r = r * pow((1 - val * val) % p, e, p) % p
-        return Mod(r, p)
+        return r
 
     @property
     def total_degree(self) -> int:

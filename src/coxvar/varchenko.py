@@ -26,7 +26,7 @@ from .errors import (
     ParameterOutOfRange,
     VariableCollision,
 )
-from .exact_algebra import Factorization, Mod, Monomial, det_mod_p
+from .exact_algebra import Factorization, Monomial, det_mod_p
 
 # primes just above 2**31, inside det_mod_p's exact range p < 2**32; more
 # are generated on demand
@@ -114,11 +114,10 @@ def build_varchenko_matrix(group: EnumeratedGroup, wa: WeightAssignment,
 
 
 def closed_form_factorization(group: EnumeratedGroup, wa: WeightAssignment,
-                              floor_ambient: str = "WJ",
                               arrangement: Arrangement | None = None,
                               ) -> Factorization:
     """One factor (1 - a(E)^2)^l(E) per relevant edge, normalized."""
-    ar = arrangement or Arrangement(group, floor_ambient=floor_ambient)
+    ar = arrangement or Arrangement(group)
     return Factorization(tuple(
         (mono, mult) for _, mono, mult in edge_factors(group, wa, ar))
     ).normalize()
@@ -318,7 +317,7 @@ def modular_matrix(group: EnumeratedGroup, values: np.ndarray,
 
 def verify_mod_p(group: EnumeratedGroup, wa: WeightAssignment,
                  trials: int = 5, primes=None, seed: int = 0,
-                 budget: int = DET_BUDGET, floor_ambient: str = "WJ") -> dict:
+                 budget: int = DET_BUDGET) -> dict:
     """Random-evaluation check of the determinant identity.
 
     For each (prime, trial) samples nonzero weights, compares the modular
@@ -337,7 +336,7 @@ def verify_mod_p(group: EnumeratedGroup, wa: WeightAssignment,
         primes = primes_list(primes)
     elif not primes:
         raise CountOutOfRange("no primes given")
-    fact = closed_form_factorization(group, wa, floor_ambient=floor_ambient)
+    fact = closed_form_factorization(group, wa)
     rng = random.Random(seed)
     records = []
     variables = wa.variables()
@@ -348,8 +347,8 @@ def verify_mod_p(group: EnumeratedGroup, wa: WeightAssignment,
                                for t in range(group.num_reflections)],
                               dtype=np.int64)
             M = modular_matrix(group, values, p)
-            lhs = det_mod_p(M, p).value
-            rhs = fact.eval_mod(point, p).value
+            lhs = det_mod_p(M, p)
+            rhs = fact.eval_mod(point, p)
             records.append({
                 "check": "determinant_identity",
                 "group": group.diagram.type_label,

@@ -414,7 +414,7 @@ def _executable_lines(path):
 
 def _property_bundle():
     """Exercise of arrangement and varchenko run under the line tracer."""
-    import dataclasses
+    import copy
     import itertools
 
     import numpy as np
@@ -483,20 +483,29 @@ def _property_bundle():
         def count_L(self, edge, t):
             return 3
 
-    class _WrongNormalizer(Arrangement):
-        def parabolic(self, J):
-            pd = super().parabolic(J)
-            return dataclasses.replace(
-                pd, normalizer_order=2 * pd.normalizer_order)
+    class _WrongOrbit(Arrangement):
+        def _class_orbit(self, J):
+            rows, cls = super()._class_orbit(J)
+            return np.concatenate([rows, rows[:1]]), cls
+
+    class _ClassDependentFormula(Arrangement):
+        def _floor_and_x_J_s(self, t):
+            members, floor, _ = super()._floor_and_x_J_s(t)
+            return members, floor, next(counter)
 
     class _RepeatedClass(Arrangement):
         def class_representatives(self):
             reps = super().class_representatives()
             return reps + reps[:1]
 
-    g_b2 = build_group(parse_group_spec("B2"))
     counter = itertools.count(1)
-    g_b2.x_J_s = lambda J, s: next(counter)
+    # a W_J-class of the wrong size for |X(J,{s})|
+    wrong_class = Arrangement(g3)
+    wrong_class.roots = copy.copy(wrong_class.roots)
+    wrong_class.roots.parabolic_class = lambda t: np.arange(5)
+    # S conjugating the reflections differently from the roots
+    g_swapped = build_group(parse_group_spec("A3"))
+    g_swapped.conj_by_gen = g_swapped.conj_by_gen[:, ::-1]
     g_a3 = build_group(parse_group_spec("A3"))
     true_decomposition = g_a3.palindromic_decomposition
     g_a3.palindromic_decomposition = \
@@ -511,10 +520,12 @@ def _property_bundle():
     guards = [
         (lambda: odd.multiplicity_oracle(odd.relevant_edges()[0]),
          "InvarianceViolation"),
-        (lambda: _WrongNormalizer(g3).relevant_edges(), "InvariantError"),
+        (lambda: _WrongOrbit(g3).relevant_edges(), "InvariantError"),
         (lambda: _RepeatedClass(g3).relevant_edges(), "InvariantError"),
-        (lambda: Arrangement(g_b2).multiplicity_formula((0, 1)),
-         "InvariantError"),
+        (lambda: _ClassDependentFormula(group("B2")).multiplicity_formula(
+            (0, 1)), "InvariantError"),
+        (lambda: wrong_class.multiplicity_formula((0, 1)), "InvariantError"),
+        (lambda: Arrangement(g_swapped).relevant_edges(), "InvariantError"),
         (lambda: Arrangement(g_a3).decompose_L((0, 1, 2), t_a3),
          "InvariantError"),
         (lambda: Arrangement(g3)._conjugator(0, 1, []), "InvariantError"),
@@ -532,9 +543,11 @@ def _property_bundle():
             raise AssertionError(f"{name} guard did not trigger")
         except CoxvarError as exc:
             assert type(exc).__name__ == name
+    # W enumerated on first use, for an arrangement built from its diagram
+    assert Arrangement(diagram=parse_group_spec("A2"), limit=6).group.order == 6
     # a reflection set that no face spans skips every support class
     assert Arrangement(g3).chambers_spanning(
-        Edge(reflections=(0,), class_J=(0, 1), witness=0, coset_id=0),
+        Edge(reflections=(0,), class_J=(0, 1), coset_id=0),
         0) == set()
 
     for spec in ("A2", "B2", "A1xA1"):

@@ -1,7 +1,6 @@
 """Tests for edge enumeration and the two multiplicity routes."""
 
 import ast
-import dataclasses
 import gc
 import itertools
 import os
@@ -18,7 +17,7 @@ import coxvar
 import coxvar.arrangement as arrangement_mod
 from coxvar import group
 from coxvar.arrangement import Arrangement, Edge
-from coxvar.coxeter_core import _mask, build_group, parse_group_spec
+from coxvar.coxeter_core import _mask, _orbit, build_group, parse_group_spec
 from coxvar.errors import (
     CoxvarError,
     InvarianceViolation,
@@ -26,7 +25,6 @@ from coxvar.errors import (
     ReducibleSubset,
     ReflectionNotOnEdge,
     SupportMismatch,
-    UnknownAmbient,
 )
 
 
@@ -94,14 +92,15 @@ def test_edges_are_closed_reflection_sets():
 
 
 def test_edge_witness_conjugates_class_onto_edge():
+    # every edge is T_J^x for some x in W, J its class
     for spec in ("A3", "B3", "D4"):
         a = arr(spec)
         g = a.group
         D = g.conj_tables
         for edge in a.relevant_edges():
-            TJ = a.parabolic(edge.class_J).T_J
-            img = {int(D[edge.witness, t]) for t in TJ}
-            assert img == set(edge.reflections)
+            TJ = g.reflection_indices_in(_mask(edge.class_J))
+            images = np.sort(D[:, TJ], axis=1)
+            assert (images == np.array(edge.reflections)).all(axis=1).any()
 
 
 def test_edge_orbit_sizes_match_normalizer_index():
@@ -172,9 +171,8 @@ def chambers_spanning_reference(self, edge, t):
     g = self.group
     D = g.conj_tables
     C = D[g.inv]  # C[x, t] = index of t^(x^-1)
-    pd = self.parabolic(edge.class_J)
     allowed = np.array(sorted({np.int64(_mask(K))
-                               for K, _ in pd.coxeter_class}))
+                               for K in self.coxeter_class(edge.class_J)}))
     Ksup = g.refl_support[C[:, t]]
     candidates = np.nonzero(np.isin(Ksup, allowed))[0]
     target = frozenset(edge.reflections)
@@ -195,7 +193,7 @@ def chambers_spanning_reference(self, edge, t):
 def test_chambers_spanning_matches_reference_on_every_edge(spec):
     a = arr(spec)
     edges = a.relevant_edges()
-    assert any(e.witness != 0 for e in edges)
+    assert len(edges) > len(a.class_representatives())
     for edge in edges:
         for t in edge.reflections:
             assert a.chambers_spanning(edge, t) == \
@@ -208,7 +206,7 @@ def test_chambers_spanning_matches_reference_on_class_edges(spec):
     for J in a.class_representatives():
         pd = a.parabolic(J)
         edge = Edge(reflections=tuple(int(t) for t in pd.T_J),
-                    class_J=J, witness=0, coset_id=0)
+                    class_J=J, coset_id=0)
         for t in edge.reflections[:3]:
             got = a.chambers_spanning(edge, t)
             assert got, (J, t)
@@ -228,7 +226,7 @@ def test_chambers_spanning_skips_classes_of_the_wrong_size(monkeypatch):
     # one A3 hyperplane labelled with the A2 class: every face of that class
     # spans three reflections, so no face spans this one-reflection set
     a = arr("A3")
-    edge = Edge(reflections=(0,), class_J=(0, 1), witness=0, coset_id=0)
+    edge = Edge(reflections=(0,), class_J=(0, 1), coset_id=0)
     assert chambers_spanning_reference(a, edge, 0) == set()
     monkeypatch.setattr(arrangement_mod, "np", _NoRowGather())
     assert a.chambers_spanning(edge, 0) == set()
@@ -244,11 +242,10 @@ def chambers_spanning_sorted_rows(self, edge, t):
         raise ReflectionNotOnEdge(f"reflection {t} not on edge")
     g = self.group
     D = g.conj_tables
-    pd = self.parabolic(edge.class_J)
     target = np.array(sorted(set(edge.reflections)))
     Ksup = g.refl_support[D[g.inv, t]]
     out = set()
-    for Kmask in {_mask(K) for K, _ in pd.coxeter_class}:
+    for Kmask in {_mask(K) for K in self.coxeter_class(edge.class_J)}:
         TK = g.reflection_indices_in(Kmask)
         if len(TK) != len(target):
             continue
@@ -264,7 +261,7 @@ def test_chambers_spanning_matches_sorted_rows_on_every_hyperplane(spec):
     for J in a.class_representatives():
         pd = a.parabolic(J)
         edge = Edge(reflections=tuple(int(t) for t in pd.T_J),
-                    class_J=J, witness=0, coset_id=0)
+                    class_J=J, coset_id=0)
         for t in edge.reflections:
             got = a.chambers_spanning(edge, t)
             assert got, (J, t)
@@ -279,8 +276,7 @@ def test_chamber_candidates_are_keyed_by_the_class_too(true_first):
     # would answer the second query with the first one's chambers
     a = arr("A3")
     true_edge = a.edge_lookup()[frozenset({0})]
-    wrong_edge = Edge(reflections=(0,), class_J=(0, 1), witness=0,
-                      coset_id=0)
+    wrong_edge = Edge(reflections=(0,), class_J=(0, 1), coset_id=0)
     assert true_edge.reflections == (0,) and true_edge.class_J != (0, 1)
     expected = chambers_spanning_reference(a, true_edge, 0)
     assert expected
@@ -359,13 +355,56 @@ def test_multiplicity_report_values_H3():
     }
 
 
-def test_floor_ambient_flag_changes_nothing_for_H3_and_B3():
-    for spec in ("H3", "B3"):
-        wj = {(r.label, r.l_formula)
-              for r in arr(spec).multiplicity_reports()}
-        w = {(r.label, r.l_formula)
-             for r in arr(spec, floor_ambient="W").multiplicity_reports()}
-        assert wj == w
+def floor_class_over_W(g, t):
+    """Reflections with the support of t that are conjugate to t in W."""
+    members = _orbit([[t]], g.conj_by_gen)[:, 0]
+    return sorted(u for u in members.tolist()
+                  if g.refl_support[u] == g.refl_support[t])
+
+
+def test_floor_over_W_equals_floor_over_W_J():
+    # a finite Coxeter diagram is a forest, so the odd-bond path joining
+    # two simple reflections of a connected J lies in J: reflections of W_J
+    # conjugate in W are conjugate in W_J, and the floor of
+    # multiplicity_formula, a W_J-class, is the W-class
+    for spec in ("A4", "B3", "B4", "D4", "F4", "H3", "H4", "I2(6)", "I2(7)",
+                 "B2xA1", "A2xB3"):
+        a = arr(spec)
+        g = a.group
+        num = a.numbering()
+        for t in range(g.num_reflections):
+            root = int(np.flatnonzero(num == t)[0])
+            floor = sorted(num[a.roots.floor_class(root)].tolist())
+            assert floor == floor_class_over_W(g, t), (spec, t)
+
+
+# -- degree identities on the root tables -----------------------------------
+
+IDENTITY_SPECS = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "F4", "H3",
+    "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(9)",
+    "I2(10)", "I2(11)", "I2(12)", "A1xA1", "A2xA1", "B2xA1", "A2xA2",
+    "A3xA1", "A1xA1xA1", "H4", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("spec", IDENTITY_SPECS)
+def test_degree_identities_on_the_root_tables(spec):
+    # Each entry of the Varchenko matrix has degree at most 1 in the weight
+    # of a hyperplane t, and the factorization has degree sum over the
+    # edges E through t of 2 l(E) in it: that sum is |W| for every t.  Its
+    # sum over t is the total degree |W| |T| = sum over E of 2 |E| l(E).
+    d = parse_group_spec(spec)
+    a = Arrangement(diagram=d)
+    per_t = np.zeros(len(a.roots), dtype=np.int64)
+    total = 0
+    for J in a.class_representatives():
+        rows = a._class_orbit(J)[0]
+        l = a.multiplicity_formula(J).l_formula
+        per_t += l * np.bincount(rows.ravel(), minlength=len(a.roots))
+        total += 2 * rows.size * l
+    assert total == d.order * len(a.roots)
+    assert (2 * per_t == d.order).all()
+    assert "group" not in vars(a)  # W was never enumerated
 
 
 # -- explicit chamber-set decomposition --------------------------------------
@@ -379,7 +418,7 @@ def test_decompose_L_reproduces_chamber_set(spec, J):
     g = a.group
     pd = a.parabolic(J)
     edge = Edge(reflections=tuple(int(t) for t in pd.T_J),
-                class_J=tuple(J), witness=0, coset_id=0)
+                class_J=tuple(J), coset_id=0)
     Jmask = sum(1 << s for s in J)
     full = [t for t in edge.reflections
             if int(g.refl_support[t]) == Jmask]
@@ -389,8 +428,9 @@ def test_decompose_L_reproduces_chamber_set(spec, J):
         assert union == a.chambers_spanning(edge, t)
         assert sum(len(b) for b in blocks.values()) == len(union)
         # block count and sizes mirror the formula ingredients
-        floor = g.floor_class(int(t))
-        assert len(blocks) == len(pd.coxeter_class) * len(floor)
+        floor = floor_class_over_W(g, int(t))
+        assert len(blocks) == len(a.coxeter_class(J)) * len(floor)
+        assert {u for _, u in blocks} == set(floor)
     # reflections of smaller support are rejected
     small = [t for t in edge.reflections
              if int(g.refl_support[t]) != Jmask]
@@ -409,11 +449,10 @@ class _OddOracle(Arrangement):
         return 3
 
 
-class _WrongNormalizer(Arrangement):
-    def parabolic(self, J):
-        pd = super().parabolic(J)
-        return dataclasses.replace(pd,
-                                   normalizer_order=2 * pd.normalizer_order)
+class _WrongOrbit(Arrangement):
+    def _class_orbit(self, J):
+        rows, cls = super()._class_orbit(J)
+        return np.concatenate([rows, rows[:1]]), cls
 
 
 class _RepeatedClass(Arrangement):
@@ -430,7 +469,7 @@ def test_oracle_rejects_odd_chamber_count():
 
 def test_relevant_edges_checks_orbit_size():
     with pytest.raises(InvariantError, match="N_W"):
-        _WrongNormalizer(group("A2")).relevant_edges()
+        _WrongOrbit(group("A2")).relevant_edges()
 
 
 def test_relevant_edges_rejects_an_edge_in_two_classes():
@@ -438,13 +477,27 @@ def test_relevant_edges_rejects_an_edge_in_two_classes():
         _RepeatedClass(group("A2")).relevant_edges()
 
 
-def test_formula_checks_agreement_over_full_support_reflections():
-    # B2 has two full-support reflections; make x_J_s differ between them
-    g = build_group(parse_group_spec("B2"))
+class _ClassDependentFormula(Arrangement):
+    # a different |X(J,{s})| for each W_J-class of full-support reflections
     counter = itertools.count(1)
-    g.x_J_s = lambda J, s: next(counter)
+
+    def _floor_and_x_J_s(self, t):
+        members, floor, _ = super()._floor_and_x_J_s(t)
+        return members, floor, next(self.counter)
+
+
+def test_formula_checks_agreement_over_full_support_reflections():
+    # B2 has two classes of full-support reflections
     with pytest.raises(InvariantError, match="depend on"):
-        Arrangement(g).multiplicity_formula((0, 1))
+        _ClassDependentFormula(group("B2")).multiplicity_formula((0, 1))
+
+
+def test_relevant_edges_checks_the_root_numbering():
+    # the reflections' conjugation action, doctored: generators swapped
+    g = build_group(parse_group_spec("A3"))
+    g.conj_by_gen = g.conj_by_gen[:, ::-1]
+    with pytest.raises(InvariantError, match="differently"):
+        Arrangement(g).relevant_edges()
 
 
 def test_decompose_L_checks_centralizer_identity():
@@ -464,10 +517,9 @@ def test_conjugator_search_reports_failure():
 
 
 @pytest.mark.parametrize("call,error", [
-    (lambda: group("H3").floor_class(0, ambient="nope"), UnknownAmbient),
     (lambda: arr("A3").multiplicity_formula((0, 2)), ReducibleSubset),
     (lambda: arr("A3").decompose_L((0, 1), 0), SupportMismatch),
-], ids=["floor_class", "multiplicity_formula", "decompose_L"])
+], ids=["multiplicity_formula", "decompose_L"])
 def test_bad_arguments_raise_typed_value_errors(call, error):
     # ValueError keeps callers that caught the former bare ValueError working
     with pytest.raises(error) as exc:

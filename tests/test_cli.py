@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coxvar import arrangement, coxeter_core
 from coxvar.arrangement import Arrangement
 from coxvar.cli import main
 from coxvar.errors import BlocksOverlap, InvarianceViolation, InvariantError
@@ -165,15 +166,77 @@ def test_verification_errors_exit_1(capsys, monkeypatch, error):
         assert code == 1 and out == "" and "doctored" in err
 
 
-def test_tables_literature_display(capsys):
+# The computed rows of tables E7 and E8, written out by hand: (class,
+# |floor|, |[J]|, |X(S,J)|, |X(J,{s})|, l).  They are the published rows
+# with two errata corrected.  E7: the A5 class of J = (0, 1, 2, 3, 4) has
+# |[J]| = 2, not 1, so l = 192, not 96.  E8: D4 has |X(S,J)| = 1152, not
+# 1154, so l = 18432, not 18464.
+E7_ROWS = [
+    ("A1", 1, 7, 23040, 1, 161280),
+    ("A2", 1, 6, 1440, 1, 8640),
+    ("A3", 1, 6, 96, 2, 1152),
+    ("A4", 1, 5, 12, 6, 360),
+    ("D4", 2, 1, 48, 8, 768),
+    ("A5", 1, 2, 4, 24, 192),
+    ("D5", 3, 2, 4, 48, 1152),
+    ("A5", 1, 1, 12, 24, 288),
+    ("A6", 1, 1, 2, 120, 240),
+    ("E6", 7, 1, 2, 720, 10080),
+    ("D6", 4, 1, 2, 384, 3072),
+    ("E7", 16, 1, 1, 23040, 368640),
+]
+E8_ROWS = [
+    ("A1", 1, 8, 2903040, 1, 23224320),
+    ("A2", 1, 7, 103680, 1, 725760),
+    ("A3", 1, 7, 3840, 2, 53760),
+    ("A4", 1, 6, 240, 6, 8640),
+    ("D4", 2, 1, 1152, 8, 18432),
+    ("A5", 1, 4, 24, 24, 2304),
+    ("D5", 3, 2, 48, 48, 13824),
+    ("A6", 1, 3, 4, 120, 1440),
+    ("E6", 7, 1, 12, 720, 60480),
+    ("D6", 4, 1, 8, 384, 12288),
+    ("A7", 1, 1, 2, 720, 1440),
+    ("E7", 16, 1, 2, 23040, 737280),
+    ("D7", 5, 1, 2, 3840, 38400),
+    ("E8", 44, 1, 1, 2903040, 127733760),
+]
+
+
+def _never_enumerate(*args, **kwargs):
+    raise AssertionError("W was enumerated")
+
+
+def test_tables_literature_display(capsys, monkeypatch):
+    # computed from the roots alone: enumerating W would raise
+    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
+    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
+    monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
     code, out, _ = run(capsys, "tables", "E7")
     assert code == 0
-    assert "paper value, unverified" in out
-    assert "E7" in out
+    got = [ln.split() for ln in out.splitlines()]
+    assert got == [[c, str(a), str(b), str(x), str(y), "l", "=", str(l),
+                    "oracle", "=", "-", "ok"]
+                   for c, a, b, x, y, l in E7_ROWS]
     code, out, _ = run(capsys, "tables", "E8", "--format", "json")
+    assert code == 0
     doc = json.loads(out)
-    assert doc["source"] == "paper value, unverified"
-    assert len(doc["rows"]) == 14
+    assert doc["group"] == "E8" and doc["floor_ambient"] == "WJ"
+    assert [(r["class"], r["floor"], r["coxeter_class"], r["x_S_J"],
+             r["x_J_s"], r["l_formula"]) for r in doc["rows"]] == E8_ROWS
+    assert all(r["l_oracle"] is None and r["match"] for r in doc["rows"])
+
+
+def test_tables_limit_bounds_each_orbit(capsys):
+    # the largest edge orbit of D7 is class A4's, with 336 members; W has
+    # 322560 elements, and tables never enumerates it
+    code, out, err = run(capsys, "tables", "D7", "--limit", "335")
+    assert code == 3 and out == "" and "335" in err
+    code, out, _ = run(capsys, "tables", "D7", "--limit", "336")
+    assert code == 0 and len(out.splitlines()) == 11
+    # under the oracle's budget the limit still bounds W
+    code, _, err = run(capsys, "tables", "A5", "--limit", "719")
+    assert code == 3 and "order" in err
 
 
 def test_explicit_weight_file(tmp_path, capsys):
@@ -200,3 +263,12 @@ def test_explicit_weight_file_errors(tmp_path, capsys):
 def test_unknown_flag_is_parse_error(capsys):
     assert main(["det", "A2", "--bogus"]) == 2
     assert main([]) == 2
+
+
+def test_det_builds_no_conjugation_or_inversion_table(capsys):
+    code, out, _ = run(capsys, "det", "B6", "--format", "json")
+    assert code == 0 and len(json.loads(out)["factors"]) > 0
+    g = coxeter_core.group("B6", limit=coxeter_core.DEFAULT_ORDER_LIMIT)
+    assert "conj_by_gen" in vars(g)
+    assert "conj_tables" not in vars(g)
+    assert "inversion_table" not in vars(g)

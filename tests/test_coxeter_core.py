@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from coxvar import build_group, coxeter_core, group, parse_group_spec
-from coxvar.coxeter_core import known_order, known_reflection_count
+from coxvar.arrangement import Arrangement
+from coxvar.coxeter_core import (
+    _orbit,
+    known_order,
+    known_reflection_count,
+    reflection_table,
+)
 from coxvar.errors import (
     InvariantError,
     NonFiniteDiagram,
@@ -220,9 +226,11 @@ def test_unique_parabolic_factorization():
 
 
 def test_howlett_normalizer_factorization():
-    # |N_W(W_J)| = |W_J| * |X(S,J)| for every irreducible J
+    # |N_W(W_J)| = |W_J| * |X(S,J)| for every irreducible J, by brute force
+    # over W, and the same |X(S,J)| from the orbit of T_J alone
     for spec in ("A3", "A4", "B3", "B4", "D4", "H3", "I2(5)", "I2(8)"):
         g = group(spec)
+        a = Arrangement(g)
         D = g.conj_tables
         for J in g.diagram.irreducible_subsets():
             pd = g.parabolic_data(J)
@@ -231,19 +239,29 @@ def test_howlett_normalizer_factorization():
                         if {int(D[x, t]) for t in TJ} == TJ)
             assert brute == pd.normalizer_order
             assert pd.normalizer_order == len(pd.W_J) * len(pd.X_SJ)
+            assert len(pd.X_SJ) == a._x_S_J(J)
             members = set(int(x) for x in pd.normalizer_members())
             assert len(members) == pd.normalizer_order
 
 
+def coxeter_class_reference(g, J):
+    """[J] over W: the subsets K of S that some element conjugates onto J."""
+    return sorted(tuple(sorted(K)) for K in subset_orbit_reference(g, J)
+                  if all(k < g.n for k in K))
+
+
 def test_coxeter_class_witnesses():
-    g = group("A4")
-    for J in g.diagram.irreducible_subsets():
-        pd = g.parabolic_data(J)
-        for K, c in pd.coxeter_class:
-            # the witness conjugates K back onto J
-            D = g.conj_tables
-            img = {int(D[int(c), s]) for s in K}
-            assert img == set(J)
+    for spec in ("A4", "D4", "B3", "I2(6)"):
+        g = group(spec)
+        D = g.conj_tables
+        a = Arrangement(g)
+        for J in g.diagram.irreducible_subsets():
+            cls = a.coxeter_class(J)
+            assert cls == coxeter_class_reference(g, J)
+            for K in cls:
+                # some element conjugates K onto J
+                img = np.sort(D[:, list(K)], axis=1)
+                assert (img == np.array(J)).all(axis=1).any()
 
 
 def test_palindromic_decomposition():
@@ -261,14 +279,26 @@ def test_palindromic_decomposition():
             assert s in sup and set(g.support_set(v)) <= sup
 
 
+def x_J_s_reference(g, J, s):
+    """|X(J, {s})| over W: half the order of the centralizer of s in W_J."""
+    members = g.parabolic_members(J)
+    return int((g.conj_tables[members, s] == s).sum()) // 2
+
+
 def test_x_J_s_examples():
-    g = group("H3")
-    J = (0, 1, 2)
-    t = int(g.full_support_reflections()[0])
-    s, _ = g.palindromic_decomposition(t)
-    assert g.x_J_s(J, s) == 4
-    a2 = group("A2")
-    assert a2.x_J_s((0, 1), 0) == 1
+    a = Arrangement(group("H3"))
+    assert a.multiplicity_formula((0, 1, 2)).ingredients[3] == 4
+    assert Arrangement(group("A2")).multiplicity_formula(
+        (0, 1)).ingredients[3] == 1
+    # every full-support reflection, against the centralizer in W_J
+    for spec in ("H3", "B3", "F4", "I2(6)", "D4"):
+        g = group(spec)
+        a = Arrangement(g)
+        num = a.numbering()
+        for t in range(len(a.roots)):
+            J = tuple(coxeter_core._bits(int(a.roots.support[t])))
+            s, _ = g.palindromic_decomposition(int(num[t]))
+            assert a._floor_and_x_J_s(t)[2] == x_J_s_reference(g, J, s)
 
 
 def test_full_support_counts_sample():
@@ -278,26 +308,24 @@ def test_full_support_counts_sample():
 
 
 def test_floor_class_examples():
-    g = group("H3")
-    t = int(g.full_support_reflections()[0])
-    assert len(g.floor_class(t)) == 8
+    roots = reflection_table(parse_group_spec("H3"))
+    t = int(np.flatnonzero(roots.support == 7)[0])
+    assert len(roots.floor_class(t)) == 8
     # I2(6): two classes of full-support reflections, floor 2 each
-    h = group("I2(6)")
-    for t in h.full_support_reflections():
-        assert len(h.floor_class(int(t))) == 2
-    with pytest.raises(ValueError):
-        g.floor_class(t, ambient="nope")
+    roots = reflection_table(parse_group_spec("I2(6)"))
+    full = np.flatnonzero(roots.support == 3)
+    assert len(full) == 4
+    for t in full:
+        assert len(roots.floor_class(int(t))) == 2
 
 
 def test_subset_orbit_counts():
-    g = group("D4")
+    a = Arrangement(group("D4"))
     # the three A3 subsets of D4 are pairwise non-conjugate
     for J in [(0, 1, 2), (0, 1, 3), (1, 2, 3)]:
-        pd = g.parabolic_data(J)
-        assert len(pd.coxeter_class) == 1
+        assert a.coxeter_class(J) == [J]
     # the three A1 end nodes are one Coxeter class plus the center
-    pd = g.parabolic_data((0,))
-    assert len(pd.coxeter_class) == 4
+    assert len(a.coxeter_class((0,))) == 4
 
 
 def subset_orbit_reference(g, refls):
@@ -325,21 +353,24 @@ def subset_orbit_reference(g, refls):
 
 @pytest.mark.parametrize("spec", ["A3", "B4", "D4", "H3", "I2(8)", "B2xA1"])
 def test_subset_orbit_matches_the_reference_bfs(spec):
-    # same members, same discovery order, same witness elements
+    # the orbit over the roots, renumbered, has the reference's members in
+    # the reference's discovery order, and an element of W conjugates the
+    # start onto each member
     g = group(spec)
     D = g.conj_tables
+    roots = reflection_table(g.diagram)
+    num = roots.numbering(g.conj_by_gen)
     for J in g.diagram.irreducible_subsets():
-        T_J = g.reflection_indices_in(sum(1 << s for s in J))
+        T_J = roots.reflections_in(sum(1 << s for s in J))
         for start in (J, T_J):
-            rows, wits = g.subset_orbit(start)
-            ref = subset_orbit_reference(g, start)
+            rows = np.sort(num[_orbit([start], roots.R)], axis=1)
+            ref = subset_orbit_reference(g, num[list(start)])
             assert rows.tolist() == [sorted(K) for K in ref]
-            assert wits.tolist() == [g.element_of_word(w)
-                                     for w in ref.values()]
-            img = np.sort(D[wits[:, None], np.array(start)[None, :]], axis=1)
+            wits = [g.element_of_word(w) for w in ref.values()]
+            img = np.sort(D[np.array(wits)[:, None],
+                            num[list(start)][None, :]], axis=1)
             assert (img == rows).all()
-    rows, wits = g.subset_orbit(())
-    assert rows.shape == (1, 0) and wits.tolist() == [0]
+    assert _orbit([[]], roots.R).shape == (1, 0)
 
 
 @contextmanager
@@ -364,6 +395,8 @@ def test_root_orbit_of_the_wrong_size_raises(monkeypatch, delta):
     monkeypatch.setattr(coxeter_core, "known_reflection_count",
                         lambda letter, param:
                         known_reflection_count(letter, param) + delta)
+    # the root action is cached per diagram; compute it afresh
+    coxeter_core._root_action.cache_clear()
     with deadline(10), pytest.raises(InvariantError, match="simple roots"):
         build_group(parse_group_spec("H3"))
 
@@ -373,6 +406,7 @@ def test_broken_root_action_stops_at_the_group_order(monkeypatch):
     # keys come back beyond the previous level, where no dedup looks, and
     # only the order guard ends the search
     sigma, simple = coxeter_core._root_action(parse_group_spec("A2"))
+    sigma = sigma.copy()  # the cached action is read-only
     sigma[0] = np.roll(np.arange(sigma.shape[1]), 1)
     monkeypatch.setattr(coxeter_core, "_root_action",
                         lambda diagram: (sigma, simple))
@@ -417,3 +451,60 @@ def test_generator_reflection_indices():
         for i in range(g.n):
             assert int(g.refl_ids[int(g.refl_index[g.element_of_word([i])])]
                        ) == g.element_of_word([i])
+
+
+# -- the reflection table ----------------------------------------------------
+
+TABLE_SPECS = ["A1", "A3", "A5", "B2", "B4", "B5", "D4", "D5", "F4", "H3",
+               "H4", "E6", "I2(5)", "I2(8)", "I2(12)", "B2xA1", "H3xB3",
+               "I2(5)xI2(7)xA2"]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_reflection_table_matches_the_enumerated_reflections(spec):
+    g = group(spec)
+    roots = reflection_table(g.diagram)
+    num = roots.numbering(g.conj_by_gen)  # raises unless R matches
+    assert len(roots) == g.num_reflections
+    assert np.array_equal(roots.support, g.refl_support[num])
+    assert np.array_equal(2 * roots.depth - 1,
+                          g.length[g.refl_ids[num]])
+    assert np.array_equal(num[:g.n], np.arange(g.n))
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS + ["B6", "D6", "A6"])
+def test_first_in_element_order_is_the_least_reflection_id(spec):
+    # t_J from the roots is the full-support reflection W numbers first
+    g = group(spec)
+    roots = reflection_table(g.diagram)
+    num = roots.numbering(g.conj_by_gen)
+    for J in g.diagram.irreducible_subsets():
+        Jmask = sum(1 << s for s in J)
+        full = np.flatnonzero(roots.support == Jmask)
+        ids = np.flatnonzero(g.refl_support == Jmask)
+        assert num[roots.first_in_element_order(full)] == ids.min(), J
+
+
+def test_numbering_rejects_actions_that_disagree():
+    g = build_group(parse_group_spec("A3"))
+    roots = reflection_table(g.diagram)
+    with pytest.raises(InvariantError, match="differently"):
+        roots.numbering(g.conj_by_gen[:, ::-1])
+    with pytest.raises(InvariantError, match="differently"):
+        roots.numbering(g.conj_by_gen[:-1])
+
+
+def test_root_action_is_cached_and_read_only():
+    d = parse_group_spec("B3")
+    sigma, simple = coxeter_core._root_action(d)
+    assert coxeter_core._root_action(parse_group_spec("B3"))[0] is sigma
+    with pytest.raises(ValueError):
+        sigma[0, 0] = 1
+    assert reflection_table(d) is reflection_table(parse_group_spec("B3"))
+
+
+def test_orbit_stops_past_its_limit():
+    roots = reflection_table(parse_group_spec("D7"))
+    assert len(_orbit([[0]], roots.R, limit=42)) == 42
+    with pytest.raises(OrderLimitExceeded, match="41"):
+        _orbit([[0]], roots.R, limit=41)

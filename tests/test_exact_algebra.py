@@ -13,15 +13,12 @@ from coxvar import exact_algebra, group
 from coxvar.exact_algebra import (
     DET_MODULUS_LIMIT,
     Factorization,
-    Mod,
     Monomial,
     det_mod_p,
 )
 from coxvar.errors import (
     CoxvarError,
-    DivisionByZero,
     InvariantError,
-    MixedRings,
     ModulusOutOfRange,
     NonIntegerMatrix,
     NonSquareMatrix,
@@ -29,30 +26,6 @@ from coxvar.errors import (
 from coxvar.varchenko import modular_matrix, primes_list
 
 P = 2147483659
-
-
-# -- Mod ---------------------------------------------------------------------
-
-
-@given(st.integers(0, P - 1), st.integers(0, P - 1), st.integers(0, P - 1))
-def test_mod_field_axioms(a, b, c):
-    x, y, z = Mod(a, P), Mod(b, P), Mod(c, P)
-    assert (x + y) + z == x + (y + z)
-    assert x * (y + z) == x * y + x * z
-    assert x - x == Mod(0, P)
-    if a:
-        assert x * x.inverse() == Mod(1, P)
-        assert x ** (P - 1) == Mod(1, P)
-
-
-def test_mod_mixed_modulus_rejected():
-    with pytest.raises(MixedRings):
-        Mod(1, 7) + Mod(1, 11)
-
-
-def test_mod_zero_division():
-    with pytest.raises(DivisionByZero):
-        Mod(3, 7) / Mod(0, 7)
 
 
 # -- modular determinants ----------------------------------------------------
@@ -88,13 +61,24 @@ def test_det_mod_p_against_leibniz():
         n = rng.randint(1, 5)
         M = np.array([[rng.randrange(P) for _ in range(n)]
                       for _ in range(n)], dtype=np.int64)
-        assert det_mod_p(M, P).value == _det_permanent_style(M.tolist(), P)
+        assert det_mod_p(M, P) == _det_permanent_style(M.tolist(), P)
 
 
 def test_det_mod_p_singular_and_identity():
     M = np.array([[1, 2, 3], [2, 4, 6], [5, 1, 0]], dtype=np.int64)
-    assert det_mod_p(M, P).value == 0
-    assert det_mod_p(np.eye(6, dtype=np.int64), P).value == 1
+    assert det_mod_p(M, P) == 0
+    assert det_mod_p(np.eye(6, dtype=np.int64), P) == 1
+
+
+def test_modular_values_are_ints_in_range_p():
+    M = np.array([[-3, 1], [2, 5]], dtype=np.int64)
+    f = Factorization(((Monomial.from_vars(["a1"]), 3),))
+    for value in (det_mod_p(M, 7), det_mod_p([[0, 1], [1, 0]], 7),
+                  det_mod_p(np.zeros((2, 2), dtype=np.int64), 7),
+                  f.eval_mod({"a1": 2}, 7), f.eval_mod({"a1": 10 ** 20}, 7)):
+        assert type(value) is int and 0 <= value < 7
+    assert det_mod_p(M, 7) == -17 % 7
+    assert f.eval_mod({"a1": 2}, 7) == (1 - 4) ** 3 % 7
 
 
 def test_det_mod_p_multiplicative():
@@ -105,22 +89,21 @@ def test_det_mod_p_multiplicative():
         B = np.array([[rng.randrange(100) for _ in range(4)]
                       for _ in range(4)], dtype=np.int64)
         lhs = det_mod_p(A.dot(B) % P, P)
-        assert lhs == det_mod_p(A, P) * det_mod_p(B, P)
+        assert lhs == det_mod_p(A, P) * det_mod_p(B, P) % P
 
 
-def det_mod_p_unblocked(matrix, p: int) -> Mod:
+def det_mod_p_unblocked(matrix, p: int) -> int:
     """Reference: the unblocked int64 elimination det_mod_p used to run.
 
-    Accepts nested int lists, Mod entries, or an integer ndarray.  Gaussian
+    Accepts nested int lists or an integer ndarray.  Gaussian
     elimination with first-nonzero pivoting; deterministic for fixed input.
     Requires p < 2**31.5 so products stay within int64.
     """
     if isinstance(matrix, np.ndarray):
         M = matrix.astype(np.int64) % p
     else:
-        rows = [[e.value if isinstance(e, Mod) else int(e) for e in row]
-                for row in matrix]
-        M = np.array(rows, dtype=np.int64) % p
+        M = np.array([[int(e) for e in row] for row in matrix],
+                     dtype=np.int64) % p
     n = M.shape[0]
     assert M.shape == (n, n)
     det = 1
@@ -128,7 +111,7 @@ def det_mod_p_unblocked(matrix, p: int) -> Mod:
         col = M[k:, k]
         nz = np.nonzero(col)[0]
         if len(nz) == 0:
-            return Mod(0, p)
+            return 0
         piv = k + int(nz[0])
         if piv != k:
             M[[k, piv]] = M[[piv, k]]
@@ -139,13 +122,13 @@ def det_mod_p_unblocked(matrix, p: int) -> Mod:
             inv = pow(pivval, p - 2, p)
             factors = M[k + 1:, k] * inv % p
             M[k + 1:, k:] = (M[k + 1:, k:] - np.outer(factors, M[k, k:])) % p
-    return Mod(det, p)
+    return det % p
 
 
 def _agree_with_reference(M, p):
     det = det_mod_p(M, p)
     assert det == det_mod_p_unblocked(M, p)
-    return det.value
+    return det
 
 
 # orders on both sides of the 32-column panel and the 128-row update chunk
@@ -250,7 +233,7 @@ def test_det_mod_p_block_exchange_matches_reference(name):
 def test_det_mod_p_extreme_entries(p):
     # all entries p - 1: the largest limbs, rank one
     assert _agree_with_reference(np.full((40, 40), p - 1), p) == 0
-    assert det_mod_p([[p - 1]], p).value == p - 1
+    assert det_mod_p([[p - 1]], p) == p - 1
     # p - 1 off the diagonal, 0 on it: (p-1)^n * (-1)^(n-1) * (n-1)
     n = 40
     M = np.full((n, n), p - 1)
@@ -290,13 +273,13 @@ def test_det_mod_p_exact_below_2_pow_32():
     expect = 1
     for d in np.diag(U):
         expect = expect * int(d) % p
-    assert det_mod_p(M, p).value == expect
+    assert det_mod_p(M, p) == expect
     reversal_sign = (-1) ** (n * (n - 1) // 2)
-    assert det_mod_p(M[::-1], p).value == expect * reversal_sign % p
+    assert det_mod_p(M[::-1], p) == expect * reversal_sign % p
     B = rng.integers(0, p, size=(n, n))
     blo, bhi = B & 0xFFFF, B >> 16
     MB = (M @ blo % p + ((M @ bhi) % p << 16)) % p
-    assert det_mod_p(MB, p) == det_mod_p(M, p) * det_mod_p(B, p)
+    assert det_mod_p(MB, p) == det_mod_p(M, p) * det_mod_p(B, p) % p
 
 
 EDGE_P = 4294967291  # the largest prime below 2**32: the tightest bounds
@@ -311,7 +294,7 @@ def test_det_mod_p_scaled_all_ones_minus_identity_at_the_edge_prime(n, c):
     M = np.full((n, n), c, dtype=np.int64)
     np.fill_diagonal(M, 0)
     expect = pow(c, n, EDGE_P) * (-1) ** (n - 1) * (n - 1) % EDGE_P
-    assert det_mod_p(M, EDGE_P).value == expect
+    assert det_mod_p(M, EDGE_P) == expect
 
 
 @pytest.mark.parametrize("n", [33, 70, 140])
@@ -320,16 +303,16 @@ def test_det_mod_p_row_swaps_at_the_edge_prime(n):
     # exchange runs at the largest prime as well
     rng = np.random.default_rng(n + 1)
     shuffled, expect = _shuffled_upper_triangular(n, EDGE_P, rng)
-    assert det_mod_p(shuffled, EDGE_P).value == expect
+    assert det_mod_p(shuffled, EDGE_P) == expect
     perm = rng.permutation(n)
     perm_matrix = np.eye(n, dtype=np.int64)[perm]
-    assert det_mod_p(perm_matrix, EDGE_P).value == _perm_sign(perm) % EDGE_P
-    assert det_mod_p(perm_matrix * 5, EDGE_P).value == \
+    assert det_mod_p(perm_matrix, EDGE_P) == _perm_sign(perm) % EDGE_P
+    assert det_mod_p(perm_matrix * 5, EDGE_P) == \
         _perm_sign(perm) * pow(5, n, EDGE_P) % EDGE_P
     # one transposition across the first block: a single exchange, det -1
     swap = np.eye(n, dtype=np.int64)
     swap[[0, n - 1]] = swap[[n - 1, 0]]
-    assert det_mod_p(swap, EDGE_P).value == EDGE_P - 1
+    assert det_mod_p(swap, EDGE_P) == EDGE_P - 1
 
 
 def _product_inputs():
@@ -416,9 +399,9 @@ def test_det_mod_p_resumes_gauss_jordan_after_an_exchange(
         monkeypatch, build, n, p):
     M, expect = build(n, p, np.random.default_rng(n))
     calls = _count_pivot_steps(monkeypatch)
-    assert det_mod_p(M, p).value == expect
+    assert det_mod_p(M, p) == expect
     if p == P:
-        assert det_mod_p_unblocked(M, p).value == expect
+        assert det_mod_p_unblocked(M, p) == expect
     # each block has its own G; after an exchange Gauss-Jordan resumes
     # where it stopped, so every block runs exactly w pivot steps
     blocks = []
@@ -450,19 +433,19 @@ def test_det_mod_p_exchange_that_supplies_no_pivot_raises(monkeypatch):
 def test_det_mod_p_reads_integer_arrays_without_wrapping():
     # uint64 entries above 2**63 and object entries above 2**64 are
     # reduced mod p before any cast to a fixed-width type
-    assert det_mod_p(np.array([[2 ** 64 - 1]], dtype=np.uint64), 7).value == 1
-    assert det_mod_p(np.array([[10 ** 30]], dtype=object), 7).value == \
+    assert det_mod_p(np.array([[2 ** 64 - 1]], dtype=np.uint64), 7) == 1
+    assert det_mod_p(np.array([[10 ** 30]], dtype=object), 7) == \
         10 ** 30 % 7
     rng = random.Random(64)
     big = [[rng.randrange(2 ** 64) for _ in range(3)] for _ in range(3)]
     expect = _det_permanent_style([[e % P for e in row] for row in big], P)
-    assert det_mod_p(np.array(big, dtype=np.uint64), P).value == expect
+    assert det_mod_p(np.array(big, dtype=np.uint64), P) == expect
     huge = [[e * 2 ** 70 + 1 for e in row] for row in big]
     expect = _det_permanent_style([[e % P for e in row] for row in huge], P)
-    assert det_mod_p(np.array(huge, dtype=object), P).value == expect
-    assert det_mod_p(huge, P).value == expect
+    assert det_mod_p(np.array(huge, dtype=object), P) == expect
+    assert det_mod_p(huge, P) == expect
     small = np.array([[-3, 1], [2, 5]], dtype=np.int8)
-    assert det_mod_p(small, P).value == -17 % P
+    assert det_mod_p(small, P) == -17 % P
 
 
 @pytest.mark.parametrize("matrix", [
@@ -480,14 +463,6 @@ def test_det_mod_p_rejects_non_integer_entries(matrix):
         det_mod_p(matrix, P)
     assert isinstance(info.value, CoxvarError)
     assert isinstance(info.value, ValueError)
-
-
-def test_det_mod_p_rejects_mod_entries_of_another_modulus():
-    with pytest.raises(MixedRings):
-        det_mod_p([[Mod(3, 5)]], 7)
-    with pytest.raises(MixedRings):
-        det_mod_p(np.array([[Mod(1, 7), 0], [0, Mod(3, 11)]], dtype=object), 7)
-    assert det_mod_p([[Mod(3, 7), 1], [0, Mod(2, 7)]], 7) == Mod(6, 7)
 
 
 def test_det_mod_p_rejects_non_square():
@@ -545,8 +520,8 @@ def test_factorization_product_and_eval():
     f = Factorization(((a, 2),)) * Factorization(((b, 1), (a, 1)))
     point = {"a1": 5, "a2": 9}
     expect = pow(1 - 25, 3, P) * (1 - 81) % P
-    assert f.eval_mod(point, P).value == expect % P
-    assert f.scale_exponents(2).eval_mod(point, P).value == \
+    assert f.eval_mod(point, P) == expect % P
+    assert f.scale_exponents(2).eval_mod(point, P) == \
         expect * expect % P
 
 
