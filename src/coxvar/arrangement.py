@@ -3,10 +3,12 @@
 Edges are identified purely by their closed sets of reflections; no
 geometric subspace arithmetic happens anywhere.  The edges and the closed
 product formula for their multiplicities need only the reflection table,
-never W.  An independent chamber-counting oracle computes each
-multiplicity again over the enumerated group: it tests which chambers can
-span an edge once per edge, then counts, for every hyperplane on the
-edge, those whose face on it does.
+never W; its roots are numbered as W numbers its reflections, so edges
+carry the same reflection indices either way.  An independent
+chamber-counting oracle computes each multiplicity again over the
+enumerated group: it tests which chambers can span an edge once per
+edge, then counts, for every hyperplane on the edge, those whose face on
+it does.
 
 An `Arrangement` memoizes its edges, class orbits, class
 representatives, parabolic data and oracle candidates on the instance,
@@ -166,18 +168,12 @@ class Arrangement:
         return x
 
     @_memoized
-    def numbering(self):
-        """The reflection index, in W's element order, of every root."""
-        return self.roots.numbering(self.group.conj_by_gen)
-
-    @_memoized
     def relevant_edges(self):
         """All relevant edges, deduplicated and globally sorted."""
-        num = self.numbering()
         edges = []
         for J in self.class_representatives():
             self._x_S_J(J)  # checks the orbit size
-            rows = np.sort(num[self._class_orbit(J)[0]], axis=1)
+            rows = self._class_orbit(J)[0]
             # coset ids number the edges of a class in lexicographic order
             for cid, i in enumerate(np.lexsort(rows.T[::-1])):
                 edges.append(Edge(tuple(rows[i].tolist()), J, cid))
@@ -281,9 +277,9 @@ class Arrangement:
         """Ingredient cardinalities and their product for the class of J.
 
         |[J]| and |X(S,J)| come from the orbit of T_J.  The floor and
-        |X(J,{s})| come from the W_J-class of t_J, the first reflection of
-        support J in W's element order.  Every W_J-class of reflections of
-        support J must give the same product.
+        |X(J,{s})| come from the W_J-class of t_J, the first root of support
+        J, whose reflection is first in W's element order.  Every W_J-class
+        of reflections of support J must give the same product.
         """
         J = tuple(sorted(J))
         if not self.diagram.is_connected_subset(J):
@@ -294,7 +290,7 @@ class Arrangement:
             raise NoFullSupportReflection(f"no full-support reflection for {J}")
         head = (len(self.coxeter_class(J)), self._x_S_J(J))
         reports, covered = [], set()
-        for t in [roots.first_in_element_order(full)] + full:
+        for t in full:
             if t not in covered:
                 members, floor, x = self._floor_and_x_J_s(t)
                 covered.update(members.tolist())
@@ -325,7 +321,8 @@ class Arrangement:
             raise InvariantError(
                 f"2 |t^W_J| = {2 * len(members)} does not divide "
                 f"|W_J| = {order_J}")
-        return members, len(roots.floor_class(t)), x
+        floor = members[roots.support[members] == roots.support[t]]
+        return members, len(floor), x
 
     def multiplicity_reports(self, with_oracle=False):
         """One report per irreducible Coxeter class."""
@@ -364,9 +361,7 @@ class Arrangement:
             raise InvariantError(
                 f"centralizer of reflection {t} in W_J is not the "
                 f"centralizer of {s} conjugated by element {v}")
-        num = self.numbering()
-        root = int(np.flatnonzero(num == t)[0])
-        floor = sorted(num[self.roots.floor_class(root)].tolist())
+        floor = self.roots.floor_class(t).tolist()
         lengths = g.length
         blocks = {}
         union = set()

@@ -86,11 +86,11 @@ def _emit_json(obj):
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _variables_json(g, wa):
+def _variables_json(roots, wa):
     return [
         {"id": t, "name": wa.var_of[t],
-         "orbit": int(g.reflection_class_of[t])}
-        for t in range(g.num_reflections)
+         "orbit": int(roots.reflection_class_of[t])}
+        for t in range(roots.num_reflections)
     ]
 
 
@@ -98,29 +98,30 @@ def _variables_json(g, wa):
 
 
 def cmd_det(args):
-    g = group(args.group, limit=args.limit)
-    wa = _weight_assignment(g, args.assign)
-    ar = Arrangement(g)
+    # from the reflection table alone: W is never enumerated
+    diagram = parse_group_spec(args.group)
+    ar = Arrangement(diagram=diagram, limit=args.limit)
+    wa = _weight_assignment(ar.roots, args.assign)
     if args.format == "json":
         factors = []
-        for edge, mono, mult in edge_factors(g, wa, arrangement=ar):
+        for edge, mono, mult in edge_factors(ar, wa):
             factors.append({
                 "monomial": {v: e for v, e in mono.exps},
                 "multiplicity": mult,
                 "edge": {
-                    "class": g.diagram.subdiagram(edge.class_J).label,
+                    "class": diagram.subdiagram(edge.class_J).label,
                     "size": len(edge.reflections),
                     "coset": edge.coset_id,
                 },
             })
         _emit_json({
-            "group": g.diagram.type_label,
+            "group": diagram.type_label,
             "weight_mode": wa.mode,
-            "variables": _variables_json(g, wa),
+            "variables": _variables_json(ar.roots, wa),
             "factors": factors,
         })
     else:
-        fact = closed_form_factorization(g, wa, arrangement=ar)
+        fact = closed_form_factorization(ar, wa)
         print(fact)
     return EXIT_OK
 
@@ -172,12 +173,16 @@ def cmd_tables(args):
             ],
         })
     else:
-        for r in reports:
-            a, b, c, d = r.ingredients
-            oracle = "-" if r.l_oracle is None else str(r.l_oracle)
-            flag = "ok" if r.match else "MISMATCH"
-            print(f"{r.label:<8} {a:>4} {b:>4} {c:>6} {d:>6}  "
-                  f"l = {r.l_formula:<8} oracle = {oracle:<8} {flag}")
+        rows = [(r.label, *r.ingredients, r.l_formula,
+                 "-" if r.l_oracle is None else r.l_oracle,
+                 "ok" if r.match else "MISMATCH") for r in reports]
+        # a column widens to its widest value
+        w = [max(width, *(len(str(row[i])) for row in rows))
+             for i, width in enumerate((8, 4, 4, 6, 6, 8, 8))]
+        for label, a, b, c, d, l_formula, oracle, flag in rows:
+            print(f"{label:<{w[0]}} {a:>{w[1]}} {b:>{w[2]}} {c:>{w[3]}} "
+                  f"{d:>{w[4]}}  l = {l_formula:<{w[5]}} "
+                  f"oracle = {oracle:<{w[6]}} {flag}")
     return EXIT_OK if ok else EXIT_FAIL
 
 

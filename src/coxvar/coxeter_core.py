@@ -8,9 +8,10 @@ union of its components' roots.
 
 ``ReflectionTable`` reads the reflections off that action without
 enumerating W: each positive root stands for its reflection, with its
-support, its depth and the conjugation action of S on it.  Every
-ingredient of the multiplicity formula and every edge orbit is computed
-from it.
+support, its depth and the conjugation action of S on it.  The roots are
+numbered in W's element order, the one numbering of the reflections.
+Every ingredient of the multiplicity formula, every edge orbit and the
+closed-form determinant are computed from it.
 
 ``EnumeratedGroup`` is W itself, enumerated by breadth-first search
 through the same action; an element is keyed by the roots to which its
@@ -19,7 +20,8 @@ their reduced-word tree (``parent``, ``gen_of``) and ``right_mul``; every
 other table follows from the tree one length level at a time: an element
 y = x s of length k depends only on its parent x of length k - 1, so
 ``left_mul[y] = right_mul[left_mul[x], s]`` (as g y = (g x) s), and the
-inverses, conjugation and inversion tables are built the same way.
+inverses, conjugation and inversion tables are built the same way.  Its
+reflections are the table's roots, their element ids checked against it.
 
 Every orbit the library needs is an orbit of sets of points under
 generators, computed by the one helper ``_orbit``.
@@ -28,6 +30,7 @@ generators, computed by the one helper ``_orbit``.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 from functools import cached_property, lru_cache
@@ -107,7 +110,7 @@ class Component:
 
 
 def _component_bonds(letter: str, param: int):
-    """Bond matrix of one irreducible type, local node numbering."""
+    """Bond matrix of one irreducible type, on local node ids."""
     if letter == "I":
         n = 2
         bonds = [[1, param], [param, 1]]
@@ -465,11 +468,12 @@ class ReflectionTable:
     """The reflections of W as its positive roots, and how S conjugates them.
 
     Built from the root action alone; W is never enumerated.  The positive
-    roots are numbered breadth first from the simple roots, so root g is
-    alpha_g, and root t stands for the reflection s_t.  ``R[t, g]`` is the
-    root of s_g s_t s_g; ``support[t]`` (a bitmask) is that of the root and
-    of s_t, and l(s_t) = 2 ``depth[t]`` - 1.  Root t past the simple ones
-    is s_gen[t](parent[t]), one deeper, with gen[t] added to its support.
+    roots are numbered in the element order of their reflections in W, so
+    root t stands for the reflection s_t with reflection index t, and root
+    g is alpha_g.  ``R[t, g]`` is the root of s_g s_t s_g; ``support[t]`` (a
+    bitmask) is that of the root and of s_t, and l(s_t) = 2 ``depth[t]`` - 1.
+    ``gen[t]`` is the least right descent of s_t, and a root t past the
+    simple ones is s_gen[t](parent[t]), one deeper than its parent.
     """
 
     def __init__(self, diagram: CoxeterDiagram):
@@ -478,8 +482,7 @@ class ReflectionTable:
         action = sigma.T.tolist()  # action[r][g] = index of s_g(r)
         roots = simple.tolist()
         index = {r: t for t, r in enumerate(roots)}
-        parent, gen, R = [-1] * n, [-1] * n, []
-        support, depth = [1 << g for g in range(n)], [1] * n
+        R, support, depth = [], [1 << g for g in range(n)], [1] * n
         # roots grows while it is walked: breadth first, by depth.  s_g
         # permutes the positive roots other than alpha_g, which it negates.
         for t, r in enumerate(roots):
@@ -490,8 +493,6 @@ class ReflectionTable:
                 elif image not in index:
                     index[image] = len(roots)
                     roots.append(image)
-                    parent.append(t)
-                    gen.append(g)
                     support.append(support[t] | 1 << g)
                     depth.append(depth[t] + 1)
                 row.append(index[image])
@@ -499,14 +500,46 @@ class ReflectionTable:
         if 2 * len(roots) != sigma.shape[1]:
             raise InvariantError(
                 f"{len(roots)} positive roots of {sigma.shape[1]} roots")
-        self.R = np.array(R, dtype=np.int64).reshape(len(roots), n)
-        self.parent, self.gen, self.support, self.depth = (
-            np.array(a, dtype=np.int64) for a in (parent, gen, support, depth))
+        R = np.array(R, dtype=np.int64).reshape(len(roots), n)
+        depth, support = np.array(depth), np.array(support)
         self.positive = np.zeros(sigma.shape[1], dtype=bool)
         self.positive[roots] = True
+        # g is a right descent of s_t exactly when s_g s_t s_g is shorter,
+        # that is when root R[t, g] is shallower than t (Bjorner-Brenti,
+        # ch. 4); a simple root's least right descent is itself
+        down = depth[R] < depth[:, None]
+        self.gen = np.where(down.any(axis=1), down.argmax(axis=1),
+                            np.arange(len(R)))
+        self.parent = np.where(depth > 1, R[np.arange(len(R)), self.gen], -1)
+        # W numbers its elements by length and then by the normal form of
+        # _normal_form, whose first letter is the least right descent; the
+        # rest of it is read only where depth and descent tie
+        key = list(zip(depth.tolist(), self.gen.tolist()))
+        tied = Counter(key)
+        order = np.array(sorted(range(len(R)), key=lambda t: (
+            key[t], self._normal_form(t) if tied[key[t]] > 1 else [])))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.R = rank[R[order]]
+        self.depth, self.support, self.gen = (
+            depth[order], support[order], self.gen[order])
+        self.parent = np.where(self.depth > 1,
+                               self.R[np.arange(len(R)), self.gen], -1)
 
-    def __len__(self):
+    @property
+    def num_reflections(self):
         return len(self.R)
+
+    @cached_property
+    def reflection_class_of(self):
+        """Root -> index of its conjugacy class, by least member."""
+        out = np.full(self.num_reflections, -1, dtype=np.int64)
+        classes = 0
+        for t in range(self.num_reflections):
+            if out[t] < 0:
+                out[_orbit([[t]], self.R)[:, 0]] = classes
+                classes += 1
+        return out
 
     def reflections_in(self, Jmask: int):
         """T_J: the roots with support inside J."""
@@ -526,16 +559,13 @@ class ReflectionTable:
         cls = self.parabolic_class(t)
         return cls[self.support[cls] == self.support[t]]
 
-    def first_in_element_order(self, roots) -> int:
-        """The root among ``roots`` whose reflection has the smallest id.
-
-        Enumeration numbers W by length and then by the normal form of
-        ``_normal_form``, and l(s_t) = 2 depth - 1; so the least depth
-        decides first, and the normal form breaks ties.
-        """
-        roots = np.asarray(roots)
-        least = roots[self.depth[roots] == self.depth[roots].min()]
-        return min(least.tolist(), key=self._normal_form)
+    def chain(self, t: int):
+        """(a, [g1, ..., gk]) up the tree: s_t = g1..gk s_a gk..g1."""
+        letters = []
+        while self.parent[t] >= 0:
+            letters.append(int(self.gen[t]))
+            t = int(self.parent[t])
+        return t, letters
 
     def _normal_form(self, t: int) -> list[int]:
         """The letters g1, g2, ... peeled off s_t from the right.
@@ -545,12 +575,9 @@ class ReflectionTable:
         all the roots.  ``_bfs_enumerate`` numbers the elements of one
         length in the order of this list.
         """
-        chain = []
-        while self.parent[t] >= 0:
-            chain.append(int(self.gen[t]))
-            t = int(self.parent[t])
+        a, chain = self.chain(t)
         w = np.arange(self.sigma.shape[1])
-        for g in chain + [t] + chain[::-1]:
+        for g in chain + [a] + chain[::-1]:
             w = w[self.sigma[g]]
         letters = []
         while True:
@@ -559,24 +586,6 @@ class ReflectionTable:
                 return letters
             letters.append(int(descents[0]))
             w = w[self.sigma[descents[0]]]
-
-    def numbering(self, conj_by_gen):
-        """The index of each root's reflection in another numbering of T.
-
-        ``conj_by_gen`` is S's conjugation action in that numbering, which
-        starts with the simple reflections.  A root takes the number of its
-        parent conjugated by its generator; InvariantError where the two
-        actions then disagree.
-        """
-        num = np.arange(len(self))
-        if conj_by_gen.shape == self.R.shape:
-            for ts in _levels(self.depth):
-                num[ts] = conj_by_gen[num[self.parent[ts]], self.gen[ts]]
-            if np.array_equal(np.sort(num), np.arange(len(self))) and \
-                    np.array_equal(conj_by_gen[num], num[self.R]):
-                return num
-        raise InvariantError(
-            "S conjugates the roots and the reflections differently")
 
 
 @lru_cache(maxsize=32)
@@ -640,19 +649,33 @@ class EnumeratedGroup:
     # -- reflections ---------------------------------------------------------
 
     @cached_property
-    def refl_ids(self):
-        """Element ids of all reflections, sorted (= closure of S under conj)."""
-        gens = np.arange(self.n)
-        conj = self.left_mul[self.right_mul, gens]  # conj[x, g] = g x g
-        ids = np.sort(_orbit(self.right_mul[0, :, None], conj)[:, 0])
-        if not np.array_equal(ids[:self.n], gens + 1):
-            raise InvariantError(
-                "the simple reflections are not the reflections 1..n")
-        return ids
+    def roots(self) -> ReflectionTable:
+        return reflection_table(self.diagram)
 
     @cached_property
+    def refl_ids(self):
+        """Element ids of the reflections, in the order of the root table.
+
+        Root t is s_g(parent) for g = gen[t], so its reflection is
+        g s_parent g.  The ids must increase, as the table numbers the
+        roots in element order, and W must conjugate them as R does.
+        """
+        roots, gens = self.roots, np.arange(self.n)
+        ids = np.zeros(roots.num_reflections, dtype=np.int64)
+        ids[:self.n] = self.right_mul[0]
+        for ts in _levels(roots.depth):
+            g, parents = roots.gen[ts], ids[roots.parent[ts]]
+            ids[ts] = self.left_mul[self.right_mul[parents, g], g]
+        if not (np.all(np.diff(ids) > 0) and np.array_equal(
+                self.left_mul[self.right_mul[ids[:, None], gens], gens],
+                ids[roots.R])):
+            raise InvariantError(
+                "W and the root table number the reflections differently")
+        return ids
+
+    @property
     def num_reflections(self):
-        return len(self.refl_ids)
+        return self.roots.num_reflections
 
     @cached_property
     def refl_index(self):
@@ -668,10 +691,12 @@ class EnumeratedGroup:
 
     @cached_property
     def conj_by_gen(self):
-        """R[t, g] = reflection index of t^g = g t g."""
-        t = self.refl_ids[:, None]
-        gens = np.arange(self.n)
-        return self.refl_index[self.left_mul[self.right_mul[t, gens], gens]]
+        """R[t, g] = reflection index of t^g = g t g: the table's R.
+
+        Reading ``refl_ids`` first checks that W conjugates as R does.
+        """
+        self.refl_ids
+        return self.roots.R
 
     @cached_property
     def conj_tables(self):
@@ -701,10 +726,6 @@ class EnumeratedGroup:
 
     def inversion_set(self, x: int) -> set[int]:
         return set(np.nonzero(self.inversion_table[x])[0].tolist())
-
-    def support_set(self, x: int) -> tuple[int, ...]:
-        mask = int(self.support[x])
-        return tuple(i for i in range(self.n) if mask >> i & 1)
 
     # -- parabolic machinery -------------------------------------------------
 
@@ -772,52 +793,23 @@ class EnumeratedGroup:
         ok = (block == target[None, :]).all(axis=1)
         return X[ok]
 
-    def reflection_conjugacy_classes(self):
-        """Orbits of T under W-conjugation, sorted by smallest member."""
-        seen = np.zeros(self.num_reflections, dtype=bool)
-        classes = []
-        for t in range(self.num_reflections):
-            if not seen[t]:
-                members = _orbit([[t]], self.conj_by_gen)[:, 0]
-                seen[members] = True
-                classes.append(tuple(sorted(members.tolist())))
-        return classes
-
     @cached_property
     def reflection_class_of(self):
-        """Reflection index -> conjugacy class index."""
-        classes = self.reflection_conjugacy_classes()
-        out = np.zeros(self.num_reflections, dtype=np.int64)
-        for ci, cls in enumerate(classes):
-            for t in cls:
-                out[t] = ci
-        return out
+        """Reflection index -> conjugacy class index, from the root table."""
+        return self.roots.reflection_class_of
 
     def full_support_reflections(self):
         sup = self.refl_support
         return np.nonzero(sup == self.full_mask)[0]
 
     def palindromic_decomposition(self, t: int):
-        """(s, v) with t = v^-1 s v, s a generator, v in the support parabolic."""
-        telem = int(self.refl_ids[t])
-        word = self.word(telem)
-        k = len(word) // 2
-        s = word[k]
-        R = self.conj_by_gen
-        u = s
-        for g in word[k + 1:]:
-            u = int(R[u, g])
-        if u == t:
-            v = self.element_of_word(word[k + 1:])
-            return s, v
-        # middle-letter construction failed; fall back to brute-force search
-        D = self.conj_tables
-        J = self.support_set(telem)
-        for v in self.parabolic_members(J):
-            for s2 in J:
-                if int(D[v, s2]) == t:
-                    return s2, int(v)
-        raise InvariantError(f"no palindromic decomposition of reflection {t}")
+        """(s, v) with t = v^-1 s v, s a generator, v in the support parabolic.
+
+        s is the simple ancestor of root t, and v the generators of its
+        chain from s down to t.
+        """
+        s, chain = self.roots.chain(t)
+        return s, self.element_of_word(chain[::-1])
 
 
 @dataclass

@@ -17,7 +17,7 @@ from math import factorial
 import numpy as np
 
 from .arrangement import Arrangement
-from .coxeter_core import EnumeratedGroup
+from .coxeter_core import EnumeratedGroup, ReflectionTable
 from .errors import (
     CountOutOfRange,
     InvariantError,
@@ -54,33 +54,39 @@ def primes_list(count: int):
 
 @dataclass
 class WeightAssignment:
-    """Maps each hyperplane (reflection index) to a formal variable name."""
+    """Maps each hyperplane (reflection index) to a formal variable name.
+
+    The constructors read ``num_reflections`` and ``reflection_class_of``
+    of a group or of its reflection table, which numbers the reflections
+    the same way.
+    """
 
     mode: str
     var_of: dict[int, str]
     orbit_of: dict[int, int] = field(default_factory=dict)
 
     @classmethod
-    def per_hyperplane(cls, group: EnumeratedGroup):
+    def per_hyperplane(cls, group: EnumeratedGroup | ReflectionTable):
         var_of = {t: f"a{t + 1}" for t in range(group.num_reflections)}
         orbit = {t: int(group.reflection_class_of[t])
                  for t in range(group.num_reflections)}
         return cls("per_hyperplane", var_of, orbit)
 
     @classmethod
-    def per_orbit(cls, group: EnumeratedGroup):
+    def per_orbit(cls, group: EnumeratedGroup | ReflectionTable):
         orbit = {t: int(group.reflection_class_of[t])
                  for t in range(group.num_reflections)}
         var_of = {t: f"b{c + 1}" for t, c in orbit.items()}
         return cls("per_orbit", var_of, orbit)
 
     @classmethod
-    def single_q(cls, group: EnumeratedGroup):
+    def single_q(cls, group: EnumeratedGroup | ReflectionTable):
         var_of = {t: "q" for t in range(group.num_reflections)}
         return cls("single_q", var_of)
 
     @classmethod
-    def explicit(cls, group: EnumeratedGroup, mapping: dict[int, str]):
+    def explicit(cls, group: EnumeratedGroup | ReflectionTable,
+                 mapping: dict[int, str]):
         if sorted(mapping) != list(range(group.num_reflections)):
             raise VariableCollision(
                 "explicit assignment must cover every reflection index")
@@ -113,20 +119,21 @@ def build_varchenko_matrix(group: EnumeratedGroup, wa: WeightAssignment,
     return VarchenkoMatrix(group.order, rows)
 
 
-def closed_form_factorization(group: EnumeratedGroup, wa: WeightAssignment,
-                              arrangement: Arrangement | None = None,
-                              ) -> Factorization:
+def closed_form_factorization(group: EnumeratedGroup | Arrangement,
+                              wa: WeightAssignment) -> Factorization:
     """One factor (1 - a(E)^2)^l(E) per relevant edge, normalized."""
-    ar = arrangement or Arrangement(group)
     return Factorization(tuple(
-        (mono, mult) for _, mono, mult in edge_factors(group, wa, ar))
+        (mono, mult) for _, mono, mult in edge_factors(group, wa))
     ).normalize()
 
 
-def edge_factors(group: EnumeratedGroup, wa: WeightAssignment,
-                 arrangement: Arrangement | None = None):
-    """Unmerged per-edge factor records for reporting."""
-    ar = arrangement or Arrangement(group)
+def edge_factors(group: EnumeratedGroup | Arrangement, wa: WeightAssignment):
+    """Unmerged per-edge factor records for reporting.
+
+    ``group`` is a group, or an arrangement, which needs no enumerated W
+    for its edges and multiplicities.
+    """
+    ar = group if isinstance(group, Arrangement) else Arrangement(group)
     l_of_class = {J: ar.multiplicity_formula(J).l_formula
                   for J in ar.class_representatives()}
     out = []
@@ -410,7 +417,7 @@ def concordance_checks(group: EnumeratedGroup) -> list[dict]:
         orders = [c.order for c in comps]
         for ci, comp in enumerate(comps):
             sub = build(comp.label)
-            # rename the component's variables into the product numbering
+            # rename the component's variables into the product's reflections
             dic = {}
             for t in range(sub.num_reflections):
                 word = [comp.nodes[g] for g in sub.word(int(sub.refl_ids[t]))]

@@ -503,9 +503,9 @@ def _property_bundle():
     wrong_class = Arrangement(g3)
     wrong_class.roots = copy.copy(wrong_class.roots)
     wrong_class.roots.parabolic_class = lambda t: np.arange(5)
-    # S conjugating the reflections differently from the roots
+    # W conjugating the reflections differently from the roots
     g_swapped = build_group(parse_group_spec("A3"))
-    g_swapped.conj_by_gen = g_swapped.conj_by_gen[:, ::-1]
+    g_swapped.left_mul = g_swapped.left_mul[:, ::-1]
     g_a3 = build_group(parse_group_spec("A3"))
     true_decomposition = g_a3.palindromic_decomposition
     g_a3.palindromic_decomposition = \
@@ -525,7 +525,7 @@ def _property_bundle():
         (lambda: _ClassDependentFormula(group("B2")).multiplicity_formula(
             (0, 1)), "InvariantError"),
         (lambda: wrong_class.multiplicity_formula((0, 1)), "InvariantError"),
-        (lambda: Arrangement(g_swapped).relevant_edges(), "InvariantError"),
+        (lambda: g_swapped.refl_ids, "InvariantError"),
         (lambda: Arrangement(g_a3).decompose_L((0, 1, 2), t_a3),
          "InvariantError"),
         (lambda: Arrangement(g3)._conjugator(0, 1, []), "InvariantError"),

@@ -371,10 +371,8 @@ def test_floor_over_W_equals_floor_over_W_J():
                  "B2xA1", "A2xB3"):
         a = arr(spec)
         g = a.group
-        num = a.numbering()
         for t in range(g.num_reflections):
-            root = int(np.flatnonzero(num == t)[0])
-            floor = sorted(num[a.roots.floor_class(root)].tolist())
+            floor = a.roots.floor_class(t).tolist()
             assert floor == floor_class_over_W(g, t), (spec, t)
 
 
@@ -395,14 +393,15 @@ def test_degree_identities_on_the_root_tables(spec):
     # sum over t is the total degree |W| |T| = sum over E of 2 |E| l(E).
     d = parse_group_spec(spec)
     a = Arrangement(diagram=d)
-    per_t = np.zeros(len(a.roots), dtype=np.int64)
+    per_t = np.zeros(a.roots.num_reflections, dtype=np.int64)
     total = 0
     for J in a.class_representatives():
         rows = a._class_orbit(J)[0]
         l = a.multiplicity_formula(J).l_formula
-        per_t += l * np.bincount(rows.ravel(), minlength=len(a.roots))
+        per_t += l * np.bincount(rows.ravel(),
+                                 minlength=a.roots.num_reflections)
         total += 2 * rows.size * l
-    assert total == d.order * len(a.roots)
+    assert total == d.order * a.roots.num_reflections
     assert (2 * per_t == d.order).all()
     assert "group" not in vars(a)  # W was never enumerated
 
@@ -492,12 +491,14 @@ def test_formula_checks_agreement_over_full_support_reflections():
         _ClassDependentFormula(group("B2")).multiplicity_formula((0, 1))
 
 
-def test_relevant_edges_checks_the_root_numbering():
-    # the reflections' conjugation action, doctored: generators swapped
+def test_oracle_checks_the_root_numbering():
+    # the edges come from the roots, the oracle counts chambers of W: with
+    # W's conjugation doctored (generators swapped), the reflection ids
+    # that join them raise
     g = build_group(parse_group_spec("A3"))
-    g.conj_by_gen = g.conj_by_gen[:, ::-1]
+    g.left_mul = g.left_mul[:, ::-1]
     with pytest.raises(InvariantError, match="differently"):
-        Arrangement(g).relevant_edges()
+        Arrangement(g).multiplicity_reports(with_oracle=True)
 
 
 def test_decompose_L_checks_centralizer_identity():

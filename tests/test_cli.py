@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -68,8 +69,14 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_limit_exit_code(capsys):
-    code, _, err = run(capsys, "det", "E8")
+    code, _, err = run(capsys, "multiplicity", "E8")
     assert code == 3 and "order" in err
+    # det never enumerates W: the limit bounds each edge orbit, and D7's
+    # largest (class A4) has 336 members
+    code, out, err = run(capsys, "det", "D7", "--limit", "335")
+    assert code == 3 and out == "" and "335" in err
+    code, out, _ = run(capsys, "det", "D7", "--limit", "336")
+    assert code == 0 and out
 
 
 def test_verify_pass_and_json(capsys):
@@ -218,6 +225,11 @@ def test_tables_literature_display(capsys, monkeypatch):
     assert got == [[c, str(a), str(b), str(x), str(y), "l", "=", str(l),
                     "oracle", "=", "-", "ok"]
                    for c, a, b, x, y, l in E7_ROWS]
+    # E8's values are wider than the columns of smaller groups: they widen
+    code, out, _ = run(capsys, "tables", "E8")
+    assert code == 0 and len(out.splitlines()) == len(E8_ROWS)
+    assert len({(ln.index(" l = "), ln.index(" oracle = "), len(ln))
+                for ln in out.splitlines()}) == 1
     code, out, _ = run(capsys, "tables", "E8", "--format", "json")
     assert code == 0
     doc = json.loads(out)
@@ -265,10 +277,22 @@ def test_unknown_flag_is_parse_error(capsys):
     assert main([]) == 2
 
 
-def test_det_builds_no_conjugation_or_inversion_table(capsys):
+def test_det_builds_no_group(capsys, monkeypatch):
+    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
+    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
     code, out, _ = run(capsys, "det", "B6", "--format", "json")
     assert code == 0 and len(json.loads(out)["factors"]) > 0
-    g = coxeter_core.group("B6", limit=coxeter_core.DEFAULT_ORDER_LIMIT)
-    assert "conj_by_gen" in vars(g)
-    assert "conj_tables" not in vars(g)
-    assert "inversion_table" not in vars(g)
+
+
+@pytest.mark.parametrize("spec,degree", [("E7", 182891520),
+                                         ("E8", 83607552000)])
+def test_det_E7_E8_total_degree(capsys, monkeypatch, spec, degree):
+    # the determinant has total degree |W| |T| in the weights: 2903040 * 63
+    # for E7 and 696729600 * 120 for E8, with W never enumerated
+    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
+    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
+    code, out, _ = run(capsys, "det", spec, "--assign", "q")
+    assert code == 0
+    factors = re.findall(r"\(1-q\^(\d+)\)\^(\d+)", out)
+    assert " ".join(f"(1-q^{d})^{m}" for d, m in factors) == out.strip()
+    assert sum(int(d) * int(m) for d, m in factors) == degree

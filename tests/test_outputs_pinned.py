@@ -96,6 +96,15 @@ PINNED = [
      "1ed07ca833b42b281532bb9e2ad1cdf8ad446832d482aada0f6beb015689042b"),
     (('det', 'D5', '--format', 'json'), 0,
      "470fb8fd7d559e147647cbb162ce0cd20599006acc5c6bf716eef158540838c6"),
+    # det numbers its variables in W's element order without enumerating
+    # W: E6 and D6 break depth and descent ties with 4- and 5-letter
+    # normal forms, H4 is non-crystallographic
+    (('det', 'E6', '--format', 'json'), 0,
+     "a4ea8fa52227b5823ee522c34d820a05e8bb1b903a71e2f6abd52a7b2fd1de62"),
+    (('det', 'D6', '--format', 'json'), 0,
+     "9e6fb0b24ae52a47ab543e2f931d5cd0189e1942668636674241576e6d07afba"),
+    (('det', 'H4', '--format', 'json'), 0,
+     "ad1b8a1eacd27e699a742e2e0dab460ce7427d825791659e8caccf7cc11575c2"),
 ]
 
 
