@@ -189,10 +189,9 @@ class Arrangement:
 
     def minimal_edge_through_chamber_face(self, x: int, t: int) -> Edge:
         """The edge spanned by the face of chamber x on hyperplane t."""
-        g = self.group
+        roots, g = self.roots, self.group
         D = g.conj_tables
-        Kmask = int(g.refl_support[D[g.inv[x], t]])
-        TK = g.reflection_indices_in(Kmask)
+        TK = roots.reflections_in(int(roots.support[D[g.inv[x], t]]))
         refl = frozenset(int(D[x, u]) for u in TK)
         return self.edge_lookup()[refl]
 
@@ -229,7 +228,7 @@ class Arrangement:
             raise ReflectionNotOnEdge(f"reflection {t} not on edge")
         g = self.group
         xs, masks = self._edge_candidates(edge)
-        return xs, g.refl_support[g.conj_tables[g.inv[xs], t]] == masks
+        return xs, self.roots.support[g.conj_tables[g.inv[xs], t]] == masks
 
     def _edge_candidates(self, edge: Edge):
         """Chambers x with D[x, T_K] = E for some K in the edge's class.
@@ -248,7 +247,7 @@ class Arrangement:
             xs = [np.empty(0, dtype=np.int64)]
             masks = [np.empty(0, dtype=np.int64)]
             for Kmask in {_mask(K) for K in self.coxeter_class(edge.class_J)}:
-                TK = g.reflection_indices_in(Kmask)
+                TK = self.roots.reflections_in(Kmask)
                 if len(TK) != size:
                     continue
                 found = np.flatnonzero(inE[D[:, TK]].all(axis=1))
@@ -330,7 +329,7 @@ class Arrangement:
         for J in self.class_representatives():
             rep = self.multiplicity_formula(J)
             if with_oracle:
-                TJ = self.group.reflection_indices_in(_mask(J))
+                TJ = self.roots.reflections_in(_mask(J))
                 edge = Edge(tuple(TJ.tolist()), J, 0)
                 rep.l_oracle = self.multiplicity_oracle(edge)
             out.append(rep)
@@ -345,11 +344,12 @@ class Arrangement:
         """
         J = tuple(sorted(J))
         g = self.group
-        if int(g.refl_support[t]) != _mask(J):
+        if int(self.roots.support[t]) != _mask(J):
             raise SupportMismatch(f"reflection {t} does not have support {J}")
         pd = self.parabolic(J)
         N_members = pd.normalizer_members()
-        s, v = g.palindromic_decomposition(t)
+        s, chain = self.roots.chain(t)
+        v = g.element_of_word(chain[::-1])  # t = v^-1 s v
         # centralizer of t in W_J, and N_{W_J}(W_{s})^v which must equal it
         D = g.conj_tables
         WJ = pd.W_J
@@ -368,7 +368,7 @@ class Arrangement:
         for K in self.coxeter_class(J):
             # minimal-length representative of the coset c N_W(W_J), where
             # c is any element conjugating W_K onto W_J
-            TK = g.reflection_indices_in(_mask(K))
+            TK = self.roots.reflections_in(_mask(K))
             cKJ = self._conjugator(TK, pd.T_J, range(g.order))
             coset = [g.mul(cKJ, int(x)) for x in N_members]
             cK = min(coset, key=lambda e: (int(lengths[e]), e))

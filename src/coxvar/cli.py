@@ -195,7 +195,7 @@ def cmd_verify(args):
               "will take a while", file=sys.stderr)
     report = verify_mod_p(g, wa, trials=args.trials, primes=args.primes,
                           seed=args.seed, budget=budget)
-    extra = concordance_checks(g)
+    extra = concordance_checks(g.diagram)
     ok = report["verdict"] == "PASS" and all(
         r["verdict"] == "PASS" for r in extra)
     if args.format == "json":
@@ -251,31 +251,39 @@ def cmd_multiplicity(args):
 # -- argument parsing --------------------------------------------------------
 
 
+# each subcommand takes the flags its handler reads
+_FLAGS = {
+    "--assign": dict(default="per-hyperplane",
+                     help="per-hyperplane | per-orbit | q | explicit:FILE"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--seed": dict(type=int, default=0),
+    "--primes": dict(type=int, default=3),
+    "--trials": dict(type=int, default=5),
+    "--limit": dict(type=int, default=DEFAULT_ORDER_LIMIT),
+    "--unsafe-large": dict(action="store_true"),
+}
+_COMMANDS = {
+    "det": (cmd_det, ("--assign", "--format", "--limit")),
+    "matrix": (cmd_matrix,
+               ("--assign", "--format", "--limit", "--unsafe-large")),
+    "tables": (cmd_tables, ("--format", "--limit", "--unsafe-large")),
+    "verify": (cmd_verify, tuple(_FLAGS)),
+    "multiplicity": (cmd_multiplicity, ("--format", "--limit")),
+}
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="coxvar",
         description="Varchenko determinants of finite Coxeter "
                     "reflection arrangements")
     sub = p.add_subparsers(dest="command", required=True)
-    handlers = {
-        "det": cmd_det,
-        "matrix": cmd_matrix,
-        "tables": cmd_tables,
-        "verify": cmd_verify,
-        "multiplicity": cmd_multiplicity,
-    }
-    for name, fn in handlers.items():
+    for name, (fn, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.set_defaults(handler=fn)
         sp.add_argument("group", help="group spec, e.g. A3, I2(7), B2xA1")
-        sp.add_argument("--assign", default="per-hyperplane",
-                        help="per-hyperplane | per-orbit | q | explicit:FILE")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--primes", type=int, default=3)
-        sp.add_argument("--trials", type=int, default=5)
-        sp.add_argument("--limit", type=int, default=DEFAULT_ORDER_LIMIT)
-        sp.add_argument("--unsafe-large", action="store_true")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return p
 
 

@@ -10,8 +10,8 @@ union of its components' roots.
 enumerating W: each positive root stands for its reflection, with its
 support, its depth and the conjugation action of S on it.  The roots are
 numbered in W's element order, the one numbering of the reflections.
-Every ingredient of the multiplicity formula, every edge orbit and the
-closed-form determinant are computed from it.
+Every ingredient of the multiplicity formula, every edge orbit, the
+closed-form determinant and the concordance checks are computed from it.
 
 ``EnumeratedGroup`` is W itself, enumerated by breadth-first search
 through the same action; an element is keyed by the roots to which its
@@ -21,7 +21,8 @@ other table follows from the tree one length level at a time: an element
 y = x s of length k depends only on its parent x of length k - 1, so
 ``left_mul[y] = right_mul[left_mul[x], s]`` (as g y = (g x) s), and the
 inverses, conjugation and inversion tables are built the same way.  Its
-reflections are the table's roots, their element ids checked against it.
+reflections are the table's roots, their ids checked against it; it reads
+their supports, T_J and classes from the table, with no copy of its own.
 
 Every orbit the library needs is an orbit of sets of points under
 generators, computed by the one helper ``_orbit``.
@@ -604,8 +605,7 @@ class EnumeratedGroup:
     them are reproducible across runs.
     """
 
-    def __init__(self, diagram, right_mul, left_mul, parent, gen_of, length,
-                 support):
+    def __init__(self, diagram, right_mul, left_mul, parent, gen_of, length):
         self.diagram = diagram
         self.n = diagram.rank
         self.right_mul = right_mul
@@ -613,9 +613,7 @@ class EnumeratedGroup:
         self.parent = parent
         self.gen_of = gen_of
         self.length = length
-        self.support = support  # bitmask over generators
         self.order = len(length)
-        self.full_mask = (1 << self.n) - 1
         self._levels = _levels(length)
 
     # -- basic element calculus ---------------------------------------------
@@ -678,18 +676,6 @@ class EnumeratedGroup:
         return self.roots.num_reflections
 
     @cached_property
-    def refl_index(self):
-        """Element id -> reflection index, -1 elsewhere."""
-        idx = np.full(self.order, -1, dtype=np.int64)
-        idx[self.refl_ids] = np.arange(len(self.refl_ids))
-        return idx
-
-    @cached_property
-    def refl_support(self):
-        """Support bitmask per reflection index."""
-        return self.support[self.refl_ids]
-
-    @cached_property
     def conj_by_gen(self):
         """R[t, g] = reflection index of t^g = g t g: the table's R.
 
@@ -729,15 +715,9 @@ class EnumeratedGroup:
 
     # -- parabolic machinery -------------------------------------------------
 
-    def reflection_indices_in(self, Jmask: int):
-        """T_J as reflection indices: reflections with support inside J."""
-        sup = self.refl_support
-        return np.nonzero((sup & ~np.int64(Jmask)) == 0)[0]
-
     def parabolic_members(self, J):
         """Element ids of W_J (those whose inversion set lies in T_J)."""
-        Jmask = _mask(J)
-        TJ = self.reflection_indices_in(Jmask)
+        TJ = self.roots.reflections_in(_mask(J))
         outside = np.setdiff1d(np.arange(self.num_reflections), TJ)
         ok = ~self.inversion_table[:, outside].any(axis=1)
         return np.nonzero(ok)[0]
@@ -769,9 +749,8 @@ class EnumeratedGroup:
 
     def parabolic_data(self, J) -> "ParabolicData":
         J = tuple(sorted(int(s) for s in J))
-        Jmask = _mask(J)
         W_J = self.parabolic_members(J)
-        T_J = self.reflection_indices_in(Jmask)
+        T_J = self.roots.reflections_in(_mask(J))
         X_J = self.min_coset_reps(J)
         X_SJ = self._stabilizing_reps(X_J, J)
         return ParabolicData(
@@ -797,19 +776,6 @@ class EnumeratedGroup:
     def reflection_class_of(self):
         """Reflection index -> conjugacy class index, from the root table."""
         return self.roots.reflection_class_of
-
-    def full_support_reflections(self):
-        sup = self.refl_support
-        return np.nonzero(sup == self.full_mask)[0]
-
-    def palindromic_decomposition(self, t: int):
-        """(s, v) with t = v^-1 s v, s a generator, v in the support parabolic.
-
-        s is the simple ancestor of root t, and v the generators of its
-        chain from s down to t.
-        """
-        s, chain = self.roots.chain(t)
-        return s, self.element_of_word(chain[::-1])
 
 
 @dataclass
@@ -910,13 +876,11 @@ def _bfs_enumerate(diagram, sigma, simple) -> EnumeratedGroup:
     gen_of = np.concatenate(gen_ofs).astype(np.int16)
     length = np.repeat(np.arange(len(parents), dtype=np.int16),
                        [len(a) for a in parents])
-    support = np.zeros(count, dtype=np.int64)
     left_mul = np.zeros((count, n), dtype=np.int32)
     left_mul[0] = right_mul[0]  # g e = e g
     for ys in _levels(length):
-        # g (x s) = (g x) s, and x s has the generators of x and s
+        # g (x s) = (g x) s
         left_mul[ys] = right_mul[left_mul[parent[ys]], gen_of[ys][:, None]]
-        support[ys] = support[parent[ys]] | (1 << gen_of[ys].astype(np.int64))
     return EnumeratedGroup(
         diagram,
         right_mul=right_mul,
@@ -924,7 +888,6 @@ def _bfs_enumerate(diagram, sigma, simple) -> EnumeratedGroup:
         parent=parent,
         gen_of=gen_of,
         length=length,
-        support=support,
     )
 
 

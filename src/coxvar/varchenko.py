@@ -6,6 +6,11 @@ arrangement module.  Verification never expands the symbolic determinant:
 it evaluates both sides at random points modulo several word-sized primes.
 A fully symbolic Laplace-expansion determinant is kept as an anchor for tiny
 groups.
+
+The concordance checks against the published type-A and type-B formulas
+and the product rule never enumerate W: a root's chain in the reflection
+table spells its reflection, both for the dictionaries and for renaming a
+factor's roots into a product's.
 """
 
 from __future__ import annotations
@@ -17,7 +22,13 @@ from math import factorial
 import numpy as np
 
 from .arrangement import Arrangement
-from .coxeter_core import EnumeratedGroup, ReflectionTable
+from .coxeter_core import (
+    Component,
+    CoxeterDiagram,
+    EnumeratedGroup,
+    ReflectionTable,
+    parse_group_spec,
+)
 from .errors import (
     CountOutOfRange,
     InvariantError,
@@ -239,55 +250,62 @@ def reducible_product(f1: Factorization, order2: int,
 # variable dictionaries between reflection indices and the published labels
 
 
-def a_type_dictionary(group: EnumeratedGroup, n: int) -> dict[int, str]:
-    """Reflection index -> pair variable, via the permutation model on [n]."""
-    if group.diagram.rank != n - 1:
+def a_type_dictionary(roots: ReflectionTable, n: int) -> dict[int, str]:
+    """Reflection index -> pair variable, via the permutation model on [n].
+
+    Root t is g1..gk(alpha_a) for its chain (a, [g1, ..., gk]), and the
+    letter g swaps g and g + 1.  So s_t swaps the images under gk, ..., g1 of
+    the letters a and a + 1 of alpha_a = e_a - e_(a+1).
+    """
+    if len(roots.simple) != n - 1:
         raise ParameterOutOfRange(
-            f"rank {group.diagram.rank} group on n = {n} letters")
-    gens = []
-    for i in range(n - 1):
-        P = np.eye(n, dtype=np.int64)
-        P[[i, i + 1]] = P[[i + 1, i]]
-        gens.append(P)
+            f"rank {len(roots.simple)} group on n = {n} letters")
     out = {}
-    for t in range(group.num_reflections):
-        M = np.eye(n, dtype=np.int64)
-        for g in group.word(int(group.refl_ids[t])):
-            M = M @ gens[g]
-        moved = [i for i in range(n) if M[i, i] != 1]
-        if len(moved) != 2:
-            raise InvariantError(f"reflection {t} moves {len(moved)} letters")
-        out[t] = pair_var(moved[0] + 1, moved[1] + 1)
-    return out
+    for t in range(roots.num_reflections):
+        a, chain = roots.chain(t)
+        pair = [a, a + 1]
+        for g in reversed(chain):
+            pair = [g + 1 if i == g else g if i == g + 1 else i for i in pair]
+        out[t] = pair_var(pair[0] + 1, pair[1] + 1)
+    return _one_to_one(out, n * (n - 1) // 2, "pair")
 
 
-def b_type_dictionary(group: EnumeratedGroup, n: int) -> dict[int, str]:
-    """Reflection index -> signed variable, via signed permutations of [n]."""
-    if group.diagram.rank != n:
-        raise ParameterOutOfRange(f"rank {group.diagram.rank} group, n = {n}")
-    gens = []
-    F = np.eye(n, dtype=np.int64)
-    F[0, 0] = -1
-    gens.append(F)
-    for i in range(n - 1):
-        P = np.eye(n, dtype=np.int64)
-        P[[i, i + 1]] = P[[i + 1, i]]
-        gens.append(P)
+def b_type_dictionary(roots: ReflectionTable, n: int) -> dict[int, str]:
+    """Reflection index -> signed variable, via signed permutations of [n].
+
+    The letter 0 negates coordinate 0 and the letter g > 0 swaps coordinates
+    g - 1 and g; root t is g1..gk applied to e_0 or to e_(a-1) - e_a for its
+    chain (a, [g1, ..., gk]).  A root c_i e_i + c_j e_j is normal to the
+    hyperplane x_i = -c_i c_j x_j, and e_i to x_i = 0.
+    """
+    if len(roots.simple) != n:
+        raise ParameterOutOfRange(f"rank {len(roots.simple)} group, n = {n}")
     out = {}
-    for t in range(group.num_reflections):
-        M = np.eye(n, dtype=np.int64)
-        for g in group.word(int(group.refl_ids[t])):
-            M = M @ gens[g]
-        moved = [i for i in range(n) if M[i, i] != 1]
-        if len(moved) == 1:
-            out[t] = singleton_var(moved[0] + 1)
-        elif len(moved) == 2 and abs(int(M[moved[0], moved[1]])) == 1:
-            i, j = moved
-            out[t] = signed_pair_var(i + 1, (j + 1) * int(M[i, j]))
+    for t in range(roots.num_reflections):
+        a, chain = roots.chain(t)
+        v = [0] * n
+        if a == 0:
+            v[0] = 1
         else:
-            raise InvariantError(
-                f"reflection {t} is no signed transposition of {moved}")
-    return out
+            v[a - 1], v[a] = 1, -1
+        for g in reversed(chain):
+            if g == 0:
+                v[0] = -v[0]
+            else:
+                v[g - 1], v[g] = v[g], v[g - 1]
+        i, *j = [k for k in range(n) if v[k]]
+        out[t] = (signed_pair_var(i + 1, -v[i] * v[j[0]] * (j[0] + 1)) if j
+                  else singleton_var(i + 1))
+    return _one_to_one(out, n * n, "signed")
+
+
+def _one_to_one(dic: dict[int, str], count: int, kind: str):
+    """``dic`` itself, unless it misses one of the ``count`` variables."""
+    if len(dic) != count or len(set(dic.values())) != count:
+        raise InvariantError(
+            f"{len(dic)} reflections map to {len(set(dic.values()))} of the "
+            f"{count} {kind} variables")
+    return dic
 
 
 # ---------------------------------------------------------------------------
@@ -377,62 +395,72 @@ def verify_mod_p(group: EnumeratedGroup, wa: WeightAssignment,
     }
 
 
-def concordance_checks(group: EnumeratedGroup) -> list[dict]:
-    """Formal factorization identities applicable to this group's type."""
+def embedded_roots(roots: ReflectionTable, comp: Component,
+                   sub: ReflectionTable) -> list[int]:
+    """The product's root for each root of a component's own table ``sub``.
+
+    Root t of the component is g1..gk(alpha_a) for its chain (a, [g1, ...,
+    gk]), so it is alpha_a conjugated by gk, ..., g1 in the product's R, on
+    the component's nodes.
+    """
     out = []
-    comps = group.diagram.components
+    for t in range(sub.num_reflections):
+        a, chain = sub.chain(t)
+        u = comp.nodes[a]
+        for g in reversed(chain):
+            u = int(roots.R[u, comp.nodes[g]])
+        out.append(u)
+    return out
+
+
+def concordance_checks(diagram: CoxeterDiagram) -> list[dict]:
+    """Formal factorization identities applicable to this diagram's type.
+
+    Every closed form and dictionary comes from reflection tables; W is
+    never enumerated.
+    """
+    out = []
+    comps = diagram.components
+    ar = Arrangement(diagram=diagram)
 
     def record(check, ok):
         out.append({
             "check": check,
-            "group": group.diagram.type_label,
+            "group": diagram.type_label,
             "verdict": "PASS" if ok else "FAIL",
         })
+
+    def explicit(over, dic):
+        return closed_form_factorization(over,
+                                         WeightAssignment("explicit", dic))
 
     if len(comps) == 1:
         comp = comps[0]
         if comp.letter == "A":
             n = comp.param + 1
-            cf_q = closed_form_factorization(group,
-                                             WeightAssignment.single_q(group))
+            cf_q = closed_form_factorization(
+                ar, WeightAssignment.single_q(ar.roots))
             record("zagier_single_q", cf_q == zagier_formula(n))
-            dic = a_type_dictionary(group, n)
-            cf = closed_form_factorization(
-                group, WeightAssignment("explicit", dic))
-            record("duchamp_per_hyperplane", cf == duchamp_formula_A(n))
+            record("duchamp_per_hyperplane",
+                   explicit(ar, a_type_dictionary(ar.roots, n))
+                   == duchamp_formula_A(n))
         elif comp.letter == "B":
             n = comp.param
-            dic = b_type_dictionary(group, n)
-            cf = closed_form_factorization(
-                group, WeightAssignment("explicit", dic))
             record("randriamaro_per_hyperplane",
-                   cf == randriamaro_formula_B(n))
+                   explicit(ar, b_type_dictionary(ar.roots, n))
+                   == randriamaro_formula_B(n))
     else:
-        from .coxeter_core import group as build
-
-        cf = closed_form_factorization(group,
-                                       WeightAssignment.per_hyperplane(group))
-        prod = None
-        offset = 0
-        orders = [c.order for c in comps]
-        for ci, comp in enumerate(comps):
-            sub = build(comp.label)
-            # rename the component's variables into the product's reflections
-            dic = {}
-            for t in range(sub.num_reflections):
-                word = [comp.nodes[g] for g in sub.word(int(sub.refl_ids[t]))]
-                tid = group.refl_index[group.element_of_word(word)]
-                dic[t] = f"a{int(tid) + 1}"
-            f = closed_form_factorization(sub, WeightAssignment("explicit", dic))
-            rest = 1
-            for cj, o in enumerate(orders):
-                if cj != ci:
-                    rest *= o
-            f = f.scale_exponents(rest)
-            prod = f if prod is None else Factorization(
-                prod.factors + f.factors)
-            offset += comp.rank
-        record("reducible_product", prod.normalize() == cf)
+        cf = closed_form_factorization(
+            ar, WeightAssignment.per_hyperplane(ar.roots))
+        prod, order = Factorization(()), 1
+        for comp in comps:
+            sub = Arrangement(diagram=parse_group_spec(comp.label))
+            dic = {t: f"a{u + 1}" for t, u in enumerate(
+                embedded_roots(ar.roots, comp, sub.roots))}
+            prod = reducible_product(prod, comp.order, explicit(sub, dic),
+                                     order)
+            order *= comp.order
+        record("reducible_product", prod == cf)
     return out
 
 

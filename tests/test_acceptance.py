@@ -62,7 +62,8 @@ def test_criterion_1_full_support_counts():
     failures = []
     for spec, expect in sorted(FULL_SUPPORT_EXPECT.items()):
         g = group(spec)
-        full = g.full_support_reflections()
+        full = [t for t in range(g.num_reflections)
+                if g.roots.support[t] == (1 << g.n) - 1]
         per_class = Counter(int(g.reflection_class_of[t]) for t in full)
         got = sorted(per_class.values()) if len(full) else [0]
         if got != expect:
@@ -346,20 +347,20 @@ def test_criterion_5_formal_concordance():
         if closed_form_factorization(
                 g, WeightAssignment.single_q(g)) != zagier_formula(n):
             failures.append(f"zagier n={n}")
-        dic = a_type_dictionary(g, n)
+        dic = a_type_dictionary(g.roots, n)
         if closed_form_factorization(
                 g, WeightAssignment("explicit", dic)) != \
                 duchamp_formula_A(n):
             failures.append(f"duchamp n={n}")
     for n in range(2, 5):
         g = group(f"B{n}")
-        dic = b_type_dictionary(g, n)
+        dic = b_type_dictionary(g.roots, n)
         if closed_form_factorization(
                 g, WeightAssignment("explicit", dic)) != \
                 randriamaro_formula_B(n):
             failures.append(f"randriamaro n={n}")
     for spec in ("A1xA1", "B2xA1"):
-        recs = concordance_checks(group(spec))
+        recs = concordance_checks(group(spec).diagram)
         if not recs or any(r["verdict"] != "PASS" for r in recs):
             failures.append(f"reducible {spec}")
     _verdict(5, not failures,
@@ -450,9 +451,10 @@ def _property_bundle():
                 assert t in e.reflections
         full_J = tuple(range(g.n))
         if g.diagram.is_connected_subset(full_J):
-            tJ = int(g.full_support_reflections()[0])
+            full_mask = (1 << g.n) - 1
+            tJ = int(np.flatnonzero(a.roots.support == full_mask)[0])
             a.decompose_L(full_J, tJ)
-            if int(g.refl_support[0]) != g.full_mask:
+            if int(a.roots.support[0]) != full_mask:
                 try:
                     a.decompose_L(full_J, 0)
                     raise AssertionError("support guard did not trigger")
@@ -506,17 +508,20 @@ def _property_bundle():
     # W conjugating the reflections differently from the roots
     g_swapped = build_group(parse_group_spec("A3"))
     g_swapped.left_mul = g_swapped.left_mul[:, ::-1]
-    g_a3 = build_group(parse_group_spec("A3"))
-    true_decomposition = g_a3.palindromic_decomposition
-    g_a3.palindromic_decomposition = \
-        lambda t: (true_decomposition(t)[0], 0)
-    t_a3 = int(g_a3.full_support_reflections()[0])
+    # a chain without its letters: t = v^-1 s v with v = e
+    no_letters = Arrangement(group("A3"))
+    true_chain = no_letters.roots.chain
+    no_letters.roots = copy.copy(no_letters.roots)
+    no_letters.roots.chain = lambda t: (true_chain(t)[0], [])
+    t_a3 = int(np.flatnonzero(no_letters.roots.support == 0b111)[0])
     odd = _OddOracle(g3)
-    # doctored words that are no palindromes map to 3-cycles
-    a3_words = build_group(parse_group_spec("A3"))
-    a3_words.word = lambda x: [0, 1]
-    b3_words = build_group(parse_group_spec("B3"))
-    b3_words.word = lambda x: [1, 2]
+
+    # root 1 following the chain of root 0: two roots share a variable
+    def collided(spec):
+        roots = copy.copy(group(spec).roots)
+        true = roots.chain
+        roots.chain = lambda t: true(0 if t == 1 else t)
+        return roots
     guards = [
         (lambda: odd.multiplicity_oracle(odd.relevant_edges()[0]),
          "InvarianceViolation"),
@@ -526,16 +531,17 @@ def _property_bundle():
             (0, 1)), "InvariantError"),
         (lambda: wrong_class.multiplicity_formula((0, 1)), "InvariantError"),
         (lambda: g_swapped.refl_ids, "InvariantError"),
-        (lambda: Arrangement(g_a3).decompose_L((0, 1, 2), t_a3),
-         "InvariantError"),
+        (lambda: no_letters.decompose_L((0, 1, 2), t_a3), "InvariantError"),
         (lambda: Arrangement(g3)._conjugator(0, 1, []), "InvariantError"),
         (lambda: zagier_formula(1), "ParameterOutOfRange"),
         (lambda: duchamp_formula_A(1), "ParameterOutOfRange"),
         (lambda: randriamaro_formula_B(0), "ParameterOutOfRange"),
-        (lambda: a_type_dictionary(group("A3"), 5), "ParameterOutOfRange"),
-        (lambda: b_type_dictionary(group("B3"), 4), "ParameterOutOfRange"),
-        (lambda: a_type_dictionary(a3_words, 4), "InvariantError"),
-        (lambda: b_type_dictionary(b3_words, 3), "InvariantError"),
+        (lambda: a_type_dictionary(group("A3").roots, 5),
+         "ParameterOutOfRange"),
+        (lambda: b_type_dictionary(group("B3").roots, 4),
+         "ParameterOutOfRange"),
+        (lambda: a_type_dictionary(collided("A3"), 4), "InvariantError"),
+        (lambda: b_type_dictionary(collided("B3"), 3), "InvariantError"),
     ]
     for trigger, name in guards:
         try:
@@ -567,15 +573,15 @@ def _property_bundle():
                 f.eval_mod(point, p)
         build_varchenko_matrix(g, WeightAssignment.per_hyperplane(g))
         edge_factors(g, WeightAssignment.per_hyperplane(g))
-        concordance_checks(g)
+        concordance_checks(g.diagram)
         verify_mod_p(g, WeightAssignment.per_hyperplane(g),
                      trials=1, primes=2, seed=1)
     zagier_formula(5)
     duchamp_formula_A(4)
     randriamaro_formula_B(3)
     primes_list(5)
-    a_type_dictionary(group("A3"), 4)
-    b_type_dictionary(group("B3"), 3)
+    a_type_dictionary(group("A3").roots, 4)
+    b_type_dictionary(group("B3").roots, 3)
     symbolic_determinant(group("A1"),
                          WeightAssignment.per_hyperplane(group("A1")))
     try:

@@ -1,6 +1,7 @@
 """Tests for edge enumeration and the two multiplicity routes."""
 
 import ast
+import copy
 import gc
 import itertools
 import os
@@ -98,7 +99,7 @@ def test_edge_witness_conjugates_class_onto_edge():
         g = a.group
         D = g.conj_tables
         for edge in a.relevant_edges():
-            TJ = g.reflection_indices_in(_mask(edge.class_J))
+            TJ = a.roots.reflections_in(_mask(edge.class_J))
             images = np.sort(D[:, TJ], axis=1)
             assert (images == np.array(edge.reflections)).all(axis=1).any()
 
@@ -173,7 +174,7 @@ def chambers_spanning_reference(self, edge, t):
     C = D[g.inv]  # C[x, t] = index of t^(x^-1)
     allowed = np.array(sorted({np.int64(_mask(K))
                                for K in self.coxeter_class(edge.class_J)}))
-    Ksup = g.refl_support[C[:, t]]
+    Ksup = self.roots.support[C[:, t]]
     candidates = np.nonzero(np.isin(Ksup, allowed))[0]
     target = frozenset(edge.reflections)
     tk_cache = {}
@@ -182,7 +183,7 @@ def chambers_spanning_reference(self, edge, t):
         Kmask = int(Ksup[x])
         TK = tk_cache.get(Kmask)
         if TK is None:
-            TK = g.reflection_indices_in(Kmask)
+            TK = self.roots.reflections_in(Kmask)
             tk_cache[Kmask] = TK
         if frozenset(int(v) for v in D[x, TK]) == target:
             out.add(int(x))
@@ -243,10 +244,10 @@ def chambers_spanning_sorted_rows(self, edge, t):
     g = self.group
     D = g.conj_tables
     target = np.array(sorted(set(edge.reflections)))
-    Ksup = g.refl_support[D[g.inv, t]]
+    Ksup = self.roots.support[D[g.inv, t]]
     out = set()
     for Kmask in {_mask(K) for K in self.coxeter_class(edge.class_J)}:
-        TK = g.reflection_indices_in(Kmask)
+        TK = self.roots.reflections_in(Kmask)
         if len(TK) != len(target):
             continue
         xs = np.flatnonzero(Ksup == Kmask)
@@ -359,7 +360,7 @@ def floor_class_over_W(g, t):
     """Reflections with the support of t that are conjugate to t in W."""
     members = _orbit([[t]], g.conj_by_gen)[:, 0]
     return sorted(u for u in members.tolist()
-                  if g.refl_support[u] == g.refl_support[t])
+                  if g.roots.support[u] == g.roots.support[t])
 
 
 def test_floor_over_W_equals_floor_over_W_J():
@@ -420,7 +421,7 @@ def test_decompose_L_reproduces_chamber_set(spec, J):
                 class_J=tuple(J), coset_id=0)
     Jmask = sum(1 << s for s in J)
     full = [t for t in edge.reflections
-            if int(g.refl_support[t]) == Jmask]
+            if int(a.roots.support[t]) == Jmask]
     assert full
     for t in full[:3]:
         blocks, union = a.decompose_L(J, t)
@@ -432,7 +433,7 @@ def test_decompose_L_reproduces_chamber_set(spec, J):
         assert {u for _, u in blocks} == set(floor)
     # reflections of smaller support are rejected
     small = [t for t in edge.reflections
-             if int(g.refl_support[t]) != Jmask]
+             if int(a.roots.support[t]) != Jmask]
     if small:
         with pytest.raises(ValueError):
             a.decompose_L(J, small[0])
@@ -502,14 +503,15 @@ def test_oracle_checks_the_root_numbering():
 
 
 def test_decompose_L_checks_centralizer_identity():
-    # drop the conjugator v from t = v^-1 s v, so the centralizer of s
-    # stands in for that of t
-    g = build_group(parse_group_spec("A3"))
-    true_decomposition = g.palindromic_decomposition
-    g.palindromic_decomposition = lambda t: (true_decomposition(t)[0], 0)
-    t = int(g.full_support_reflections()[0])
+    # drop the letters of the chain, so v = e in t = v^-1 s v and the
+    # centralizer of s stands in for that of t
+    a = arr("A3")
+    true_chain = a.roots.chain
+    a.roots = copy.copy(a.roots)
+    a.roots.chain = lambda t: (true_chain(t)[0], [])
+    t = int(np.flatnonzero(a.roots.support == 0b111)[0])
     with pytest.raises(InvariantError, match="centralizer"):
-        Arrangement(g).decompose_L((0, 1, 2), t)
+        a.decompose_L((0, 1, 2), t)
 
 
 def test_conjugator_search_reports_failure():
@@ -530,7 +532,7 @@ def test_bad_arguments_raise_typed_value_errors(call, error):
 
 
 _GUARDS_UNDER_O = """
-from coxvar import group
+from coxvar import Factorization, Monomial, group
 from coxvar.arrangement import Arrangement
 from coxvar.varchenko import zagier_formula
 
@@ -560,6 +562,9 @@ print(raised(lambda: OddOracle(a.group).multiplicity_oracle(center)))
 print(raised(lambda: HyperplaneDependentOracle(a.group)
              .multiplicity_oracle(center)))
 print(raised(lambda: zagier_formula(1)))
+# a point that lacks the variable y
+print(raised(lambda: Factorization(((Monomial.from_vars("xy"), 1),))
+             .eval_mod({"x": 2}, 7)))
 """
 
 
@@ -575,7 +580,8 @@ def test_guards_raise_under_python_O():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "InvarianceViolation",
                                    "InvarianceViolation",
-                                   "ParameterOutOfRange"]
+                                   "ParameterOutOfRange",
+                                   "UnassignedVariable"]
 
 
 def test_arrangement_module_has_no_assert_statements():

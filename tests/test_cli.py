@@ -277,6 +277,36 @@ def test_unknown_flag_is_parse_error(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("argv", [("det", "A3", "--seed", "1"),
+                                  ("tables", "A3", "--trials", "2"),
+                                  ("multiplicity", "A3", "--assign", "q")])
+def test_flags_a_subcommand_does_not_read_are_parse_errors(capsys, argv):
+    # each subcommand takes only the flags its handler reads
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "unrecognized" in err
+
+
+def test_tables_unsafe_large_runs_the_oracle(capsys):
+    # |W| = 14400 is past the oracle's budget of 1152, not past its cap
+    code, out, _ = run(capsys, "tables", "H4", "--unsafe-large",
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows and all(r["l_oracle"] == r["l_formula"] and r["match"]
+                        for r in rows)
+
+
+def test_verify_unsafe_large_warns_and_passes(capsys):
+    # D5's chamber matrix has order 1920, past the budget of 1152
+    code, out, err = run(capsys, "verify", "D5", "--trials", "1",
+                         "--primes", "1", "--unsafe-large")
+    assert code == 0 and out.strip().endswith("PASS")
+    assert "warning: |W| = 1920" in err
+    code, out, err = run(capsys, "verify", "D5", "--trials", "1",
+                         "--primes", "1")
+    assert code == 3 and out == "" and "1152" in err
+
+
 def test_det_builds_no_group(capsys, monkeypatch):
     monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
     monkeypatch.setattr(arrangement, "build_group", _never_enumerate)

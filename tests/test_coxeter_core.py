@@ -123,12 +123,26 @@ def test_inversion_set_defining_property():
             assert (int(g.length[tw]) < int(g.length[x])) == (t in inv)
 
 
+def element_support_reference(g):
+    """Support bitmask of every element of W: the letters of its word."""
+    support = np.zeros(g.order, dtype=np.int64)
+    for ys in coxeter_core._levels(g.length):
+        # x s has the generators of x and s
+        support[ys] = support[g.parent[ys]] | 1 << g.gen_of[ys].astype(
+            np.int64)
+    return support
+
+
 def test_support_is_union_of_word_letters():
-    for spec in ("A3", "D4", "I2(5)"):
+    # the support of root t is the set of letters of s_t's reduced word
+    for spec in ("A3", "D4", "I2(5)", "H3xB3"):
         g = group(spec)
+        for t in range(g.num_reflections):
+            assert set(coxeter_core._bits(int(g.roots.support[t]))) == \
+                set(g.word(int(g.refl_ids[t])))
+        support = element_support_reference(g)
         for x in range(g.order):
-            assert set(coxeter_core._bits(int(g.support[x]))) == \
-                set(g.word(x))
+            assert set(coxeter_core._bits(int(support[x]))) == set(g.word(x))
 
 
 # -- conjugation tables ------------------------------------------------------
@@ -190,9 +204,9 @@ def test_closed_form_dihedral_roots_match_the_cartan_roots(dihedral,
     # integers: every table must agree
     a, b = group(dihedral), group(crystallographic)
     for name in ("right_mul", "left_mul", "parent", "gen_of", "length",
-                 "support", "inv", "refl_ids", "conj_tables",
-                 "inversion_table"):
+                 "inv", "refl_ids", "conj_tables", "inversion_table"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(a.roots.support, b.roots.support)
 
 
 def test_single_reflection_class_iff_all_bonds_odd():
@@ -267,18 +281,22 @@ def test_coxeter_class_witnesses():
 
 
 def test_palindromic_decomposition():
+    # a root's chain (s, [g1, ..., gk]) gives t = v^-1 s v with v = gk..g1,
+    # s a generator of t's support and v in the support parabolic
     for spec in ("A3", "B3", "H3", "I2(7)"):
         g = group(spec)
+        support = element_support_reference(g)
         for t in range(g.num_reflections):
-            s, v = g.palindromic_decomposition(t)
+            s, chain = g.roots.chain(t)
+            v = g.element_of_word(chain[::-1])
             telem = int(g.refl_ids[t])
             selem = int(g.refl_ids[s])
             vinv = int(g.inv[v])
             assert g.mul(g.mul(vinv, selem), v) == telem
             assert int(g.length[telem]) == 2 * int(g.length[v]) + 1
             assert s < g.n  # s is a generator of the support parabolic
-            sup = int(g.support[telem])
-            assert sup >> s & 1 and int(g.support[v]) & ~sup == 0
+            sup = int(g.roots.support[t])
+            assert sup >> s & 1 and int(support[v]) & ~sup == 0
 
 
 def x_J_s_reference(g, J, s):
@@ -298,14 +316,15 @@ def test_x_J_s_examples():
         a = Arrangement(g)
         for t in range(a.roots.num_reflections):
             J = tuple(coxeter_core._bits(int(a.roots.support[t])))
-            s, _ = g.palindromic_decomposition(t)
+            s, _ = a.roots.chain(t)
             assert a._floor_and_x_J_s(t)[2] == x_J_s_reference(g, J, s)
 
 
 def test_full_support_counts_sample():
-    assert len(group("H3").full_support_reflections()) == 8
-    assert len(group("A4").full_support_reflections()) == 1
-    assert len(group("D4").full_support_reflections()) == 2
+    for spec, count in (("H3", 8), ("A4", 1), ("D4", 2)):
+        roots = reflection_table(parse_group_spec(spec))
+        full = (1 << len(roots.simple)) - 1
+        assert np.count_nonzero(roots.support == full) == count
 
 
 def test_floor_class_examples():
@@ -441,11 +460,11 @@ def test_product_group_structure():
 
 
 def test_generator_reflection_indices():
+    # reflection i is the generator i
     for spec in ("A3", "B4", "H3", "A2xA1"):
         g = group(spec)
         for i in range(g.n):
-            assert int(g.refl_ids[int(g.refl_index[g.element_of_word([i])])]
-                       ) == g.element_of_word([i])
+            assert int(g.refl_ids[i]) == g.element_of_word([i])
 
 
 # -- the reflection table ----------------------------------------------------
@@ -498,8 +517,7 @@ def test_reflection_table_matches_the_enumerated_reflections(spec):
     assert np.array_equal(g.reflection_class_of,
                           reflection_classes_reference(
                               conj_by_gen_reference(g, ids)))
-    assert np.array_equal(g.refl_support, g.support[ids])
-    assert np.array_equal(roots.support, g.support[ids])
+    assert np.array_equal(roots.support, element_support_reference(g)[ids])
     assert np.array_equal(2 * roots.depth - 1, g.length[ids])
 
 
@@ -510,10 +528,11 @@ def test_first_in_element_order_is_the_least_reflection_id(spec):
     g = group(spec)
     roots = reflection_table(g.diagram)
     ids = refl_ids_reference(g)
+    support = element_support_reference(g)
     for J in g.diagram.irreducible_subsets():
         Jmask = sum(1 << s for s in J)
         full = np.flatnonzero(roots.support == Jmask)
-        assert ids[full[0]] == ids[g.support[ids] == Jmask].min(), J
+        assert ids[full[0]] == ids[support[ids] == Jmask].min(), J
 
 
 @pytest.mark.parametrize("spec", ["E7", "E8"])

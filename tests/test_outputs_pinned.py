@@ -105,6 +105,17 @@ PINNED = [
      "9e6fb0b24ae52a47ab543e2f931d5cd0189e1942668636674241576e6d07afba"),
     (('det', 'H4', '--format', 'json'), 0,
      "ad1b8a1eacd27e699a742e2e0dab460ce7427d825791659e8caccf7cc11575c2"),
+    # every concordance branch: Zagier and Duchamp (A4), Randriamaro (B3)
+    # and the product rule (H3xA1 in JSON, B2xA1 in text)
+    (('verify', 'A4', '--trials', '1', '--primes', '1', '--format', 'json'),
+     0, "0a1ccf1d54ae233619075fc70dc01fe100d13eb598189777719913f399a43ac1"),
+    (('verify', 'B3', '--trials', '1', '--primes', '1', '--format', 'json'),
+     0, "f87fd095a04328dfe3e3ed190af2c140256872c9f7729f8f039b869e035465cf"),
+    (('verify', 'H3xA1', '--trials', '1', '--primes', '1', '--format',
+      'json'), 0,
+     "f7c54587d43e2a6564f37311866a768e7810c99484cdbb1bfc07f9df28aeef9e"),
+    (('verify', 'B2xA1', '--trials', '1', '--primes', '1'), 0,
+     "5430117166748cb8e8cf8c290b06b8f560dcac4870397f8e6a09e497105a60d7"),
 ]
 
 

@@ -1,12 +1,18 @@
 """Tests for the determinant factorization and its verification routes."""
 
+import copy
 import random
 
 import numpy as np
 import pytest
 
 from coxvar import Factorization, Monomial, det_mod_p, group
-from coxvar.coxeter_core import build_group, parse_group_spec
+from coxvar import arrangement, coxeter_core
+from coxvar.coxeter_core import (
+    build_group,
+    parse_group_spec,
+    reflection_table,
+)
 from coxvar.errors import (
     CountOutOfRange,
     InvariantError,
@@ -23,10 +29,14 @@ from coxvar.varchenko import (
     closed_form_factorization,
     concordance_checks,
     duchamp_formula_A,
+    embedded_roots,
     modular_matrix,
+    pair_var,
     primes_list,
     randriamaro_formula_B,
     reducible_product,
+    signed_pair_var,
+    singleton_var,
     symbolic_determinant,
     verify_mod_p,
     zagier_formula,
@@ -172,7 +182,7 @@ def test_degree_matches_matrix_size():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_duchamp_concordance(n):
     g = group(f"A{n - 1}")
-    dic = a_type_dictionary(g, n)
+    dic = a_type_dictionary(g.roots, n)
     f = closed_form_factorization(g, WeightAssignment("explicit", dic))
     assert f == duchamp_formula_A(n)
 
@@ -180,22 +190,80 @@ def test_duchamp_concordance(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_randriamaro_concordance(n):
     g = group(f"B{n}")
-    dic = b_type_dictionary(g, n)
+    dic = b_type_dictionary(g.roots, n)
     f = closed_form_factorization(g, WeightAssignment("explicit", dic))
     assert f == randriamaro_formula_B(n)
 
 
+def a_type_dictionary_reference(g, n):
+    """Reflection index -> pair variable, from its word in W.
+
+    The product of the letters' permutation matrices is the transposition
+    of the two letters the reflection moves.
+    """
+    gens = []
+    for i in range(n - 1):
+        P = np.eye(n, dtype=np.int64)
+        P[[i, i + 1]] = P[[i + 1, i]]
+        gens.append(P)
+    out = {}
+    for t in range(g.num_reflections):
+        M = np.eye(n, dtype=np.int64)
+        for x in g.word(int(g.refl_ids[t])):
+            M = M @ gens[x]
+        moved = [i for i in range(n) if M[i, i] != 1]
+        assert len(moved) == 2
+        out[t] = pair_var(moved[0] + 1, moved[1] + 1)
+    return out
+
+
+def b_type_dictionary_reference(g, n):
+    """Reflection index -> signed variable, from its word in W."""
+    F = np.eye(n, dtype=np.int64)
+    F[0, 0] = -1
+    gens = [F]
+    for i in range(n - 1):
+        P = np.eye(n, dtype=np.int64)
+        P[[i, i + 1]] = P[[i + 1, i]]
+        gens.append(P)
+    out = {}
+    for t in range(g.num_reflections):
+        M = np.eye(n, dtype=np.int64)
+        for x in g.word(int(g.refl_ids[t])):
+            M = M @ gens[x]
+        moved = [i for i in range(n) if M[i, i] != 1]
+        if len(moved) == 1:
+            out[t] = singleton_var(moved[0] + 1)
+        else:
+            i, j = moved
+            assert abs(int(M[i, j])) == 1
+            out[t] = signed_pair_var(i + 1, (j + 1) * int(M[i, j]))
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_a_type_dictionary_matches_the_words(n):
+    # uncached: A7 has 40320 elements
+    g = build_group(parse_group_spec(f"A{n - 1}"))
+    assert a_type_dictionary(g.roots, n) == a_type_dictionary_reference(g, n)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_b_type_dictionary_matches_the_words(n):
+    # uncached: B7 has 645120 elements
+    g = build_group(parse_group_spec(f"B{n}"))
+    assert b_type_dictionary(g.roots, n) == b_type_dictionary_reference(g, n)
+
+
 def test_a_type_dictionary_is_a_bijection_onto_pairs():
-    g = group("A3")
-    dic = a_type_dictionary(g, 4)
+    dic = a_type_dictionary(reflection_table(parse_group_spec("A3")), 4)
     assert sorted(dic) == list(range(6))
     assert len(set(dic.values())) == 6
     assert all(v.startswith("a_") for v in dic.values())
 
 
 def test_b_type_dictionary_classifies_all_reflections():
-    g = group("B3")
-    dic = b_type_dictionary(g, 3)
+    dic = b_type_dictionary(reflection_table(parse_group_spec("B3")), 3)
     vals = set(dic.values())
     assert len(vals) == 9
     singles = {v for v in vals if v.count("_") == 1}
@@ -214,39 +282,71 @@ def test_published_formulas_reject_small_n(formula, n):
 
 def test_dictionaries_reject_a_rank_mismatch():
     with pytest.raises(ParameterOutOfRange):
-        a_type_dictionary(group("A3"), 5)
+        a_type_dictionary(reflection_table(parse_group_spec("A3")), 5)
     with pytest.raises(ParameterOutOfRange):
-        b_type_dictionary(group("B3"), 4)
+        b_type_dictionary(reflection_table(parse_group_spec("B3")), 4)
+
+
+def chain_of_root_0_for_root_1(spec):
+    """A copy of the table whose root 1 follows the chain of root 0."""
+    roots = copy.copy(reflection_table(parse_group_spec(spec)))
+    true_chain = roots.chain
+    roots.chain = lambda t: true_chain(0 if t == 1 else t)
+    return roots
 
 
 def test_dictionaries_check_the_moved_letters():
-    # stored reflection words are palindromes; a doctored word that is not
-    # maps to a 3-cycle, which is no (signed) transposition
-    a3 = build_group(parse_group_spec("A3"))
-    a3.word = lambda x: [0, 1]
-    with pytest.raises(InvariantError, match="moves 3"):
-        a_type_dictionary(a3, 4)
-    b3 = build_group(parse_group_spec("B3"))
-    b3.word = lambda x: [1, 2]
-    with pytest.raises(InvariantError, match="signed transposition"):
-        b_type_dictionary(b3, 3)
+    # a doctored chain moves the letters of root 0 for root 1 too, so two
+    # reflections share a variable
+    with pytest.raises(InvariantError, match="5 of the 6 pair"):
+        a_type_dictionary(chain_of_root_0_for_root_1("A3"), 4)
+    with pytest.raises(InvariantError, match="8 of the 9 signed"):
+        b_type_dictionary(chain_of_root_0_for_root_1("B3"), 3)
+
+
+def embedded_roots_reference(g, comp):
+    """The product's reflection index for each reflection of a component.
+
+    The component's own group spells the reflection as a word; the same
+    word on the component's nodes is a reflection of the product.
+    """
+    sub = group(comp.label)
+    out = []
+    for t in range(sub.num_reflections):
+        word = [comp.nodes[x] for x in sub.word(int(sub.refl_ids[t]))]
+        x = g.element_of_word(word)
+        u = int(np.searchsorted(g.refl_ids, x))
+        assert g.refl_ids[u] == x
+        out.append(u)
+    return out
+
+
+PRODUCT_SPECS = ["A1xA1", "B2xA1", "A2xA2", "H3xB3", "I2(5)xI2(7)xA2",
+                 "A3xB2xI2(9)", "B3xA1xI2(5)"]
+
+
+@pytest.mark.parametrize("spec", PRODUCT_SPECS)
+def test_embedded_roots_match_the_words(spec):
+    g = group(spec)
+    for comp in g.diagram.components:
+        sub = reflection_table(parse_group_spec(comp.label))
+        assert embedded_roots(g.roots, comp, sub) == \
+            embedded_roots_reference(g, comp)
 
 
 def test_reducible_product_rule():
     # variables of each factor renamed into the product group's numbering
     g = group("A2xA1")
     a2, a1 = group("A2"), group("A1")
-    def embedded(sub, nodes):
-        dic = {}
-        for t in range(sub.num_reflections):
-            word = [nodes[i] for i in sub.word(int(sub.refl_ids[t]))]
-            tid = int(g.refl_index[g.element_of_word(word)])
-            dic[t] = f"a{tid + 1}"
-        return dic
+
+    def embedded(sub, comp):
+        return {t: f"a{u + 1}"
+                for t, u in enumerate(embedded_roots_reference(g, comp))}
+    comp_a2, comp_a1 = g.diagram.components
     f1 = closed_form_factorization(
-        a2, WeightAssignment("explicit", embedded(a2, [0, 1])))
+        a2, WeightAssignment("explicit", embedded(a2, comp_a2)))
     f2 = closed_form_factorization(
-        a1, WeightAssignment("explicit", embedded(a1, [2])))
+        a1, WeightAssignment("explicit", embedded(a1, comp_a1)))
     combined = reducible_product(f1, 2, f2, 6)
     direct = closed_form_factorization(
         g, WeightAssignment.per_hyperplane(g))
@@ -262,8 +362,29 @@ def test_reducible_product_rejects_shared_variables():
 
 @pytest.mark.parametrize("spec", ["A1xA1", "B2xA1", "A2xA2"])
 def test_concordance_reducible(spec):
-    recs = concordance_checks(group(spec))
+    recs = concordance_checks(parse_group_spec(spec))
     assert recs and all(r["verdict"] == "PASS" for r in recs)
+
+
+def _never_enumerate(*args, **kwargs):
+    raise AssertionError("W was enumerated")
+
+
+def test_concordance_builds_no_group(monkeypatch):
+    # every concordance branch reads reflection tables only
+    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
+    monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
+    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
+    expected = {
+        "A4": ["zagier_single_q", "duchamp_per_hyperplane"],
+        "B3": ["randriamaro_per_hyperplane"],
+        "H3xB3": ["reducible_product"],
+        "A3xB2xI2(9)": ["reducible_product"],
+    }
+    for spec, checks in expected.items():
+        recs = concordance_checks(parse_group_spec(spec))
+        assert [r["check"] for r in recs] == checks
+        assert all(r["verdict"] == "PASS" for r in recs), recs
 
 
 # -- modular verification ----------------------------------------------------
