@@ -38,6 +38,9 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_LIMIT = 3
 
+# largest |W| for which tables runs the chamber oracle by default
+ORACLE_BUDGET = 1152
+
 # errors meaning that a computed result failed a check, not that the input
 # was bad
 _VERIFICATION_ERRORS = (InvarianceViolation, BlocksOverlap, InvariantError)
@@ -151,7 +154,7 @@ def cmd_matrix(args):
 def cmd_tables(args):
     # W is enumerated only for the oracle
     diagram = parse_group_spec(args.group)
-    oracle_budget = HARD_DET_CAP if args.unsafe_large else DET_BUDGET
+    oracle_budget = HARD_DET_CAP if args.unsafe_large else ORACLE_BUDGET
     ar = Arrangement(diagram=diagram, limit=args.limit)
     reports = ar.multiplicity_reports(
         with_oracle=diagram.order <= oracle_budget)
@@ -193,9 +196,11 @@ def cmd_verify(args):
     if g.order > DET_BUDGET and args.unsafe_large:
         print(f"warning: |W| = {g.order}, dense modular determinants "
               "will take a while", file=sys.stderr)
-    report = verify_mod_p(g, wa, trials=args.trials, primes=args.primes,
+    # one arrangement serves the closed form and the concordance checks
+    ar = Arrangement(g)
+    report = verify_mod_p(ar, wa, trials=args.trials, primes=args.primes,
                           seed=args.seed, budget=budget)
-    extra = concordance_checks(g.diagram)
+    extra = concordance_checks(ar)
     ok = report["verdict"] == "PASS" and all(
         r["verdict"] == "PASS" for r in extra)
     if args.format == "json":

@@ -729,18 +729,6 @@ class EnumeratedGroup:
         ok = ~self.inversion_table[:, list(J)].any(axis=1)
         return np.nonzero(ok)[0]
 
-    def coset_decompose(self, w: int, J):
-        """Unique (u, x) with w = u x, u in W_J, x in X_J, lengths adding."""
-        x = w
-        Jl = list(J)
-        while True:
-            desc = [s for s in Jl if self.inversion_table[x, s]]
-            if not desc:
-                break
-            x = int(self.left_mul[x, desc[0]])
-        u = self.mul(w, int(self.inv[x]))
-        return u, x
-
     def element_of_word(self, word) -> int:
         x = 0
         for g in word:

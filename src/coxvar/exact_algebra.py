@@ -14,6 +14,16 @@ is singular mod p at column j takes a row from below, reduced against its
 j pivot rows, and Gauss-Jordan goes on from column j, so every block runs
 exactly 32 pivot steps.  Floating point appears nowhere else.
 
+A symmetric input, such as a Varchenko matrix, is eliminated on its lower
+triangle alone: A12 is read as A21 transposed, and each chunk of rows of
+the trailing update stops at the column of its own last row, a staircase
+that forms about half the products.  The first block that needs a row
+from below ends this: the trailing matrix is mirrored from its lower
+triangle, and elimination goes on over the full matrix.  Entries of the
+trailing matrix are reduced mod p only every few updates, as many as
+keep them below 2**53 (three for primes near 2**31, one near 2**32), and
+every read of the trailing matrix reduces what it reads.
+
 Every matrix product goes through ``_product``, in tiles of at most 2**19
 multiply-adds.  OpenBLAS 0.3.31, the BLAS numpy ships, forms a product of
 that size on the calling thread and hands one of about 2**20 or more to
@@ -45,7 +55,8 @@ from .errors import (
 # limbs, so that every sum BLAS forms stays an exact integer below 2**53.
 DET_MODULUS_LIMIT = 1 << 32  # det_mod_p is exact for 2 <= p below this
 _PANEL = 32  # order of the diagonal blocks inverted one at a time
-_ROW_CHUNK = 128  # rows of A per product, to bound temporaries
+# rows of A per product, to bound temporaries; a multiple of _PANEL
+_ROW_CHUNK = 128
 # Most multiply-adds (M * N * K) in one float64 product.  OpenBLAS 0.3.31
 # runs a GEMM on its worker threads from about 2**20 multiply-adds on
 # (measured on a 2-core host: M, K = 128, 64 ran on one thread up to
@@ -93,7 +104,8 @@ def _with_shift(x, p):
     less than 2**31 * 2**15 each: below 2**52 for k <= _PANEL, the inner
     dimension of every product the kernel forms (A21 times the block
     inverse, the trailing update, the reduction of rows below the block).
-    Added to an entry of A, below 2**32, the sum stays below 2**53 - p.
+    ``_delayed_updates`` counts how many such sums an entry of A takes
+    before it must be reduced to stay below 2**53 - p.
     """
     w = x.shape[-1]
     out = np.empty(x.shape[:-1] + (2 * w,))
@@ -191,7 +203,7 @@ def _reduced_row_below(a21, G, j, p):
     return None
 
 
-def _invert_diagonal_block(A, a21, k0, k1, p):
+def _invert_diagonal_block(A, a21, k0, k1, p, symmetric):
     """Determinant and inverse of A11 = A[k0:k1, k0:k1], exchanging rows.
 
     Gauss-Jordan runs on the block alone.  If column j of A11 has no pivot,
@@ -200,18 +212,26 @@ def _invert_diagonal_block(A, a21, k0, k1, p):
     k0 onward, and in a21, the ``_with_shift`` of A21), its reduced row
     takes position j in G, and Gauss-Jordan goes on from column j, so each
     block runs exactly w pivot steps.  An exchange that does not supply
-    the pivot raises InvariantError.  Returns ``(d, inverse)``, d the
-    determinant of the final A11 times the sign of the exchanges, or
-    ``(0, None)`` when no row below can supply a pivot, so that det(A) = 0.
+    the pivot raises InvariantError.  When ``symmetric``, A[k0:, k0:] is
+    held on its lower triangle and on the diagonal blocks, which the
+    staircase of ``_schur_update`` covers whole; an exchange, which moves
+    whole rows, first mirrors the trailing matrix from the lower triangle.
+    Returns ``(d, inverse, symmetric)``, d the determinant of the final
+    A11 times the sign of the exchanges and symmetric false once an
+    exchange was made, or ``(0, None, symmetric)`` when no row below can
+    supply a pivot, so that det(A) = 0.
     """
     w = k1 - k0
     G = _residues(A[k0:k1, k0:k1], p).view(np.uint64)
     rows = list(range(w))
     d, j = _gauss_jordan(G, p, rows, 0, 1)
+    if j < w and symmetric:
+        _mirror_lower(A, k0)
+        symmetric = False
     while j < w:
         found = _reduced_row_below(a21, G, j, p)
         if found is None:
-            return 0, None
+            return 0, None, symmetric
         i, G[j] = found
         a, b = k0 + rows[j], k1 + i
         A[[a, b], k0:] = A[[b, a], k0:]
@@ -223,28 +243,77 @@ def _invert_diagonal_block(A, a21, k0, k1, p):
         j = stop
     # G is the inverse of the block with its rows in the order ``rows``
     G[:, rows] = G.copy()
-    return d % p, G.view(np.int64)
+    return d % p, G.view(np.int64), symmetric
 
 
-def _schur_update(A, a21, inverse, k0, k1, p):
-    """A22 -= (A21 A11^-1) A12 mod p, one chunk of _ROW_CHUNK rows at a time.
+def _schur_update(A, a21, inverse, k0, k1, p, symmetric, reduce):
+    """A22 -= (A21 A11^-1) A12, one chunk of _ROW_CHUNK rows at a time.
 
-    a21 is ``_with_shift`` of A21.  Per chunk, z = A21 A11^-1 and then
-    z A12 are formed by ``_product`` into two buffers allocated once per
-    update.
+    a21 is ``_with_shift`` of A21.  z = A21 A11^-1 is formed chunk by
+    chunk, and then each chunk's z A12 by ``_product`` into one buffer
+    and subtracted from the chunk in place.  When ``symmetric``, A12 is
+    read as A21 transposed, from a21, and each chunk stops at the column
+    of its own last row: this staircase covers the lower triangle of A22,
+    which stays symmetric, with about half the products.  Chunks start at
+    multiples of _PANEL, as _ROW_CHUNK is one, so each later diagonal
+    block lies in one chunk and is updated whole.  The chunk is reduced
+    mod p only when ``reduce``.  Otherwise its entries move by less than
+    2 _PANEL (p//2 + 2) 2**15, a sum of 2 _PANEL products of a
+    ``_with_shift`` residue and a 16-bit limb, and ``_delayed_updates``
+    says how many such updates keep them below 2**53 - p.
     """
     n = A.shape[0]
     inverse_limbs = _split(inverse, p)
-    right = _split(A[k0:k1, k1:], p)
-    z = np.empty((_ROW_CHUNK, k1 - k0))
+    z = np.empty((n - k1, k1 - k0))
+    for r0 in range(0, n - k1, _ROW_CHUNK):
+        _product(a21[r0:r0 + _ROW_CHUNK], inverse_limbs,
+                 z[r0:r0 + _ROW_CHUNK])
+    z = _with_shift(z, p)
+    # a21 begins with the residues of A21, contiguous where A is not
+    right = _split(a21[:, :k1 - k0].T if symmetric else A[k0:k1, k1:], p)
     g = np.empty((_ROW_CHUNK, n - k1))
     for r0 in range(0, n - k1, _ROW_CHUNK):
-        block = A[k1 + r0:k1 + r0 + _ROW_CHUNK, k1:]
-        m = block.shape[0]
-        _product(a21[r0:r0 + m], inverse_limbs, z[:m])
-        _product(_with_shift(z[:m], p), right, g[:m])
-        np.subtract(block, g[:m], out=g[:m])
-        _reduce(g[:m], p, out=block)
+        r1 = min(r0 + _ROW_CHUNK, n - k1)
+        width = r1 if symmetric else n - k1
+        block = A[k1 + r0:k1 + r1, k1:k1 + width]
+        update = _product(z[r0:r1], right[:, :width], g[:r1 - r0, :width])
+        if reduce:
+            np.subtract(block, update, out=update)
+            _reduce(update, p, out=block)
+        else:
+            np.subtract(block, update, out=block)
+
+
+def _delayed_updates(p):
+    """Trailing updates an entry of A takes between two reductions mod p.
+
+    An entry is below p before its first update and at most p/2 + 2 in
+    magnitude after a reduction, and one update moves it by less than
+    bound = 2 _PANEL (p//2 + 2) 2**15 (see ``_schur_update``).  After c
+    updates it stays below p + c bound, and ``_reduce`` and every read of
+    the trailing matrix need that plus p within 2**53.  This is 3 for
+    primes near 2**31 and 1 near 2**32, where each update reduces.
+    """
+    bound = 2 * _PANEL * (p // 2 + 2) << 15
+    return max(1, (2**53 - 2 * p) // bound)
+
+
+def _is_symmetric(A):
+    """Whether A equals its transpose, read one row chunk at a time."""
+    return all(np.array_equal(A[r0:r0 + _ROW_CHUNK, :r0 + _ROW_CHUNK],
+                              A[:r0 + _ROW_CHUNK, r0:r0 + _ROW_CHUNK].T)
+               for r0 in range(0, A.shape[0], _ROW_CHUNK))
+
+
+def _mirror_lower(A, k0):
+    """Copy the lower triangle of A[k0:, k0:] onto its upper one, one band
+    of _ROW_CHUNK columns at a time."""
+    n = A.shape[0]
+    for c0 in range(k0, n, _ROW_CHUNK):
+        c1 = min(c0 + _ROW_CHUNK, n)
+        A[k0:c0, c0:c1] = A[c0:c1, k0:c0].T
+        square = A[c0:c1, c0:c1]
+        square[...] = np.tril(square) + np.tril(square, -1).T
 
 
 def _entry(e, p):
@@ -263,9 +332,12 @@ def _residue_matrix(matrix, p):
             raise NonIntegerMatrix(
                 f"matrix of dtype {matrix.dtype} is not an integer matrix")
         A = np.empty(matrix.shape, dtype=np.float64)
-        # unsigned entries are reduced as uint64, signed ones as int64, so
-        # that no entry wraps before it is reduced
-        if kind == "u":
+        # entries in range(p), such as those of modular_matrix, are copied
+        # as they are; others are reduced, unsigned ones as uint64 and
+        # signed ones as int64, so that no entry wraps before it is reduced
+        if matrix.size and 0 <= matrix.min() and matrix.max() < p:
+            A[...] = matrix
+        elif kind == "u":
             np.remainder(matrix, np.uint64(p), out=A)
         else:
             np.remainder(matrix.astype(np.int64, copy=False), p, out=A)
@@ -297,8 +369,10 @@ def det_mod_p(matrix, p: int) -> int:
     column j is nonzero once reduced by the block's pivot rows, and
     Gauss-Jordan goes on from column j; a row-permuted matrix can need
     such an exchange for nearly every column, which makes it the slowest
-    input.  Pivots are
-    the first nonzero entry wherever one is searched, so the result is
+    input.  A matrix whose residues are symmetric is eliminated on its
+    lower triangle, up to the first exchange, and the trailing matrix is
+    reduced mod p every ``_delayed_updates(p)`` updates.  Pivots are the
+    first nonzero entry wherever one is searched, so the result is
     deterministic for fixed input.  Exact for 2 <= p < 2**32 (p is assumed
     prime): the uint64 updates stay below p**2 < 2**64 and every sum of a
     product below 2**53.  Raises NonSquareMatrix, NonIntegerMatrix (float,
@@ -309,16 +383,20 @@ def det_mod_p(matrix, p: int) -> int:
             f"modulus {p} outside the exact range 2 <= p < 2**32")
     A = _residue_matrix(matrix, p)
     n = A.shape[0]
+    symmetric = _is_symmetric(A)
+    delay = _delayed_updates(p)
     det = 1
     for k0 in range(0, n, _PANEL):
         k1 = min(k0 + _PANEL, n)
         a21 = _with_shift(A[k1:, k0:k1], p)
-        d, inverse = _invert_diagonal_block(A, a21, k0, k1, p)
+        d, inverse, symmetric = _invert_diagonal_block(A, a21, k0, k1, p,
+                                                       symmetric)
         if inverse is None:
             return 0
         det = det * d % p
         if k1 < n:
-            _schur_update(A, a21, inverse, k0, k1, p)
+            _schur_update(A, a21, inverse, k0, k1, p, symmetric,
+                          reduce=k0 // _PANEL % delay == delay - 1)
     return det
 
 

@@ -44,7 +44,8 @@ from .exact_algebra import Factorization, Monomial, det_mod_p
 DEFAULT_PRIMES = (2147483659, 2147483693, 2147483713)
 
 MATRIX_DUMP_LIMIT = 200
-DET_BUDGET = 1152
+_MATRIX_CHUNK = 1 << 16  # entries of modular_matrix formed at a time
+DET_BUDGET = 1920
 HARD_DET_CAP = 14400
 
 
@@ -318,37 +319,48 @@ def modular_matrix(group: EnumeratedGroup, values: np.ndarray,
 
     Eight reflections at a time: their inversion bits form a byte key per
     chamber, the XOR of two keys is the byte of the separating set, and a
-    256-entry table holds the product of the weights for every byte.
-    Entries stay below p < 2**32, so their products fit in uint64.
+    256-entry table holds the product of the weights for every byte.  The
+    matrix is filled one chunk of rows at a time, so that its products, in
+    uint64 since entries stay below p < 2**32, take no n x n temporary.
+    Returns uint32, 4 bytes per entry.
     """
     N = group.inversion_table
-    E = None  # every group has a reflection, so the loop assigns E
+    n = group.order
+    keys, tables = [], []
     for t0 in range(0, group.num_reflections, 8):
         bits = N[:, t0:t0 + 8]
-        key = (bits << np.arange(bits.shape[1], dtype=np.uint8)).sum(
-            axis=1, dtype=np.uint8)
+        keys.append((bits << np.arange(bits.shape[1], dtype=np.uint8)).sum(
+            axis=1, dtype=np.uint8))
         table = np.ones(1, dtype=np.uint64)
         for v in values[t0:t0 + 8]:
             table = np.concatenate([table, table * np.uint64(int(v) % p)
                                     % np.uint64(p)])
-        factor = table[key[:, None] ^ key[None, :]]
-        if E is None:
-            E = factor
-        else:
-            E *= factor
-            E %= np.uint64(p)
-    return E.view(np.int64)
+        tables.append(table)
+    E = np.empty((n, n), dtype=np.uint32)
+    step = max(1, _MATRIX_CHUNK // n)
+    for r0 in range(0, n, step):
+        # every group has a reflection, so there is a first key
+        rows = tables[0][keys[0][r0:r0 + step, None] ^ keys[0]]
+        for key, table in zip(keys[1:], tables[1:]):
+            rows *= table[key[r0:r0 + step, None] ^ key]
+            rows %= np.uint64(p)
+        E[r0:r0 + step] = rows
+    return E
 
 
-def verify_mod_p(group: EnumeratedGroup, wa: WeightAssignment,
+def verify_mod_p(group: EnumeratedGroup | Arrangement, wa: WeightAssignment,
                  trials: int = 5, primes=None, seed: int = 0,
                  budget: int = DET_BUDGET) -> dict:
     """Random-evaluation check of the determinant identity.
 
     For each (prime, trial) samples nonzero weights, compares the modular
     determinant of the chamber matrix with the evaluated closed form.
-    Raises CountOutOfRange unless there is at least one prime and one trial.
+    ``group`` is a group, or an arrangement over one, whose edges and
+    multiplicities are then read rather than computed again.  Raises
+    CountOutOfRange unless there is at least one prime and one trial.
     """
+    ar = group if isinstance(group, Arrangement) else Arrangement(group)
+    group = ar.group
     if trials < 1:
         raise CountOutOfRange(f"trial count {trials} is below 1")
     if group.order > budget:
@@ -361,7 +373,7 @@ def verify_mod_p(group: EnumeratedGroup, wa: WeightAssignment,
         primes = primes_list(primes)
     elif not primes:
         raise CountOutOfRange("no primes given")
-    fact = closed_form_factorization(group, wa)
+    fact = closed_form_factorization(ar, wa)
     rng = random.Random(seed)
     records = []
     variables = wa.variables()
@@ -413,15 +425,19 @@ def embedded_roots(roots: ReflectionTable, comp: Component,
     return out
 
 
-def concordance_checks(diagram: CoxeterDiagram) -> list[dict]:
+def concordance_checks(diagram: CoxeterDiagram | Arrangement) -> list[dict]:
     """Formal factorization identities applicable to this diagram's type.
 
-    Every closed form and dictionary comes from reflection tables; W is
-    never enumerated.
+    ``diagram`` is a diagram, or an arrangement whose edges and
+    multiplicities are then read rather than computed again.  Every
+    closed form and dictionary comes from reflection tables; W is never
+    enumerated.
     """
     out = []
+    ar = (diagram if isinstance(diagram, Arrangement)
+          else Arrangement(diagram=diagram))
+    diagram = ar.diagram
     comps = diagram.components
-    ar = Arrangement(diagram=diagram)
 
     def record(check, ok):
         out.append({

@@ -297,14 +297,24 @@ def test_tables_unsafe_large_runs_the_oracle(capsys):
 
 
 def test_verify_unsafe_large_warns_and_passes(capsys):
-    # D5's chamber matrix has order 1920, past the budget of 1152
-    code, out, err = run(capsys, "verify", "D5", "--trials", "1",
+    # B4xA2's chamber matrix has order 2304, past the budget of 1920
+    code, out, err = run(capsys, "verify", "B4xA2", "--trials", "1",
                          "--primes", "1", "--unsafe-large")
     assert code == 0 and out.strip().endswith("PASS")
-    assert "warning: |W| = 1920" in err
-    code, out, err = run(capsys, "verify", "D5", "--trials", "1",
+    assert "warning: |W| = 2304" in err
+    code, out, err = run(capsys, "verify", "B4xA2", "--trials", "1",
                          "--primes", "1")
-    assert code == 3 and out == "" and "1152" in err
+    assert code == 3 and out == "" and "1920" in err
+
+
+def test_verify_D5_within_the_budget(capsys):
+    # D5, |W| = 1920, is the largest group under the default budget
+    code, out, err = run(capsys, "verify", "D5", "--trials", "1",
+                         "--primes", "3")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        f"determinant_identity p={p} trial=0 PASS"
+        for p in (2147483659, 2147483693, 2147483713)] + ["PASS"]
 
 
 def test_det_builds_no_group(capsys, monkeypatch):

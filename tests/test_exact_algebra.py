@@ -23,9 +23,10 @@ from coxvar.errors import (
     NonIntegerMatrix,
     NonSquareMatrix,
 )
-from coxvar.varchenko import modular_matrix, primes_list
+from coxvar.varchenko import DEFAULT_PRIMES, modular_matrix, primes_list
 
 P = 2147483659
+EDGE_P = 4294967291  # the largest prime below 2**32: the tightest bounds
 
 
 # -- modular determinants ----------------------------------------------------
@@ -92,12 +93,24 @@ def test_det_mod_p_multiplicative():
         assert lhs == det_mod_p(A, P) * det_mod_p(B, P) % P
 
 
+def _mul_mod(a, b, p):
+    """a * b mod p for int64 residues below p < 2**32, through the 16-bit
+    limbs of b, so that every product stays below 2**48."""
+    return (a * (b & 0xFFFF) + (a * (b >> 16) % p << 16)) % p
+
+
+def _matmul_mod(a, b, p):
+    """a @ b mod p for int64 residues below p < 2**32 and an inner
+    dimension below 2**15, through the 16-bit limbs of b."""
+    return (a @ (b & 0xFFFF) % p + (a @ (b >> 16) % p << 16)) % p
+
+
 def det_mod_p_unblocked(matrix, p: int) -> int:
     """Reference: the unblocked int64 elimination det_mod_p used to run.
 
     Accepts nested int lists or an integer ndarray.  Gaussian
     elimination with first-nonzero pivoting; deterministic for fixed input.
-    Requires p < 2**31.5 so products stay within int64.
+    Exact for p < 2**32: products are formed by ``_mul_mod``.
     """
     if isinstance(matrix, np.ndarray):
         M = matrix.astype(np.int64) % p
@@ -119,9 +132,10 @@ def det_mod_p_unblocked(matrix, p: int) -> int:
         pivval = int(M[k, k])
         det = det * pivval % p
         if k + 1 < n:
-            inv = pow(pivval, p - 2, p)
-            factors = M[k + 1:, k] * inv % p
-            M[k + 1:, k:] = (M[k + 1:, k:] - np.outer(factors, M[k, k:])) % p
+            inv = np.int64(pow(pivval, p - 2, p))
+            factors = _mul_mod(M[k + 1:, k], inv, p)
+            M[k + 1:, k:] = (M[k + 1:, k:]
+                             - _mul_mod(factors[:, None], M[k, k:], p)) % p
     return det % p
 
 
@@ -137,6 +151,92 @@ def test_det_mod_p_matches_unblocked_reference(n):
     rng = np.random.default_rng(n)
     for p in primes_list(3):
         _agree_with_reference(rng.integers(0, p, size=(n, n)), p)
+
+
+def _record_updates(monkeypatch):
+    """(symmetric, reduce) of every trailing update of det_mod_p; each
+    leaves the entries it keeps, the lower triangle of a symmetric
+    matrix, below 2**53 - p, where float64 is exact."""
+    flags = []
+    schur_update = exact_algebra._schur_update
+
+    def recording(A, a21, inverse, k0, k1, p, symmetric, reduce):
+        flags.append((symmetric, reduce))
+        schur_update(A, a21, inverse, k0, k1, p, symmetric, reduce)
+        assert np.abs(np.tril(A) if symmetric else A).max() < 2**53 - p
+
+    monkeypatch.setattr(exact_algebra, "_schur_update", recording)
+    return flags
+
+
+def _delay_kept(flags, p):
+    """At most _delayed_updates(p) updates from one reduction to the next."""
+    run = 0
+    for _, reduce in flags:
+        run = 0 if reduce else run + 1
+        assert run < exact_algebra._delayed_updates(p)
+
+
+SYMMETRIC_PRIMES = [7, DEFAULT_PRIMES[0], EDGE_P]
+
+
+def test_delayed_updates_per_prime(monkeypatch):
+    # three updates between reductions near 2**31, every update near 2**32
+    assert exact_algebra._delayed_updates(DEFAULT_PRIMES[0]) == 3
+    assert exact_algebra._delayed_updates(EDGE_P) == 1
+    assert exact_algebra._delayed_updates(7) > 300 // 32
+    # so the leading order-300 block of B4's chamber matrix, nine
+    # updates, reduces on one update in three
+    flags = _record_updates(monkeypatch)
+    det_mod_p(_chamber_matrix("B4", P)[:300, :300], P)
+    assert [r for _, r in flags] == [i % 3 == 2 for i in range(9)]
+
+
+@pytest.mark.parametrize("p", SYMMETRIC_PRIMES)
+@pytest.mark.parametrize("n", [1, 31, 33, 129, 300])
+def test_det_mod_p_symmetric_matches_unblocked_reference(monkeypatch, n, p):
+    rng = np.random.default_rng(n)
+    R = rng.integers(0, p, size=(n, n))
+    S = (R + R.T) % p
+    flags = _record_updates(monkeypatch)
+    _agree_with_reference(S, p)
+    assert len(flags) == (n - 1) // 32
+    _delay_kept(flags, p)
+    symmetric = [s for s, _ in flags]
+    # mod 7 a block can be singular, and the general path takes over there
+    assert all(symmetric) if p > 7 else \
+        symmetric == sorted(symmetric, reverse=True)
+    # one entry off symmetry takes the general path throughout
+    if n > 1:
+        S[0, n - 1] = (S[0, n - 1] + 1) % p
+        flags.clear()
+        _agree_with_reference(S, p)
+        assert not any(s for s, _ in flags)
+        _delay_kept(flags, p)
+
+
+@pytest.mark.parametrize("p", SYMMETRIC_PRIMES)
+@pytest.mark.parametrize("n", [129, 300])
+def test_det_mod_p_symmetric_block_without_pivot(monkeypatch, n, p):
+    # L diag(S1, J) L^T, with S1 random symmetric on the first 32 columns,
+    # J the anti-diagonal matrix and L unit lower triangular and nonzero
+    # below the diagonal only in those 32 columns: once they are
+    # eliminated the trailing matrix is J, whose first 32 x 32 block is
+    # zero, so the symmetric path switches to the general one there
+    rng = np.random.default_rng(n + p % 1000)
+    R = rng.integers(0, p, size=(32, 32))
+    X = np.zeros((n, n), dtype=np.int64)
+    X[:32, :32] = (R + R.T) % p
+    X[32:, 32:] = np.eye(n - 32, dtype=np.int64)[::-1]
+    L = np.eye(n, dtype=np.int64)
+    L[32:, :32] = rng.integers(0, p, size=(n - 32, 32))
+    M = _matmul_mod(_matmul_mod(L, X, p), L.T, p)
+    assert (M == M.T).all() and M[32:64, 32:64].any()
+    flags = _record_updates(monkeypatch)
+    det = _agree_with_reference(M, p)
+    assert det != 0
+    assert [s for s, _ in flags] == [True] + [False] * (len(flags) - 1)
+    _delay_kept(flags, p)
 
 
 @pytest.mark.parametrize("c", [0, 5, 40, 69])
@@ -280,9 +380,6 @@ def test_det_mod_p_exact_below_2_pow_32():
     blo, bhi = B & 0xFFFF, B >> 16
     MB = (M @ blo % p + ((M @ bhi) % p << 16)) % p
     assert det_mod_p(MB, p) == det_mod_p(M, p) * det_mod_p(B, p) % p
-
-
-EDGE_P = 4294967291  # the largest prime below 2**32: the tightest bounds
 
 
 @pytest.mark.parametrize("n", [33, 64, 130])

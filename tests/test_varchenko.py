@@ -113,6 +113,29 @@ def test_modular_matrix_agrees_with_symbolic_entries(spec):
             assert int(M[i, j]) == vm.entries[i][j].eval_mod(point, P)
 
 
+# B4 (order 384) fills its matrix in several chunks of rows; its entries
+# are sampled
+@pytest.mark.parametrize("spec", ["B2", "B3", "A4", "B4"])
+def test_modular_matrix_is_uint32_products_over_separating_sets(spec):
+    # 4 bytes per entry; entry (x, y) is the product of the values of the
+    # reflections separating x and y, mod P
+    g = group(spec)
+    rng = random.Random(3)
+    values = np.array([rng.randrange(1, P) for _ in range(g.num_reflections)],
+                      dtype=np.int64)
+    M = modular_matrix(g, values, P)
+    assert M.dtype == np.uint32 and M.shape == (g.order, g.order)
+    n = g.order
+    pairs = ([(x, y) for x in range(n) for y in range(n)] if n <= 120
+             else [(rng.randrange(n), rng.randrange(n)) for _ in range(3000)])
+    N = g.inversion_table
+    for x, y in pairs:
+        expect = 1
+        for t in np.nonzero(N[x] ^ N[y])[0]:
+            expect = expect * int(values[t]) % P
+        assert int(M[x, y]) == expect
+
+
 # -- weight assignment modes -------------------------------------------------
 
 
