@@ -3,9 +3,25 @@
 Subcommands: det, matrix, tables, verify, multiplicity.  Text output is
 meant for eyeballing; json output is stable across runs for fixed inputs.
 Diagnostics go to stderr, the requested artifact to stdout.
+
+The command's process starts OpenBLAS with one thread: it sets
+OPENBLAS_NUM_THREADS to 1 before numpy is loaded, unless the variable is
+already set, in which case that value stands.  ``import coxvar`` loads no
+numpy, so this module runs first under ``python -m coxvar.cli`` and the
+``coxvar`` console script alike.
 """
 
 from __future__ import annotations
+
+import os
+
+# exact_algebra._product keeps every product on the calling thread, so a
+# BLAS worker pool would only cost start-up time
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# numpy loads here; importing the core before argparse and json keeps the
+# peak RSS of the older import order
+from . import coxeter_core, exact_algebra  # noqa: F401
 
 import argparse
 import json
@@ -15,6 +31,7 @@ from .arrangement import Arrangement
 from .coxeter_core import DEFAULT_ORDER_LIMIT, group, parse_group_spec
 from .errors import (
     BlocksOverlap,
+    CountOutOfRange,
     CoxvarError,
     InvarianceViolation,
     InvariantError,
@@ -299,6 +316,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
+        # every subcommand takes --limit
+        if args.limit < 1:
+            raise CountOutOfRange(f"order limit {args.limit} is below 1")
         return args.handler(args)
     except OrderLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

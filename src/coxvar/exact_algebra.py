@@ -30,7 +30,9 @@ that size on the calling thread and hands one of about 2**20 or more to
 its worker threads; on a 2-core host the second thread saved no wall time
 on these products, spun between them and doubled the CPU time.  So
 ``det_mod_p`` wakes no BLAS worker, and it sets no thread count and reads
-no environment variable to get there.
+no environment variable to get there.  The ``coxvar`` command goes one
+step further for its own process: ``cli`` sets OPENBLAS_NUM_THREADS to 1
+when it is unset, before numpy loads, so the process starts no pool.
 """
 
 from __future__ import annotations

@@ -103,6 +103,15 @@ def test_verify_rejects_counts_below_one(capsys, flags):
     assert code == 2 and out == "" and "below 1" in err
 
 
+@pytest.mark.parametrize("command", ["det", "matrix", "tables", "verify",
+                                     "multiplicity"])
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_limit_below_one_is_bad_input(capsys, command, limit):
+    # each used to exit 3 with "order 6 > limit -5"
+    code, out, err = run(capsys, command, "A2", "--limit", limit)
+    assert code == 2 and out == "" and "below 1" in err
+
+
 def test_verify_reducible_cross_check(capsys):
     code, out, _ = run(capsys, "verify", "A1xA1", "--trials", "1",
                        "--primes", "1")
