@@ -495,17 +495,6 @@ class Factorization:
             vs.update(m.variables())
         return sorted(vs)
 
-    def to_sympy(self):
-        import sympy
-
-        expr = sympy.Integer(1)
-        for m, e in self.factors:
-            term = sympy.Integer(1)
-            for v, k in m.exps:
-                term *= sympy.Symbol(v) ** k
-            expr *= (1 - term**2) ** e
-        return expr
-
     def __str__(self):
         if not self.factors:
             return "1"

@@ -4,8 +4,20 @@ The closed form is a product of one factor per relevant edge, with the
 edge weight monomial and the multiplicity exponent supplied by the
 arrangement module.  Verification never expands the symbolic determinant:
 it evaluates both sides at random points modulo several word-sized primes.
-A fully symbolic Laplace-expansion determinant is kept as an anchor for tiny
-groups.
+The left side is det B mod p for the |W| x |W| Varchenko matrix B, taken
+as two determinants of half the order.  Right multiplication by the
+longest element w0 sends each chamber xC to the opposite chamber: N(x w0)
+is the complement of N(x) in T, so every hyperplane separates x from
+x w0.  The chambers X on the positive side of reflection 0 therefore take
+one of each pair {x, x w0}, and with the chambers ordered as X and then
+X w0,
+
+    B = [[B1, B2], [B2, B1]],   det B = det(B1 + B2) det(B1 - B2),
+
+where B1(x, y) is the weight of N(x) ^ N(y) and B2(x, y), the entry of x
+against y w0, that of its complement in T.  Both identities hold entry by
+entry for any weights on the hyperplanes, so the fold is exact for every
+weight assignment.
 
 The concordance checks against the published type-A and type-B formulas
 and the product rule never enumerate W: a root's chain in the reflection
@@ -42,11 +54,36 @@ from .exact_algebra import Factorization, Monomial, det_mod_p
 # primes just above 2**31, inside det_mod_p's exact range p < 2**32; more
 # are generated on demand
 DEFAULT_PRIMES = (2147483659, 2147483693, 2147483713)
+# Miller-Rabin bases exact for every n < 3.1e23 (Sorenson, Webster 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MATRIX_DUMP_LIMIT = 200
 _MATRIX_CHUNK = 1 << 16  # entries of modular_matrix formed at a time
-DET_BUDGET = 1920
+DET_BUDGET = 3840
 HARD_DET_CAP = 14400
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 2**64."""
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def primes_list(count: int):
@@ -54,12 +91,10 @@ def primes_list(count: int):
     if count < 1:
         raise CountOutOfRange(f"prime count {count} is below 1")
     ps = list(DEFAULT_PRIMES[:count])
-    if count > len(ps):
-        import sympy
-
-        p = ps[-1]
-        while len(ps) < count:
-            p = int(sympy.nextprime(p))
+    p = ps[-1]
+    while len(ps) < count:
+        p += 2
+        if _is_prime(p):
             ps.append(p)
     return ps
 
@@ -315,37 +350,51 @@ def _one_to_one(dic: dict[int, str], count: int, kind: str):
 
 def modular_matrix(group: EnumeratedGroup, values: np.ndarray,
                    p: int) -> np.ndarray:
-    """Numeric Varchenko matrix mod p for per-reflection weight values.
+    """The Varchenko matrix mod p, folded by the longest element w0.
+
+    For per-reflection weight values, returns the uint32 array [S | D] of
+    shape (|W|/2, |W|), S = B1 + B2 and D = B1 - B2 mod p, both symmetric,
+    as in the module docstring.  Rows and columns are the chambers X with
+    reflection 0 outside their inversion set, in element order; neither w0
+    nor any x w0 is looked up, and no |W| x |W| array is formed.
 
     Eight reflections at a time: their inversion bits form a byte key per
     chamber, the XOR of two keys is the byte of the separating set, and a
     256-entry table holds the product of the weights for every byte.  The
-    matrix is filled one chunk of rows at a time, so that its products, in
-    uint64 since entries stay below p < 2**32, take no n x n temporary.
-    Returns uint32, 4 bytes per entry.
+    complement of that byte within the eight reflections, for B2, indexes
+    the same table reversed.  The rows are filled one chunk at a time, so
+    that the products, in uint64 since entries stay below p < 2**32, take
+    no (|W|/2)-square temporary.
     """
     N = group.inversion_table
-    n = group.order
+    X = N[~N[:, 0]]
+    h, q = len(X), np.uint64(p)
     keys, tables = [], []
     for t0 in range(0, group.num_reflections, 8):
-        bits = N[:, t0:t0 + 8]
+        bits = X[:, t0:t0 + 8]
         keys.append((bits << np.arange(bits.shape[1], dtype=np.uint8)).sum(
             axis=1, dtype=np.uint8))
         table = np.ones(1, dtype=np.uint64)
         for v in values[t0:t0 + 8]:
-            table = np.concatenate([table, table * np.uint64(int(v) % p)
-                                    % np.uint64(p)])
+            table = np.concatenate([table, table * np.uint64(int(v) % p) % q])
         tables.append(table)
-    E = np.empty((n, n), dtype=np.uint32)
-    step = max(1, _MATRIX_CHUNK // n)
-    for r0 in range(0, n, step):
+    SD = np.empty((h, 2 * h), dtype=np.uint32)
+    step = max(1, _MATRIX_CHUNK // h)
+    for r0 in range(0, h, step):
         # every group has a reflection, so there is a first key
-        rows = tables[0][keys[0][r0:r0 + step, None] ^ keys[0]]
+        byte = keys[0][r0:r0 + step, None] ^ keys[0]
+        b1, b2 = tables[0][byte], tables[0][::-1][byte]
         for key, table in zip(keys[1:], tables[1:]):
-            rows *= table[key[r0:r0 + step, None] ^ key]
-            rows %= np.uint64(p)
-        E[r0:r0 + step] = rows
-    return E
+            byte = key[r0:r0 + step, None] ^ key
+            b1 *= table[byte]
+            b1 %= q
+            b2 *= table[::-1][byte]
+            b2 %= q
+        SD[r0:r0 + step, :h] = (b1 + b2) % q
+        b1 += q
+        b1 -= b2
+        SD[r0:r0 + step, h:] = b1 % q
+    return SD
 
 
 def verify_mod_p(group: EnumeratedGroup | Arrangement, wa: WeightAssignment,
@@ -354,7 +403,9 @@ def verify_mod_p(group: EnumeratedGroup | Arrangement, wa: WeightAssignment,
     """Random-evaluation check of the determinant identity.
 
     For each (prime, trial) samples nonzero weights, compares the modular
-    determinant of the chamber matrix with the evaluated closed form.
+    determinant of the chamber matrix, the product of the determinants of
+    the two folded halves of ``modular_matrix``, with the evaluated closed
+    form.
     ``group`` is a group, or an arrangement over one, whose edges and
     multiplicities are then read rather than computed again.  Raises
     CountOutOfRange unless there is at least one prime and one trial.
@@ -383,8 +434,8 @@ def verify_mod_p(group: EnumeratedGroup | Arrangement, wa: WeightAssignment,
             values = np.array([point[wa.var_of[t]]
                                for t in range(group.num_reflections)],
                               dtype=np.int64)
-            M = modular_matrix(group, values, p)
-            lhs = det_mod_p(M, p)
+            S, D = np.hsplit(modular_matrix(group, values, p), 2)
+            lhs = det_mod_p(S, p) * det_mod_p(D, p) % p
             rhs = fact.eval_mod(point, p)
             records.append({
                 "check": "determinant_identity",
@@ -479,43 +530,3 @@ def concordance_checks(diagram: CoxeterDiagram | Arrangement) -> list[dict]:
         record("reducible_product", prod == cf)
     return out
 
-
-# ---------------------------------------------------------------------------
-# fully symbolic anchor
-
-
-def symbolic_determinant(group: EnumeratedGroup, wa: WeightAssignment):
-    """Exact multivariate determinant of a tiny chamber matrix.
-
-    Laplace expansion along the rows in order.  The minor left after the
-    first k rows depends only on the set of columns not yet used, so each
-    of the 2^n minors is computed once, as a bitmask-indexed `sympy.Poly`,
-    instead of n! products along the expansion tree.
-    """
-    import sympy
-
-    vm = build_varchenko_matrix(group, wa, cap=8)
-    names = wa.variables()
-    pos = {v: i for i, v in enumerate(names)}
-    gens = [sympy.Symbol(v) for v in names]
-
-    def poly(m):
-        exps = [0] * len(names)
-        for v, e in m.exps:
-            exps[pos[v]] = e
-        return sympy.Poly.from_dict({tuple(exps): 1}, *gens)
-
-    rows = [[poly(m) for m in r] for r in vm.entries]
-    n = vm.order
-    minors = [None] * (1 << n)
-    minors[0] = sympy.Poly(1, *gens)
-    for cols in range(1, 1 << n):
-        row = rows[n - bin(cols).count("1")]
-        total = sympy.Poly(0, *gens)
-        sign = 1
-        for j in range(n):
-            if cols >> j & 1:
-                total += sign * row[j] * minors[cols ^ (1 << j)]
-                sign = -sign
-        minors[cols] = total
-    return minors[-1].as_expr()

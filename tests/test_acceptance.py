@@ -26,10 +26,10 @@ from coxvar.varchenko import (
     concordance_checks,
     duchamp_formula_A,
     randriamaro_formula_B,
-    symbolic_determinant,
     verify_mod_p,
     zagier_formula,
 )
+from varchenko_reference import symbolic_determinant, to_sympy
 
 
 def _verdict(n, ok, detail):
@@ -378,8 +378,7 @@ def test_criterion_6_symbolic_anchor():
         g = group(spec)
         wa = WeightAssignment.per_hyperplane(g)
         det = symbolic_determinant(g, wa)
-        closed = sympy.expand(
-            closed_form_factorization(g, wa).to_sympy())
+        closed = sympy.expand(to_sympy(closed_form_factorization(g, wa)))
         if sympy.expand(det - closed) != 0:
             failures.append(spec)
     _verdict(6, not failures,
@@ -430,12 +429,13 @@ def _property_bundle():
     )
     from coxvar.varchenko import (
         DEFAULT_PRIMES,
+        _is_prime,
         build_varchenko_matrix,
         edge_factors,
-        modular_matrix,
         primes_list,
         reducible_product,
     )
+    from varchenko_reference import modular_matrix_reference
 
     for spec in ("A2", "A3", "B2", "B3", "I2(5)", "I2(6)", "A2xA1"):
         g = group(spec)
@@ -569,7 +569,7 @@ def _property_bundle():
                 [point[wa.var_of[t]] for t in range(g.num_reflections)],
                 dtype=np.int64)
             from coxvar.exact_algebra import det_mod_p
-            assert det_mod_p(modular_matrix(g, values, p), p) == \
+            assert det_mod_p(modular_matrix_reference(g, values, p), p) == \
                 f.eval_mod(point, p)
         build_varchenko_matrix(g, WeightAssignment.per_hyperplane(g))
         edge_factors(g, WeightAssignment.per_hyperplane(g))
@@ -580,6 +580,11 @@ def _property_bundle():
     duchamp_formula_A(4)
     randriamaro_formula_B(3)
     primes_list(5)
+    # 1 and a composite past trial division, which primes_list never meets
+    assert not any(_is_prime(n) for n in (1, 41 * 43))
+    # B3's nine reflections fill a second key byte of modular_matrix
+    verify_mod_p(group("B3"), WeightAssignment.per_hyperplane(group("B3")),
+                 trials=1, primes=1)
     a_type_dictionary(group("A3").roots, 4)
     b_type_dictionary(group("B3").roots, 3)
     symbolic_determinant(group("A1"),

@@ -306,24 +306,35 @@ def test_tables_unsafe_large_runs_the_oracle(capsys):
 
 
 def test_verify_unsafe_large_warns_and_passes(capsys):
-    # B4xA2's chamber matrix has order 2304, past the budget of 1920
-    code, out, err = run(capsys, "verify", "B4xA2", "--trials", "1",
+    # A5xA2's chamber matrix has order 4320, past the budget of 3840
+    code, out, err = run(capsys, "verify", "A5xA2", "--trials", "1",
                          "--primes", "1", "--unsafe-large")
     assert code == 0 and out.strip().endswith("PASS")
-    assert "warning: |W| = 2304" in err
-    code, out, err = run(capsys, "verify", "B4xA2", "--trials", "1",
+    assert "warning: |W| = 4320" in err
+    code, out, err = run(capsys, "verify", "A5xA2", "--trials", "1",
                          "--primes", "1")
-    assert code == 3 and out == "" and "1920" in err
+    assert code == 3 and out == "" and "3840" in err
 
 
 def test_verify_D5_within_the_budget(capsys):
-    # D5, |W| = 1920, is the largest group under the default budget
+    # D5, |W| = 1920, at the three default primes
     code, out, err = run(capsys, "verify", "D5", "--trials", "1",
                          "--primes", "3")
     assert code == 0 and err == ""
     assert out.splitlines() == [
         f"determinant_identity p={p} trial=0 PASS"
         for p in (2147483659, 2147483693, 2147483713)] + ["PASS"]
+
+
+def test_verify_B5_within_the_budget(capsys):
+    # B5, |W| = 3840, is the largest group under the default budget
+    code, out, err = run(capsys, "verify", "B5", "--trials", "1",
+                         "--primes", "1", "--format", "json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "PASS"
+    [record] = report["determinant"]["records"]
+    assert record["prime"] == 2147483659 and record["lhs"] == record["rhs"]
 
 
 def test_det_builds_no_group(capsys, monkeypatch):

@@ -1,9 +1,9 @@
 """Start-up of the package and of the CLI process, each in a fresh child.
 
 The CLI sets OPENBLAS_NUM_THREADS to 1 when it is unset, before numpy
-loads, and ``import coxvar`` loads no numpy.  Once this test process has
-imported ``coxvar.cli`` its own environment carries the default, so every
-child gets an environment built here.
+loads, ``import coxvar`` loads no numpy, and ``verify`` loads no sympy.
+Once this test process has imported ``coxvar.cli`` its own environment
+carries the default, so every child gets an environment built here.
 """
 
 import json
@@ -101,3 +101,18 @@ def test_output_does_not_depend_on_blas_threads(argv):
             for value in (None, "1", "2")]
     assert json.loads(outs[0])["verdict"] == "PASS"
     assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+_VERIFY_MODULES = """
+import sys
+from coxvar.cli import main
+code = main(["verify", "A3", "--trials", "1", "--primes", "5"])
+print(code, "sympy" in sys.modules)
+"""
+
+
+def test_verify_past_the_default_primes_loads_no_sympy():
+    # the fourth and fifth primes come from Miller-Rabin, not sympy
+    *records, last = run_child("-c", _VERIFY_MODULES).splitlines()
+    assert sum(r.startswith(b"determinant_identity") for r in records) == 5
+    assert last.split() == [b"0", b"False"]

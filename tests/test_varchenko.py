@@ -23,6 +23,7 @@ from coxvar.errors import (
 from coxvar.varchenko import (
     DEFAULT_PRIMES,
     WeightAssignment,
+    _is_prime,
     a_type_dictionary,
     b_type_dictionary,
     build_varchenko_matrix,
@@ -37,12 +38,17 @@ from coxvar.varchenko import (
     reducible_product,
     signed_pair_var,
     singleton_var,
-    symbolic_determinant,
     verify_mod_p,
     zagier_formula,
 )
+from varchenko_reference import (
+    modular_matrix_reference,
+    symbolic_determinant,
+    to_sympy,
+)
 
 P = DEFAULT_PRIMES[0]
+EDGE_P = 4294967291  # the largest prime below 2**32
 
 
 def test_primes_list():
@@ -52,6 +58,27 @@ def test_primes_list():
     import sympy
     assert all(sympy.isprime(p) for p in ps)
     assert all(p * p < 2 ** 63 - 1 for p in ps)  # products stay in int64
+
+
+def test_primes_list_matches_a_chain_of_nextprime():
+    import sympy
+    chain = [DEFAULT_PRIMES[0]]
+    while len(chain) < 8:
+        chain.append(int(sympy.nextprime(chain[-1])))
+    assert primes_list(8) == chain
+
+
+def test_is_prime_agrees_with_sympy():
+    # Carmichael numbers (211 * 421 * 631 has a**(n-1) = 1 on every base
+    # but a nontrivial square root of 1 on some), the least strong
+    # pseudoprimes to the first 1, 2, ..., 9 prime bases, and primes and
+    # composites near 2**32 and 2**64
+    import sympy
+    cases = [*range(-3, 3000), 561, 1105, 211 * 421 * 631,
+             2047, 1373653, 25326001, 3215031751, 2152302898747,
+             3474749660383, 341550071728321, 3825123056546413051,
+             *range(2**32 - 9, 2**32 + 16), *range(2**64 - 59, 2**64)]
+    assert [_is_prime(n) for n in cases] == [sympy.isprime(n) for n in cases]
 
 
 @pytest.mark.parametrize("count", [0, -1])
@@ -106,7 +133,7 @@ def test_modular_matrix_agrees_with_symbolic_entries(spec):
     point = {v: rng.randrange(1, P) for v in wa.variables()}
     values = np.array([point[wa.var_of[t]]
                        for t in range(g.num_reflections)], dtype=np.int64)
-    M = modular_matrix(g, values, P)
+    M = modular_matrix_reference(g, values, P)
     vm = build_varchenko_matrix(g, wa)
     for i in range(g.order):
         for j in range(g.order):
@@ -123,7 +150,7 @@ def test_modular_matrix_is_uint32_products_over_separating_sets(spec):
     rng = random.Random(3)
     values = np.array([rng.randrange(1, P) for _ in range(g.num_reflections)],
                       dtype=np.int64)
-    M = modular_matrix(g, values, P)
+    M = modular_matrix_reference(g, values, P)
     assert M.dtype == np.uint32 and M.shape == (g.order, g.order)
     n = g.order
     pairs = ([(x, y) for x in range(n) for y in range(n)] if n <= 120
@@ -134,6 +161,63 @@ def test_modular_matrix_is_uint32_products_over_separating_sets(spec):
         for t in np.nonzero(N[x] ^ N[y])[0]:
             expect = expect * int(values[t]) % P
         assert int(M[x, y]) == expect
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "I2(5)", "A2xA1"])
+def test_right_multiplication_by_w0_preserves_the_matrix(spec):
+    # x w0 is the chamber opposite x, and B(x w0, y w0) = B(x, y)
+    g = group(spec)
+    vm = build_varchenko_matrix(g, WeightAssignment.per_hyperplane(g))
+    w0 = g.longest_element
+    opposite = [g.mul(x, w0) for x in range(g.order)]
+    N = g.inversion_table
+    for x in range(g.order):
+        assert np.array_equal(N[opposite[x]], ~N[x])
+        for y in range(g.order):
+            assert vm.entries[opposite[x]][opposite[y]] == vm.entries[x][y]
+
+
+# as in the unfolded tests, B2 fills part of one key byte and B3 and A4
+# need a second, partial byte
+@pytest.mark.parametrize("spec", ["B2", "B3", "A4"])
+def test_folded_halves_agree_with_symbolic_entries(spec):
+    # S = B1 + B2 and D = B1 - B2 over the chambers X without reflection 0
+    # in their inversion sets, in element order; B2 pairs x with y w0
+    g = group(spec)
+    wa = WeightAssignment.per_hyperplane(g)
+    rng = random.Random(4)
+    point = {v: rng.randrange(1, P) for v in wa.variables()}
+    values = np.array([point[wa.var_of[t]]
+                       for t in range(g.num_reflections)], dtype=np.int64)
+    S, D = np.hsplit(modular_matrix(g, values, P), 2)
+    X = [x for x in range(g.order) if 0 not in g.inversion_set(x)]
+    assert len(X) == g.order // 2
+    assert S.dtype == D.dtype == np.uint32
+    assert S.shape == D.shape == (len(X), len(X))
+    w0 = g.longest_element
+    vm = build_varchenko_matrix(g, wa)
+    for i, x in enumerate(X):
+        for j, y in enumerate(X):
+            b1 = vm.entries[x][y].eval_mod(point, P)
+            b2 = vm.entries[x][g.mul(y, w0)].eval_mod(point, P)
+            assert int(S[i, j]) == (b1 + b2) % P
+            assert int(D[i, j]) == (b1 - b2) % P
+
+
+# a product group, I2(m) for odd and even m, and F4, whose halves take
+# several chunks of rows; at EDGE_P the elimination reduces the trailing
+# matrix after every update
+@pytest.mark.parametrize("p", [P, EDGE_P])
+@pytest.mark.parametrize("spec", ["H3xA1", "I2(9)", "I2(10)", "F4"])
+def test_folded_product_equals_the_unfolded_determinant(spec, p):
+    g = group(spec)
+    rng = random.Random(7)
+    values = np.array([rng.randrange(1, p) for _ in range(g.num_reflections)],
+                      dtype=np.int64)
+    S, D = np.hsplit(modular_matrix(g, values, p), 2)
+    full = det_mod_p(modular_matrix_reference(g, values, p), p)
+    assert full != 0
+    assert det_mod_p(S, p) * det_mod_p(D, p) % p == full
 
 
 # -- weight assignment modes -------------------------------------------------
@@ -442,7 +526,7 @@ def test_verify_mod_p_detects_wrong_exponents():
     point = {v: rng.randrange(1, P) for v in wa.variables()}
     values = np.array([point[wa.var_of[t]] for t in range(3)],
                       dtype=np.int64)
-    det = det_mod_p(modular_matrix(g, values, P), P)
+    det = det_mod_p(modular_matrix_reference(g, values, P), P)
     assert good.eval_mod(point, P) == det
     assert bad.eval_mod(point, P) != det
 
@@ -516,4 +600,4 @@ def test_symbolic_determinant_equals_closed_form(spec):
     wa = WeightAssignment.per_hyperplane(g)
     det = symbolic_determinant(g, wa)
     f = closed_form_factorization(g, wa)
-    assert sympy.expand(det - sympy.expand(f.to_sympy())) == 0
+    assert sympy.expand(det - sympy.expand(to_sympy(f))) == 0
