@@ -8,7 +8,9 @@ The command's process starts OpenBLAS with one thread: it sets
 OPENBLAS_NUM_THREADS to 1 before numpy is loaded, unless the variable is
 already set, in which case that value stands.  ``import coxvar`` loads no
 numpy, so this module runs first under ``python -m coxvar.cli`` and the
-``coxvar`` console script alike.
+``coxvar`` console script alike.  ``varchenko`` and ``exact_algebra`` are
+imported by the handlers that use them (det, matrix, verify), so tables
+and multiplicity load neither.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # numpy loads here; importing the core before argparse and json keeps the
 # peak RSS of the older import order
-from . import coxeter_core, exact_algebra  # noqa: F401
+from . import coxeter_core  # noqa: F401
 
 import argparse
 import json
@@ -38,17 +40,6 @@ from .errors import (
     OrderLimitExceeded,
     ParseError,
 )
-from .varchenko import (
-    DET_BUDGET,
-    HARD_DET_CAP,
-    MATRIX_DUMP_LIMIT,
-    WeightAssignment,
-    build_varchenko_matrix,
-    closed_form_factorization,
-    concordance_checks,
-    edge_factors,
-    verify_mod_p,
-)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -57,6 +48,9 @@ EXIT_LIMIT = 3
 
 # largest |W| for which tables runs the chamber oracle by default
 ORACLE_BUDGET = 1152
+# largest |W| of W-sized work (matrix, oracle, determinants) under
+# --unsafe-large
+HARD_DET_CAP = 14400
 
 # errors meaning that a computed result failed a check, not that the input
 # was bad
@@ -89,7 +83,9 @@ def _read_explicit_file(path: str) -> dict[int, str]:
     return mapping
 
 
-def _weight_assignment(g, assign: str) -> WeightAssignment:
+def _weight_assignment(g, assign: str):
+    from .varchenko import WeightAssignment
+
     if assign == "per-hyperplane":
         return WeightAssignment.per_hyperplane(g)
     if assign == "per-orbit":
@@ -118,6 +114,8 @@ def _variables_json(roots, wa):
 
 
 def cmd_det(args):
+    from .varchenko import closed_form_factorization, edge_factors
+
     # from the reflection table alone: W is never enumerated
     diagram = parse_group_spec(args.group)
     ar = Arrangement(diagram=diagram, limit=args.limit)
@@ -147,6 +145,8 @@ def cmd_det(args):
 
 
 def cmd_matrix(args):
+    from .varchenko import MATRIX_DUMP_LIMIT, build_varchenko_matrix
+
     g = group(args.group, limit=args.limit)
     wa = _weight_assignment(g, args.assign)
     cap = HARD_DET_CAP if args.unsafe_large else MATRIX_DUMP_LIMIT
@@ -207,6 +207,8 @@ def cmd_tables(args):
 
 
 def cmd_verify(args):
+    from .varchenko import DET_BUDGET, concordance_checks, verify_mod_p
+
     g = group(args.group, limit=args.limit)
     wa = _weight_assignment(g, args.assign)
     budget = HARD_DET_CAP if args.unsafe_large else DET_BUDGET

@@ -5,34 +5,43 @@ an int in range(p).  The golden ratio of H3 and H4 appears only in the
 root orbit of ``coxeter_core``, and no other ring does.  Everything is
 immutable and exact.
 
-``det_mod_p`` is a blocked elimination over F_p for any p < 2**32.  Each
-32 x 32 diagonal block is inverted by Gauss-Jordan in uint64 residues,
-where every update stays below p**2 < 2**64; the rest of the matrix is
-updated through float64 products on 16-bit limbs, where every sum is an
-integer below 2**53, which float64 holds and sums exactly.  A block that
-is singular mod p at column j takes a row from below, reduced against its
-j pivot rows, and Gauss-Jordan goes on from column j, so every block runs
-exactly 32 pivot steps.  Floating point appears nowhere else.
+``det_mod_p`` is a blocked elimination over F_p for any p < 2**32, of one
+matrix or of a stack of k matrices of one order.  The members of a stack
+run in lockstep, each panel's Gauss-Jordan steps and each row chunk's
+products taken over all of them at once, so that k small matrices pay
+numpy's per-call overhead once, not k times; a single matrix is a stack
+of one.  Each 32 x 32 diagonal block is inverted by Gauss-Jordan in uint64
+residues, reduced mod p only every few steps, as many as keep every entry
+below 2**64 (three for primes near 2**31, one near 2**32); the rest of the
+matrix is updated through float64 products on 16-bit limbs, where every
+sum is an integer below 2**53, which float64 holds and sums exactly.  A
+member's block that is singular mod p at column j takes a row from below,
+reduced against its j pivot rows, and Gauss-Jordan goes on from column j,
+so every block runs exactly 32 pivot steps; a member with no such row has
+determinant 0 and runs on as an identity matrix.  Floating point appears
+nowhere else.
 
 A symmetric input, such as a Varchenko matrix, is eliminated on its lower
 triangle alone: A12 is read as A21 transposed, and each chunk of rows of
 the trailing update stops at the column of its own last row, a staircase
-that forms about half the products.  The first block that needs a row
-from below ends this: the trailing matrix is mirrored from its lower
-triangle, and elimination goes on over the full matrix.  Entries of the
-trailing matrix are reduced mod p only every few updates, as many as
-keep them below 2**53 (three for primes near 2**31, one near 2**32), and
-every read of the trailing matrix reduces what it reads.
+that forms about half the products.  The first block of any member that
+needs a row from below ends this for the whole stack: the trailing
+matrices are mirrored from their lower triangles, and elimination goes on
+over the full matrices.  Entries of the trailing matrix are reduced mod p
+only every few updates, as many as keep them below 2**53 (three for
+primes near 2**31, one near 2**32), and every read of the trailing matrix
+reduces what it reads.
 
 Every matrix product goes through ``_product``, in tiles of at most 2**19
-multiply-adds.  OpenBLAS 0.3.31, the BLAS numpy ships, forms a product of
-that size on the calling thread and hands one of about 2**20 or more to
-its worker threads; on a 2-core host the second thread saved no wall time
-on these products, spun between them and doubled the CPU time.  So
-``det_mod_p`` wakes no BLAS worker, and it sets no thread count and reads
-no environment variable to get there.  The ``coxvar`` command goes one
-step further for its own process: ``cli`` sets OPENBLAS_NUM_THREADS to 1
-when it is unset, before numpy loads, so the process starts no pool.
+multiply-adds per member.  OpenBLAS 0.3.31, the BLAS numpy ships, forms a
+product of that size on the calling thread and hands one of about 2**20
+or more to its worker threads; on a 2-core host the second thread saved
+no wall time on these products, spun between them and doubled the CPU
+time.  So ``det_mod_p`` wakes no BLAS worker, and it sets no thread count
+and reads no environment variable to get there.  The ``coxvar`` command
+goes one step further for its own process: ``cli`` sets
+OPENBLAS_NUM_THREADS to 1 when it is unset, before numpy loads, so the
+process starts no pool.
 """
 
 from __future__ import annotations
@@ -59,11 +68,12 @@ DET_MODULUS_LIMIT = 1 << 32  # det_mod_p is exact for 2 <= p below this
 _PANEL = 32  # order of the diagonal blocks inverted one at a time
 # rows of A per product, to bound temporaries; a multiple of _PANEL
 _ROW_CHUNK = 128
-# Most multiply-adds (M * N * K) in one float64 product.  OpenBLAS 0.3.31
-# runs a GEMM on its worker threads from about 2**20 multiply-adds on
-# (measured on a 2-core host: M, K = 128, 64 ran on one thread up to
-# N = 120 and on two from N = 127), so 2**19 keeps a factor of two of
-# margin.  Row chunks of _ROW_CHUNK also keep every matrix-vector product
+# Most multiply-adds (M * N * K) in one float64 product of one member.
+# OpenBLAS 0.3.31 runs a GEMM on its worker threads from about 2**20
+# multiply-adds on (measured on a 2-core host: M, K = 128, 64 ran on one
+# thread up to N = 120 and on two from N = 127), so 2**19 keeps a factor
+# of two of margin.  numpy forms a product of stacks as one GEMM per
+# member.  Row chunks of _ROW_CHUNK also keep every matrix-vector product
 # at M * K <= 2**13, far below OpenBLAS's threshold for those (between
 # 4.6e5 and 4.9e5 multiply-adds, measured the same way).
 _PRODUCT_LIMIT = 1 << 19
@@ -72,35 +82,44 @@ _PRODUCT_LIMIT = 1 << 19
 def _product(a, b, out):
     """out = a @ b in column tiles of at most _PRODUCT_LIMIT multiply-adds.
 
-    a is one row chunk of at most _ROW_CHUNK rows and out, which may be a
-    view of a larger buffer, receives every tile in place.  Each tile is
-    small enough that BLAS forms it on the calling thread.  This is the
-    only place where the kernel multiplies matrices.
+    a is one row chunk of at most _ROW_CHUNK rows, or a stack of such
+    chunks with b and out stacks of the same length, and out, which may be
+    a view of a larger buffer, receives every tile in place.  Each tile of
+    each member is small enough that BLAS forms it on the calling thread.
+    This is the only place where the kernel multiplies matrices.
     """
-    m, k = a.shape
+    m, k = a.shape[-2:]
     width = max(1, _PRODUCT_LIMIT // max(1, m * k))
-    for c0 in range(0, b.shape[1], width):
+    for c0 in range(0, b.shape[-1], width):
         c1 = c0 + width
-        np.matmul(a, b[:, c0:c1], out=out[:, c0:c1])
+        np.matmul(a, b[..., c0:c1], out=out[..., c0:c1])
     return out
 
 
 def _split(x, p):
-    """Limbs [lo; hi] of integers x mod p, stacked on axis 0, as float64.
-
-    Each x is taken by ``_reduce`` to |b| <= p/2 + 2 and written
-    lo + 2**16 hi with |lo|, |hi| <= 2**15.
-    """
+    """Limbs [lo; hi] of integers x mod p, stacked on the row axis, as
+    float64: ``_limbs`` of x taken by ``_reduce`` to |b| <= p/2 + 2."""
     b = np.empty(x.shape)
     _reduce(x, p, out=b)
-    hi = np.rint(b * (1.0 / (1 << 16)))
-    lo = b - hi * (1 << 16)
-    return np.concatenate([lo, hi])
+    return _limbs(b)
 
 
-def _with_shift(x, p):
+def _limbs(b):
+    """[lo; hi], stacked on the row axis, of float64 integers |b| <= p/2 + 2
+    written lo + 2**16 hi with |lo|, |hi| <= 2**15."""
+    w = b.shape[-2]
+    out = np.empty(b.shape[:-2] + (2 * w, b.shape[-1]))
+    lo, hi = out[..., :w, :], out[..., w:, :]
+    np.multiply(b, 1.0 / (1 << 16), out=hi)
+    np.rint(hi, out=hi)
+    np.multiply(hi, -(1 << 16), out=lo)
+    lo += b
+    return out
+
+
+def _with_shift(x, p, out=None):
     """[x | 2**16 x] mod p for integers x, as float64, each entry taken by
-    ``_reduce`` to at most p/2 + 2 in magnitude.
+    ``_reduce`` to at most p/2 + 2 in magnitude, into out when given.
 
     Times ``_split`` of an inner dimension k this is a sum of 2k terms of
     less than 2**31 * 2**15 each: below 2**52 for k <= _PANEL, the inner
@@ -110,7 +129,8 @@ def _with_shift(x, p):
     before it must be reduced to stay below 2**53 - p.
     """
     w = x.shape[-1]
-    out = np.empty(x.shape[:-1] + (2 * w,))
+    if out is None:
+        out = np.empty(x.shape[:-1] + (2 * w,))
     _reduce(x, p, out=out[..., :w])
     np.multiply(out[..., :w], 1 << 16, out=out[..., w:])
     _reduce(out[..., w:], p, out=out[..., w:])
@@ -130,60 +150,139 @@ def _reduce(d, p, out):
 
 
 def _residues(a, p):
-    """Residues in [0, p) of float64 integers below 2**53."""
-    return a.astype(np.int64) % p
+    """Residues in [0, p) of float64 integers below 2**53, as int64, by
+    floor division: see ``_reduce_whole``."""
+    b = a.astype(np.int64)
+    q = b // p
+    q *= p
+    b -= q
+    return b
+
+
+def _delayed_steps(p):
+    """Gauss-Jordan steps a block takes between two full reductions mod p.
+
+    Every entry is below p after a full reduction, and one step adds at
+    most p (p - 1) to it: a multiplier p - c, c a reduced residue of the
+    pivot column, times a reduced entry of the pivot row.  After c steps
+    an entry stays below p + c p (p - 1), which must stay below 2**64.
+    This is 3 for primes near 2**31 and 1 near 2**32, where every step
+    reduces.
+    """
+    return max(1, (2**64 - p - 1) // (p * (p - 1)))
+
+
+def _inverses(xs, p):
+    """Inverses mod p of the nonzero residues xs, with one ``pow``.
+
+    Montgomery's trick: invert the product of all of them, then peel one
+    factor off at a time, three products per residue in place of one
+    ``pow`` each.
+    """
+    prefix = [1]
+    for x in xs:
+        prefix.append(prefix[-1] * x % p)
+    inverse = pow(prefix.pop(), -1, p)
+    out = []
+    for x, before in zip(reversed(xs), reversed(prefix)):
+        out.append(inverse * before % p)
+        inverse = inverse * x % p
+    return out[::-1]
+
+
+def _reduce_whole(G, up, scratch):
+    """G %= up in place for a uint64 array G, through scratch.
+
+    numpy divides uint64 by a scalar with libdivide, a multiply and a
+    shift, but takes % by the hardware division: on a (10, 32, 32) stack
+    the floor division, product and difference took 14.5 us against 39 us
+    for % (numpy 2.4, 2-core host).
+    """
+    np.floor_divide(G, up, out=scratch)
+    scratch *= up
+    G -= scratch
 
 
 def _gauss_jordan(G, p, rows, start, det):
-    """Gauss-Jordan on the w x w block G of uint64 residues from column start.
+    """Gauss-Jordan in lockstep on the stack G of w x w blocks of uint64
+    residues, from column start.
 
-    This is [A11 | I] reduced to [I | A11^-1] in place, with the inverse
-    stored over the block: after step j, column j holds the inverse's
-    column, not a unit vector.  Columns before start are already reduced.
-    Pivots are the first nonzero entry at or below the diagonal of the
-    current column; each update adds at most p (p - 1) to an entry below
-    p, and p**2 - 1 < 2**64.  ``rows[i]`` is the block row at position i,
-    and in-block swaps update it.  Returns ``(det, j)``, det the given det
-    times the pivots and swap signs.  When j equals w, G is the inverse of
-    the block with its rows in the order ``rows``.  Otherwise column j has
-    no pivot: G[:j, j] is column j of the j reduced pivot rows, which are
-    1 in their own column and 0 in the other columns before j.
+    For each member this is [A11 | I] reduced to [I | A11^-1] in place,
+    with the inverse stored over the block: after step j, column j holds
+    the inverse's column, not a unit vector.  Columns before start are
+    already reduced, and every entry is below p on entry.  Each step
+    reduces the pivot column and the pivot row mod p, unless the whole
+    stack was reduced since the last step; that happens only every
+    ``_delayed_steps(p)`` steps and before returning.
+    A member's pivot is the first nonzero entry at or below the diagonal
+    of its current column, and the pivots' inverses take one ``pow`` per
+    step for the whole stack.  ``rows[m, i]`` is the block row of member m
+    at position i, and in-block swaps update it; ``det``, the list of each
+    member's determinant so far, is returned times the pivots and swap
+    signs.  Returns ``(det, j)``.  When j equals w, each member of G is
+    the inverse of its block with the rows in the order ``rows``.
+    Otherwise column j of some member has no pivot in its block, every
+    other member has its pivot at row j, and no member has taken step j:
+    for a member without one, G[m, :j, j] is column j of its j reduced
+    pivot rows, which are 1 in their own column and 0 in the other
+    columns before j.
     """
-    w = G.shape[0]
+    w = G.shape[-1]
     up = np.uint64(p)
+    delay = _delayed_steps(p)
+    scratch = np.empty_like(G)
+    since = 0  # steps since G was last reduced whole, as it is on entry
     for j in range(start, w):
-        if not G[j, j]:
-            nz = np.flatnonzero(G[j + 1:, j])
-            if nz.size == 0:
+        column, pivot_row = G[:, :, j], G[:, j]
+        if since:
+            column %= up
+        pivots = column[:, j].tolist()
+        if 0 in pivots:
+            # every member swaps in a pivot from its block if it can, so
+            # that only members with none there are left without one
+            for m in np.flatnonzero(column[:, j] == 0):
+                nz = np.flatnonzero(G[m, j + 1:, j])
+                if nz.size:
+                    b = j + 1 + int(nz[0])
+                    G[m, [j, b]] = G[m, [b, j]]
+                    rows[m, [j, b]] = rows[m, [b, j]]
+                    det[m] = -det[m] % p
+            pivots = column[:, j].tolist()
+            if 0 in pivots:
+                _reduce_whole(G, up, scratch)
                 return det, j
-            b = j + 1 + int(nz[0])
-            G[[j, b]] = G[[b, j]]
-            rows[j], rows[b] = rows[b], rows[j]
-            det = -det
-        pivot = int(G[j, j])
-        det = det * pivot % p
-        inverse = pow(pivot, -1, p)
-        row = G[j] * np.uint64(inverse) % up
-        row[j] = inverse
-        f = up - G[:, j]
-        G[:, j] = 0
-        G += f[:, None] * row
-        G %= up
-        G[j] = row
+        det = [d * x % p for d, x in zip(det, pivots)]
+        inverse = np.array(_inverses(pivots, p), dtype=np.uint64)
+        if since:
+            pivot_row %= up
+        row = pivot_row * inverse[:, None]
+        row %= up
+        row[:, j] = inverse
+        f = up - column
+        column[...] = 0
+        np.multiply(f[:, :, None], row[:, None, :], out=scratch)
+        G += scratch
+        pivot_row[...] = row
+        since += 1
+        if since == delay:
+            _reduce_whole(G, up, scratch)
+            since = 0
+    if since:
+        _reduce_whole(G, up, scratch)
     return det, w
 
 
 def _reduced_row_below(a21, G, j, p):
     """First row below the block that supplies a pivot in column j.
 
-    a21 is ``_with_shift`` of the rows below the block, over its columns.
-    One such row v, reduced against the j pivot rows of G, is
-    [0, v[j:]] - v[:j] G[:j]: the row Gauss-Jordan would hold at position
-    j had v been in the block from the start, its first j entries on the
-    stored inverse columns.  Column j is reduced one chunk of _ROW_CHUNK
-    rows at a time until an entry is nonzero.  Returns ``(i, row)``, i the
-    index in a21 of the first such row and row its reduced residues, or
-    None when there is none.
+    One member at a time: a21 is ``_with_shift`` of its rows below the
+    block, over its columns, and G its block.  One such row v, reduced
+    against the j pivot rows of G, is [0, v[j:]] - v[:j] G[:j]: the row
+    Gauss-Jordan would hold at position j had v been in the block from the
+    start, its first j entries on the stored inverse columns.  Column j is
+    reduced one chunk of _ROW_CHUNK rows at a time until an entry is
+    nonzero.  Returns ``(i, row)``, i the index in a21 of the first such
+    row and row its reduced residues, or None when there is none.
     """
     w = G.shape[0]
     pivot_rows = G.view(np.int64).copy()
@@ -206,54 +305,72 @@ def _reduced_row_below(a21, G, j, p):
 
 
 def _invert_diagonal_block(A, a21, k0, k1, p, symmetric):
-    """Determinant and inverse of A11 = A[k0:k1, k0:k1], exchanging rows.
+    """Determinants and inverses of each member's A11 = A[m, k0:k1, k0:k1],
+    exchanging rows.
 
-    Gauss-Jordan runs on the block alone.  If column j of A11 has no pivot,
-    the first row below whose column j, reduced against the j pivot rows,
-    is nonzero is exchanged for the block row at position j (over columns
-    k0 onward, and in a21, the ``_with_shift`` of A21), its reduced row
-    takes position j in G, and Gauss-Jordan goes on from column j, so each
-    block runs exactly w pivot steps.  An exchange that does not supply
-    the pivot raises InvariantError.  When ``symmetric``, A[k0:, k0:] is
-    held on its lower triangle and on the diagonal blocks, which the
-    staircase of ``_schur_update`` covers whole; an exchange, which moves
-    whole rows, first mirrors the trailing matrix from the lower triangle.
-    Returns ``(d, inverse, symmetric)``, d the determinant of the final
-    A11 times the sign of the exchanges and symmetric false once an
-    exchange was made, or ``(0, None, symmetric)`` when no row below can
-    supply a pivot, so that det(A) = 0.
+    Gauss-Jordan runs on the blocks alone.  If column j of a member's A11
+    has no pivot, the first row below whose column j, reduced against the
+    j pivot rows, is nonzero is exchanged for the member's block row at
+    position j (over columns k0 onward, and in a21, the ``_with_shift`` of
+    A21), its reduced row takes position j in G, and Gauss-Jordan goes on
+    from column j for the whole stack, so each block runs exactly w pivot
+    steps.  An exchange that does not supply the pivot raises
+    InvariantError.  A member with no such row below has determinant 0: it
+    goes on as an identity matrix, A[m, k0:, k0:], its block and its rows
+    of a21 replaced, and its determinant here is 0.  When ``symmetric``,
+    each A[m, k0:, k0:] is held on its lower triangle and on the diagonal
+    blocks, which the staircase of ``_schur_update`` covers whole; the
+    first exchange, which moves whole rows, first mirrors every trailing
+    matrix from its lower triangle.  Returns ``(d, inverse, symmetric)``,
+    d the list of the determinants of the final blocks times the signs of
+    the exchanges, inverse the stack of block inverses and symmetric false
+    once an exchange was made.
     """
+    k, n = A.shape[:2]
     w = k1 - k0
-    G = _residues(A[k0:k1, k0:k1], p).view(np.uint64)
-    rows = list(range(w))
-    d, j = _gauss_jordan(G, p, rows, 0, 1)
+    G = _residues(A[:, k0:k1, k0:k1], p).view(np.uint64)
+    rows = np.tile(np.arange(w), (k, 1))
+    d, j = _gauss_jordan(G, p, rows, 0, [1] * k)
     if j < w and symmetric:
         _mirror_lower(A, k0)
         symmetric = False
     while j < w:
-        found = _reduced_row_below(a21, G, j, p)
-        if found is None:
-            return 0, None, symmetric
-        i, G[j] = found
-        a, b = k0 + rows[j], k1 + i
-        A[[a, b], k0:] = A[[b, a], k0:]
-        a21[i] = _with_shift(A[b, k0:k1], p)
-        d, stop = _gauss_jordan(G, p, rows, j, -d)
+        for m in np.flatnonzero(G[:, j, j] == 0):
+            found = _reduced_row_below(a21[m], G[m], j, p)
+            if found is None:
+                A[m, k0:, k0:] = np.eye(n - k0)
+                a21[m] = 0
+                G[m] = np.eye(w, dtype=np.uint64)
+                rows[m] = np.arange(w)
+                d[m] = 0
+                continue
+            i, G[m, j] = found
+            a, b = k0 + rows[m, j], k1 + i
+            A[m, [a, b], k0:] = A[m, [b, a], k0:]
+            a21[m, i] = _with_shift(A[m, b, k0:k1], p)
+            d[m] = -d[m] % p
+        d, stop = _gauss_jordan(G, p, rows, j, d)
         if stop == j:
             raise InvariantError(
                 f"row exchange at column {k0 + j} did not supply a pivot")
         j = stop
-    # G is the inverse of the block with its rows in the order ``rows``
-    G[:, rows] = G.copy()
-    return d % p, G.view(np.int64), symmetric
+    # each member of G is the inverse of its block with its rows in the
+    # order ``rows``
+    for m in np.flatnonzero((rows != np.arange(w)).any(axis=1)):
+        G[m][:, rows[m]] = G[m].copy()
+    return d, G.view(np.int64), symmetric
 
 
 def _schur_update(A, a21, inverse, k0, k1, p, symmetric, reduce):
-    """A22 -= (A21 A11^-1) A12, one chunk of _ROW_CHUNK rows at a time.
+    """A22 -= (A21 A11^-1) A12 for every member, one chunk of _ROW_CHUNK
+    rows of the whole stack at a time.
 
     a21 is ``_with_shift`` of A21.  z = A21 A11^-1 is formed chunk by
-    chunk, and then each chunk's z A12 by ``_product`` into one buffer
-    and subtracted from the chunk in place.  When ``symmetric``, A12 is
+    chunk, and its ``_with_shift`` takes the buffer of a21.  Then each
+    chunk's z A12 is formed by ``_product``, one column tile at a time into
+    a buffer of k x _ROW_CHUNK x 64 entries, not of a chunk's whole width,
+    and subtracted from the chunk in place; so the temporaries of a stack
+    stay near three times the size of its a21.  When ``symmetric``, A12 is
     read as A21 transposed, from a21, and each chunk stops at the column
     of its own last row: this staircase covers the lower triangle of A22,
     which stays symmetric, with about half the products.  Chunks start at
@@ -264,26 +381,31 @@ def _schur_update(A, a21, inverse, k0, k1, p, symmetric, reduce):
     ``_with_shift`` residue and a 16-bit limb, and ``_delayed_updates``
     says how many such updates keep them below 2**53 - p.
     """
-    n = A.shape[0]
+    k, n = A.shape[:2]
+    # a21 begins with the reduced residues of A21, contiguous where A is not
+    right = (_limbs(a21[:, :, :k1 - k0].swapaxes(1, 2)) if symmetric
+             else _split(A[:, k0:k1, k1:], p))
     inverse_limbs = _split(inverse, p)
-    z = np.empty((n - k1, k1 - k0))
+    z = np.empty((k, n - k1, k1 - k0))
     for r0 in range(0, n - k1, _ROW_CHUNK):
-        _product(a21[r0:r0 + _ROW_CHUNK], inverse_limbs,
-                 z[r0:r0 + _ROW_CHUNK])
-    z = _with_shift(z, p)
-    # a21 begins with the residues of A21, contiguous where A is not
-    right = _split(a21[:, :k1 - k0].T if symmetric else A[k0:k1, k1:], p)
-    g = np.empty((_ROW_CHUNK, n - k1))
+        _product(a21[:, r0:r0 + _ROW_CHUNK], inverse_limbs,
+                 z[:, r0:r0 + _ROW_CHUNK])
+    z = _with_shift(z, p, out=a21)
+    # the columns _product forms in one GEMM of a full chunk
+    tile = max(1, _PRODUCT_LIMIT // (_ROW_CHUNK * 2 * (k1 - k0)))
+    g = np.empty((k, _ROW_CHUNK, min(tile, n - k1)))
     for r0 in range(0, n - k1, _ROW_CHUNK):
         r1 = min(r0 + _ROW_CHUNK, n - k1)
-        width = r1 if symmetric else n - k1
-        block = A[k1 + r0:k1 + r1, k1:k1 + width]
-        update = _product(z[r0:r1], right[:, :width], g[:r1 - r0, :width])
-        if reduce:
-            np.subtract(block, update, out=update)
-            _reduce(update, p, out=block)
-        else:
-            np.subtract(block, update, out=block)
+        for c0 in range(0, r1 if symmetric else n - k1, tile):
+            c1 = min(c0 + tile, r1 if symmetric else n - k1)
+            block = A[:, k1 + r0:k1 + r1, k1 + c0:k1 + c1]
+            update = _product(z[:, r0:r1], right[:, :, c0:c1],
+                              g[:, :r1 - r0, :c1 - c0])
+            if reduce:
+                np.subtract(block, update, out=update)
+                _reduce(update, p, out=block)
+            else:
+                np.subtract(block, update, out=block)
 
 
 def _delayed_updates(p):
@@ -301,21 +423,23 @@ def _delayed_updates(p):
 
 
 def _is_symmetric(A):
-    """Whether A equals its transpose, read one row chunk at a time."""
-    return all(np.array_equal(A[r0:r0 + _ROW_CHUNK, :r0 + _ROW_CHUNK],
-                              A[:r0 + _ROW_CHUNK, r0:r0 + _ROW_CHUNK].T)
-               for r0 in range(0, A.shape[0], _ROW_CHUNK))
+    """Whether every member of the stack A equals its transpose, read one
+    row chunk at a time."""
+    return all(np.array_equal(A[:, r0:r0 + _ROW_CHUNK, :r0 + _ROW_CHUNK],
+                              A[:, :r0 + _ROW_CHUNK,
+                                r0:r0 + _ROW_CHUNK].swapaxes(1, 2))
+               for r0 in range(0, A.shape[1], _ROW_CHUNK))
 
 
 def _mirror_lower(A, k0):
-    """Copy the lower triangle of A[k0:, k0:] onto its upper one, one band
-    of _ROW_CHUNK columns at a time."""
-    n = A.shape[0]
+    """Copy the lower triangle of each A[m, k0:, k0:] onto its upper one,
+    one band of _ROW_CHUNK columns at a time."""
+    n = A.shape[1]
     for c0 in range(k0, n, _ROW_CHUNK):
         c1 = min(c0 + _ROW_CHUNK, n)
-        A[k0:c0, c0:c1] = A[c0:c1, k0:c0].T
-        square = A[c0:c1, c0:c1]
-        square[...] = np.tril(square) + np.tril(square, -1).T
+        A[:, k0:c0, c0:c1] = A[:, c0:c1, k0:c0].swapaxes(1, 2)
+        square = A[:, c0:c1, c0:c1]
+        square[...] = np.tril(square) + np.tril(square, -1).swapaxes(1, 2)
 
 
 def _entry(e, p):
@@ -327,7 +451,8 @@ def _entry(e, p):
 
 
 def _residue_matrix(matrix, p):
-    """Residues in [0, p) of a square integer matrix, as float64."""
+    """Residues in [0, p) of a square integer matrix, or of an integer
+    ndarray stack of them, as float64."""
     if isinstance(matrix, np.ndarray) and matrix.dtype != object:
         kind = matrix.dtype.kind
         if kind not in "biu":
@@ -346,60 +471,75 @@ def _residue_matrix(matrix, p):
     else:
         if isinstance(matrix, np.ndarray) and matrix.ndim != 2:
             raise NonSquareMatrix(
-                f"matrix of shape {matrix.shape} is not square")
+                f"object array of shape {matrix.shape} is not a square "
+                "matrix")
         rows = [[_entry(e, p) for e in row] for row in matrix]
         try:
             A = np.array(rows, dtype=np.float64)
         except ValueError:
             raise NonSquareMatrix("matrix rows differ in length") from None
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    # a stack is an integer ndarray, square in its last two axes
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise NonSquareMatrix(f"matrix of shape {A.shape} is not square")
     return A
 
 
-def det_mod_p(matrix, p: int) -> int:
-    """Determinant over the field of p elements, as an int in range(p).
+def det_mod_p(matrix, p: int) -> int | list[int]:
+    """Determinant over the field of p elements, as an int in range(p), or
+    the list of the determinants of a stack.
 
     Accepts nested lists of ints, or an ndarray of integer or object
-    dtype; every entry is reduced mod p before any cast.  Blocked
-    right-looking elimination: for each diagonal block A11 of _PANEL
-    columns, Gauss-Jordan on [A11 | I] gives det(A11) and A11^-1 in uint64
-    residues, and the trailing matrix becomes A22 - (A21 A11^-1) A12
-    through exact float64 products on 16-bit limbs, each small enough to
-    run on the calling thread.  A block singular mod p at column j takes,
+    dtype; every entry is reduced mod p before any cast.  An integer
+    ndarray of shape (k, n, n) is a stack of k matrices, and the result is
+    the list of their k determinants; its members are eliminated in
+    lockstep, which spares numpy's per-call overhead on small orders, and
+    take k times the float64 memory of one.  Blocked right-looking
+    elimination: for each diagonal block A11 of _PANEL columns,
+    Gauss-Jordan on [A11 | I] gives det(A11) and A11^-1 in uint64
+    residues, reduced whole mod p every ``_delayed_steps(p)`` steps, and
+    the trailing matrix becomes A22 - (A21 A11^-1) A12 through exact
+    float64 products on 16-bit limbs, each small enough to run on the
+    calling thread.  A block singular mod p at column j takes,
     in exchange for its row at position j, the first row below whose
     column j is nonzero once reduced by the block's pivot rows, and
     Gauss-Jordan goes on from column j; a row-permuted matrix can need
     such an exchange for nearly every column, which makes it the slowest
-    input.  A matrix whose residues are symmetric is eliminated on its
-    lower triangle, up to the first exchange, and the trailing matrix is
-    reduced mod p every ``_delayed_updates(p)`` updates.  Pivots are the
-    first nonzero entry wherever one is searched, so the result is
-    deterministic for fixed input.  Exact for 2 <= p < 2**32 (p is assumed
-    prime): the uint64 updates stay below p**2 < 2**64 and every sum of a
-    product below 2**53.  Raises NonSquareMatrix, NonIntegerMatrix (float,
-    complex or other non-integer entries) and ModulusOutOfRange.
+    input.  A stack whose members' residues are all symmetric is
+    eliminated on its lower triangles, up to the first exchange in any
+    member, and the trailing matrices are reduced mod p every
+    ``_delayed_updates(p)`` updates.  Pivots are the first nonzero entry
+    wherever one is searched, so the result is deterministic for fixed
+    input, and a member's determinant does not depend on the stack it is
+    in.  Exact for 2 <= p < 2**32 (p is assumed prime): the uint64 updates
+    stay below 2**64 and every sum of a product below 2**53.  Raises
+    NonSquareMatrix, NonIntegerMatrix (float, complex or other non-integer
+    entries) and ModulusOutOfRange.
     """
     if not 2 <= p < DET_MODULUS_LIMIT:
         raise ModulusOutOfRange(
             f"modulus {p} outside the exact range 2 <= p < 2**32")
     A = _residue_matrix(matrix, p)
-    n = A.shape[0]
+    single = A.ndim == 2
+    if single:
+        A = A[None]
+    n = A.shape[1]
     symmetric = _is_symmetric(A)
     delay = _delayed_updates(p)
-    det = 1
+    det = [1] * A.shape[0]
     for k0 in range(0, n, _PANEL):
+        if not any(det):
+            break
         k1 = min(k0 + _PANEL, n)
-        a21 = _with_shift(A[k1:, k0:k1], p)
+        a21 = _with_shift(A[:, k1:, k0:k1], p)
         d, inverse, symmetric = _invert_diagonal_block(A, a21, k0, k1, p,
                                                        symmetric)
-        if inverse is None:
-            return 0
-        det = det * d % p
+        det = [a * b % p for a, b in zip(det, d)]
         if k1 < n:
             _schur_update(A, a21, inverse, k0, k1, p, symmetric,
                           reduce=k0 // _PANEL % delay == delay - 1)
-    return det
+        # not held while the next panel's a21 is formed
+        del a21, inverse
+    return det[0] if single else det
 
 
 @dataclass(frozen=True, order=True)

@@ -59,8 +59,11 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MATRIX_DUMP_LIMIT = 200
 _MATRIX_CHUNK = 1 << 16  # entries of modular_matrix formed at a time
+# Most float64 bytes of one stack of folded halves that det_mod_p takes at
+# once: B4's ten order-192 halves (2.9 MB) and A5's two order-360 halves
+# (2.1 MB) fit, F4's two order-576 halves (5.3 MB) do not
+DET_STACK_BYTES = 1 << 22
 DET_BUDGET = 3840
-HARD_DET_CAP = 14400
 
 
 def _is_prime(n: int) -> bool:
@@ -405,7 +408,12 @@ def verify_mod_p(group: EnumeratedGroup | Arrangement, wa: WeightAssignment,
     For each (prime, trial) samples nonzero weights, compares the modular
     determinant of the chamber matrix, the product of the determinants of
     the two folded halves of ``modular_matrix``, with the evaluated closed
-    form.
+    form.  Each prime's points are drawn in trial order.  The halves of as
+    many consecutive trials as fit in DET_STACK_BYTES of float64 go to
+    ``det_mod_p`` as one stack, which eliminates them in lockstep; when
+    one trial's two halves do not fit, each half goes alone, so a large
+    group's peak memory is that of one half.  The records do not depend on
+    the grouping.
     ``group`` is a group, or an arrangement over one, whose edges and
     multiplicities are then read rather than computed again.  Raises
     CountOutOfRange unless there is at least one prime and one trial.
@@ -428,14 +436,33 @@ def verify_mod_p(group: EnumeratedGroup | Arrangement, wa: WeightAssignment,
     rng = random.Random(seed)
     records = []
     variables = wa.variables()
+    h = group.order // 2
+    # trials whose halves go to det_mod_p as one stack, or 0 when one
+    # trial's two halves already pass DET_STACK_BYTES and each goes alone
+    per_stack = DET_STACK_BYTES // (2 * 8 * h * h)
+    step = per_stack or 1
     for p in primes:
-        for trial in range(trials):
-            point = {v: rng.randrange(1, p) for v in variables}
-            values = np.array([point[wa.var_of[t]]
-                               for t in range(group.num_reflections)],
-                              dtype=np.int64)
-            S, D = np.hsplit(modular_matrix(group, values, p), 2)
-            lhs = det_mod_p(S, p) * det_mod_p(D, p) % p
+        points = [{v: rng.randrange(1, p) for v in variables}
+                  for _ in range(trials)]
+        dets = []
+        for t0 in range(0, trials, step):
+            batch = points[t0:t0 + step]
+            if per_stack:
+                stack = np.empty((2 * len(batch), h, h), dtype=np.uint32)
+            for i, point in enumerate(batch):
+                values = np.array([point[wa.var_of[t]]
+                                   for t in range(group.num_reflections)],
+                                  dtype=np.int64)
+                halves = np.hsplit(modular_matrix(group, values, p), 2)
+                if per_stack:
+                    stack[2 * i], stack[2 * i + 1] = halves
+                else:
+                    dets += [det_mod_p(half, p) for half in halves]
+                del halves  # [S | D] is not held through a stack's elimination
+            if per_stack:
+                dets += det_mod_p(stack, p)
+        for trial, point in enumerate(points):
+            lhs = dets[2 * trial] * dets[2 * trial + 1] % p
             rhs = fact.eval_mod(point, p)
             records.append({
                 "check": "determinant_identity",

@@ -193,6 +193,16 @@ def test_delayed_updates_per_prime(monkeypatch):
     assert [r for _, r in flags] == [i % 3 == 2 for i in range(9)]
 
 
+@pytest.mark.parametrize("p", [P, EDGE_P], ids=["P", "edge-prime"])
+def test_gauss_jordan_delay_keeps_uint64_entries_from_wrapping(p):
+    # with Python ints, which do not wrap: an entry is below p after a full
+    # reduction and one step adds at most p (p - 1), so c steps between
+    # reductions stay below 2**64 and c + 1 would not
+    c = exact_algebra._delayed_steps(p)
+    assert c == (3 if p == P else 1)
+    assert p + c * p * (p - 1) < 2**64 <= p + (c + 1) * p * (p - 1)
+
+
 @pytest.mark.parametrize("p", SYMMETRIC_PRIMES)
 @pytest.mark.parametrize("n", [1, 31, 33, 129, 300])
 def test_det_mod_p_symmetric_matches_unblocked_reference(monkeypatch, n, p):
@@ -216,14 +226,12 @@ def test_det_mod_p_symmetric_matches_unblocked_reference(monkeypatch, n, p):
         _delay_kept(flags, p)
 
 
-@pytest.mark.parametrize("p", SYMMETRIC_PRIMES)
-@pytest.mark.parametrize("n", [129, 300])
-def test_det_mod_p_symmetric_block_without_pivot(monkeypatch, n, p):
-    # L diag(S1, J) L^T, with S1 random symmetric on the first 32 columns,
-    # J the anti-diagonal matrix and L unit lower triangular and nonzero
-    # below the diagonal only in those 32 columns: once they are
-    # eliminated the trailing matrix is J, whose first 32 x 32 block is
-    # zero, so the symmetric path switches to the general one there
+def _symmetric_without_pivot(n, p):
+    """L diag(S1, J) L^T, with S1 random symmetric on the first 32 columns,
+    J the anti-diagonal matrix and L unit lower triangular and nonzero
+    below the diagonal only in those 32 columns: once they are eliminated
+    the trailing matrix is J, whose first 32 x 32 block is zero, so the
+    symmetric path switches to the general one there."""
     rng = np.random.default_rng(n + p % 1000)
     R = rng.integers(0, p, size=(32, 32))
     X = np.zeros((n, n), dtype=np.int64)
@@ -233,6 +241,13 @@ def test_det_mod_p_symmetric_block_without_pivot(monkeypatch, n, p):
     L[32:, :32] = rng.integers(0, p, size=(n - 32, 32))
     M = _matmul_mod(_matmul_mod(L, X, p), L.T, p)
     assert (M == M.T).all() and M[32:64, 32:64].any()
+    return M
+
+
+@pytest.mark.parametrize("p", SYMMETRIC_PRIMES)
+@pytest.mark.parametrize("n", [129, 300])
+def test_det_mod_p_symmetric_block_without_pivot(monkeypatch, n, p):
+    M = _symmetric_without_pivot(n, p)
     flags = _record_updates(monkeypatch)
     det = _agree_with_reference(M, p)
     assert det != 0
@@ -439,8 +454,10 @@ def test_det_mod_p_products_stay_below_the_threading_size(monkeypatch):
             patch.setattr(exact_algebra.np, "matmul", recording)
             assert det_mod_p(M, P) == expect, name
         assert shapes or M.shape[0] == 1, name
-        for (m, k), (k2, n) in shapes:
-            assert k == k2
+        # a product of stacks is one product per member, of the last two
+        # axes
+        for (*stack, m, k), (*stack2, k2, n) in shapes:
+            assert k == k2 and stack == stack2
             assert m * n * k <= exact_algebra._PRODUCT_LIMIT, (name, m, n, k)
 
 
@@ -500,8 +517,9 @@ def test_det_mod_p_resumes_gauss_jordan_after_an_exchange(
     assert det_mod_p(M, p) == expect
     if p == P:
         assert det_mod_p_unblocked(M, p) == expect
-    # each block has its own G; after an exchange Gauss-Jordan resumes
-    # where it stopped, so every block runs exactly w pivot steps
+    # each block has its own G, a stack of one w x w block; after an
+    # exchange Gauss-Jordan resumes where it stopped, so every block runs
+    # exactly w pivot steps
     blocks = []
     for G, start, stop in calls:
         if blocks and blocks[-1][0] is G:
@@ -513,7 +531,8 @@ def test_det_mod_p_resumes_gauss_jordan_after_an_exchange(
         blocks[-1][2] = stop
     assert len(blocks) == -(-n // 32)
     assert [steps for _, steps, _ in blocks] == \
-        [G.shape[0] for G, _, _ in blocks]
+        [G.shape[-1] for G, _, _ in blocks]
+    assert all(G.shape[0] == 1 for G, _, _ in blocks)
     assert len(calls) > 2 * len(blocks)  # exchanges did happen
 
 
@@ -526,6 +545,108 @@ def test_det_mod_p_exchange_that_supplies_no_pivot_raises(monkeypatch):
     M, _ = _row_permuted_diagonal(70, P, np.random.default_rng(70))
     with pytest.raises(InvariantError):
         det_mod_p(M, P)
+
+
+# -- stacks ------------------------------------------------------------------
+
+
+def _stack_members(n, p):
+    """Five order-n matrices mod p: symmetric; the rows of an upper
+    triangular matrix shuffled, so that nearly every block needs a row
+    exchange; singular, with a repeated row; random; symmetric."""
+    rng = np.random.default_rng(n + p % 1000)
+
+    def symmetric():
+        R = rng.integers(0, p, size=(n, n))
+        return (R + R.T) % p
+
+    shuffled, _ = _shuffled_upper_triangular(n, p, rng)
+    singular = rng.integers(0, p, size=(n, n))
+    singular[-1] = singular[0]
+    return [symmetric(), shuffled, singular,
+            rng.integers(0, p, size=(n, n)), symmetric()]
+
+
+# orders on both sides of the 32-column panel and the 128-row update chunk
+@pytest.mark.parametrize("p", [P, EDGE_P], ids=["P", "edge-prime"])
+@pytest.mark.parametrize("n", [31, 33, 130])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_det_mod_p_stack_matches_its_members_taken_alone(monkeypatch, k, n,
+                                                         p):
+    members = _stack_members(n, p)[:k]
+    alone = [det_mod_p(M, p) for M in members]
+    assert alone == [det_mod_p_unblocked(M, p) for M in members]
+    assert (0 in alone) == (k == 5)  # only the singular member is 0
+    flags = _record_updates(monkeypatch)
+    calls = _count_pivot_steps(monkeypatch)
+    dets = det_mod_p(np.stack(members), p)
+    assert dets == alone and all(type(d) is int for d in dets)
+    # the staircase runs only while every member is symmetric
+    assert [s for s, _ in flags] == [k == 1] * ((n - 1) // 32)
+    _delay_kept(flags, p)
+    # Gauss-Jordan runs on the whole stack, and resumes after the shuffled
+    # member takes a row from below (past the first panel) or once the
+    # singular member finds none
+    assert all(G.shape[0] == k for G, _, _ in calls)
+    resumed = len(calls) > -(-n // 32)
+    assert resumed == (k == 5 or (k == 2 and n > 32))
+
+
+@pytest.mark.parametrize("p", [P, EDGE_P], ids=["P", "edge-prime"])
+def test_det_mod_p_stack_leaves_the_staircase_when_one_member_exchanges(
+        monkeypatch, p):
+    # both members are symmetric; the second needs a row from below in its
+    # second block, where every member's trailing matrix is mirrored and
+    # the stack goes on over full matrices
+    rng = np.random.default_rng(5)
+    R = rng.integers(0, p, size=(129, 129))
+    members = [(R + R.T) % p, _symmetric_without_pivot(129, p)]
+    alone = [_agree_with_reference(M, p) for M in members]
+    flags = _record_updates(monkeypatch)
+    assert det_mod_p(np.stack(members), p) == alone
+    assert [s for s, _ in flags] == [True, False, False, False]
+    # a stack of one symmetric matrix stays on the staircase throughout
+    flags.clear()
+    assert det_mod_p(members[0][None], p) == alone[:1]
+    assert [s for s, _ in flags] == [True] * 4
+
+
+def _first_block_permuted(n, p, rng):
+    """L P U and its determinant mod p: U random upper triangular, P a
+    shuffle of the first 32 rows, and L unit lower triangular, nonzero
+    below the diagonal only in rows 32 on and columns before 32.  The
+    first block finds every pivot by an in-block swap, and its inverse,
+    put back in row order, feeds a trailing update with A21 != 0."""
+    U = np.triu(rng.integers(0, p, size=(n, n)))
+    np.fill_diagonal(U, rng.integers(1, p, size=n))
+    perm = np.concatenate([rng.permutation(32), np.arange(32, n)])
+    L = np.eye(n, dtype=np.int64)
+    L[32:, :32] = rng.integers(0, p, size=(n - 32, 32))
+    expect = _perm_sign(perm)
+    for d in np.diag(U):
+        expect = expect * int(d) % p
+    return _matmul_mod(L, U[perm], p), expect % p
+
+
+@pytest.mark.parametrize("n", [40, 70])
+def test_det_mod_p_stack_of_members_with_row_swaps(n):
+    # each member's block inverse is put back in its own row order, and
+    # members that take rows from below sit next to them
+    rng = np.random.default_rng(n)
+    members, expect = zip(
+        *(_first_block_permuted(n, P, rng) for _ in range(2)),
+        *(_shuffled_upper_triangular(n, P, rng) for _ in range(2)))
+    assert det_mod_p(np.stack(members), P) == list(expect)
+
+
+def test_det_mod_p_stack_of_uint32_halves_and_edge_cases():
+    # verify passes uint32 stacks; an empty stack has no determinants, and
+    # a stack of order-0 matrices has determinants 1
+    rng = np.random.default_rng(3)
+    stack = rng.integers(0, P, size=(3, 40, 40)).astype(np.uint32)
+    assert det_mod_p(stack, P) == [det_mod_p(M, P) for M in stack]
+    assert det_mod_p(np.zeros((0, 3, 3), dtype=np.int64), P) == []
+    assert det_mod_p(np.zeros((2, 0, 0), dtype=np.int64), P) == [1, 1]
 
 
 def test_det_mod_p_reads_integer_arrays_without_wrapping():
@@ -570,6 +691,13 @@ def test_det_mod_p_rejects_non_square():
         det_mod_p(np.zeros(4, dtype=np.int64), P)
     with pytest.raises(NonSquareMatrix):
         det_mod_p([[1, 2], [3]], P)
+    # a stack is square in its last two axes, and has three
+    with pytest.raises(NonSquareMatrix):
+        det_mod_p(np.zeros((2, 3, 4), dtype=np.int64), P)
+    with pytest.raises(NonSquareMatrix):
+        det_mod_p(np.zeros((2, 2, 3, 3), dtype=np.int64), P)
+    with pytest.raises(NonSquareMatrix):
+        det_mod_p(np.zeros((2, 3, 3), dtype=object), P)
 
 
 @pytest.mark.parametrize("p", [0, 1, DET_MODULUS_LIMIT, 2 ** 61 - 1])

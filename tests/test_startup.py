@@ -1,7 +1,9 @@
 """Start-up of the package and of the CLI process, each in a fresh child.
 
 The CLI sets OPENBLAS_NUM_THREADS to 1 when it is unset, before numpy
-loads, ``import coxvar`` loads no numpy, and ``verify`` loads no sympy.
+loads, ``import coxvar`` loads no numpy, ``verify`` loads no sympy, and
+``tables`` and ``multiplicity`` load neither ``varchenko`` nor
+``exact_algebra``.
 Once this test process has imported ``coxvar.cli`` its own environment
 carries the default, so every child gets an environment built here.
 """
@@ -116,3 +118,28 @@ def test_verify_past_the_default_primes_loads_no_sympy():
     *records, last = run_child("-c", _VERIFY_MODULES).splitlines()
     assert sum(r.startswith(b"determinant_identity") for r in records) == 5
     assert last.split() == [b"0", b"False"]
+
+
+_SUBCOMMAND_MODULES = """
+import json, os, sys
+from coxvar.cli import main
+loaded = {}
+for command in ("tables", "multiplicity", "verify"):
+    argv = [command, "A3"] + (["--trials", "1", "--primes", "1"]
+                              if command == "verify" else [])
+    code = main(argv)
+    loaded[command] = [code, os.environ["OPENBLAS_NUM_THREADS"],
+                       sorted(m for m in ("coxvar.varchenko",
+                                          "coxvar.exact_algebra")
+                              if m in sys.modules)]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_det_matrix_and_verify_load_the_determinant_modules():
+    *_, last = run_child("-c", _SUBCOMMAND_MODULES).splitlines()
+    loaded = json.loads(last)
+    assert loaded["tables"] == [0, "1", []]
+    assert loaded["multiplicity"] == [0, "1", []]
+    assert loaded["verify"] == [0, "1", ["coxvar.exact_algebra",
+                                         "coxvar.varchenko"]]

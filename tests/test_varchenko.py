@@ -1,13 +1,14 @@
 """Tests for the determinant factorization and its verification routes."""
 
 import copy
+import json
 import random
 
 import numpy as np
 import pytest
 
 from coxvar import Factorization, Monomial, det_mod_p, group
-from coxvar import arrangement, coxeter_core
+from coxvar import arrangement, cli, coxeter_core, varchenko
 from coxvar.coxeter_core import (
     build_group,
     parse_group_spec,
@@ -555,6 +556,44 @@ def test_verify_is_deterministic():
     r3 = verify_mod_p(g, wa, trials=3, primes=2, seed=12)
     assert [x["lhs"] for x in r1["records"]] != \
         [x["lhs"] for x in r3["records"]]
+
+
+def _verify_B4_stacks(monkeypatch, capsys, stack_bytes):
+    """Output of ``verify B4 --seed 7`` with DET_STACK_BYTES set, and the
+    shape of every argument det_mod_p took."""
+    shapes = []
+    det = varchenko.det_mod_p
+
+    def recording(matrix, p):
+        shapes.append(matrix.shape)
+        return det(matrix, p)
+
+    monkeypatch.setattr(varchenko, "DET_STACK_BYTES", stack_bytes)
+    monkeypatch.setattr(varchenko, "det_mod_p", recording)
+    assert cli.main(["verify", "B4", "--seed", "7", "--format", "json"]) == 0
+    return capsys.readouterr().out, shapes
+
+
+def test_verify_output_does_not_depend_on_the_stack_size(monkeypatch,
+                                                        capsys):
+    # B4's halves have order 192, 8 * 192**2 float64 bytes each: by
+    # default the five trials of a prime fit in one stack of ten
+    half = 8 * 192 * 192
+    assert varchenko.DET_STACK_BYTES // half == 14
+    default, shapes = _verify_B4_stacks(monkeypatch, capsys,
+                                        varchenko.DET_STACK_BYTES)
+    assert shapes == [(10, 192, 192)] * 3
+    # two trials per stack split each prime's five as 2, 2, 1
+    split, shapes = _verify_B4_stacks(monkeypatch, capsys, 5 * half)
+    assert shapes == [(4, 192, 192), (4, 192, 192), (2, 192, 192)] * 3
+    # all fifteen trials would fit, but a stack holds one prime's
+    whole, shapes = _verify_B4_stacks(monkeypatch, capsys, 1 << 30)
+    assert shapes == [(10, 192, 192)] * 3
+    # below one trial's two halves, each half goes alone as a matrix
+    alone, shapes = _verify_B4_stacks(monkeypatch, capsys, 2 * half - 1)
+    assert shapes == [(192, 192)] * 30
+    assert split == default and whole == default and alone == default
+    assert json.loads(default)["verdict"] == "PASS"
 
 
 # -- symbolic anchor ---------------------------------------------------------
