@@ -11,8 +11,8 @@ edge, then counts, for every hyperplane on the edge, those whose face on
 it does.
 
 An `Arrangement` memoizes its edges, class orbits, class
-representatives, parabolic data and oracle candidates on the instance,
-so they live exactly as long as it does.
+representatives and oracle candidates on the instance, so they live
+exactly as long as it does.
 """
 
 from __future__ import annotations
@@ -32,13 +32,11 @@ from .coxeter_core import (
     reflection_table,
 )
 from .errors import (
-    BlocksOverlap,
     InvarianceViolation,
     InvariantError,
     NoFullSupportReflection,
     ReducibleSubset,
     ReflectionNotOnEdge,
-    SupportMismatch,
 )
 
 
@@ -97,25 +95,12 @@ class Arrangement:
         self.limit = limit
         self.roots = reflection_table(diagram)
         self._orbits = {}  # J -> (edge rows of roots, Coxeter class [J])
-        self._parabolic_cache = {}
         self._memo = {}
         self._candidates = {}  # (reflections, class_J) -> (chambers, masks)
 
     @cached_property
     def group(self) -> EnumeratedGroup:
         return build_group(self.diagram, limit=self.limit)
-
-    # -- basic chamber combinatorics ----------------------------------------
-
-    def separating_set(self, x: int, y: int) -> set[int]:
-        N = self.group.inversion_table
-        return set(np.nonzero(N[x] ^ N[y])[0].tolist())
-
-    def parabolic(self, J):
-        J = tuple(sorted(J))
-        if J not in self._parabolic_cache:
-            self._parabolic_cache[J] = self.group.parabolic_data(J)
-        return self._parabolic_cache[J]
 
     # -- edge orbits, from the reflection table -----------------------------
 
@@ -182,18 +167,6 @@ class Arrangement:
             raise InvariantError(
                 f"{len(edges) - len(uniq)} edges occur in two classes")
         return sorted(uniq.values(), key=lambda e: (len(e), e.reflections))
-
-    @_memoized
-    def edge_lookup(self):
-        return {frozenset(e.reflections): e for e in self.relevant_edges()}
-
-    def minimal_edge_through_chamber_face(self, x: int, t: int) -> Edge:
-        """The edge spanned by the face of chamber x on hyperplane t."""
-        roots, g = self.roots, self.group
-        D = g.conj_tables
-        TK = roots.reflections_in(int(roots.support[D[g.inv[x], t]]))
-        refl = frozenset(int(D[x, u]) for u in TK)
-        return self.edge_lookup()[refl]
 
     # -- multiplicity: chamber-counting oracle -------------------------------
 
@@ -293,7 +266,7 @@ class Arrangement:
             if t not in covered:
                 members, floor, x = self._floor_and_x_J_s(t)
                 covered.update(members.tolist())
-                reports.append((floor, *head, x))
+                reports.append((len(floor), *head, x))
         products = {a * b * c * d for a, b, c, d in reports}
         if len(products) != 1:
             raise InvariantError(
@@ -307,10 +280,14 @@ class Arrangement:
         )
 
     def _floor_and_x_J_s(self, t: int):
-        """The W_J-class of root t (J its support), |floor(t)| and |X(J,{s})|.
+        """The W_J-class of root t (J its support), floor(t) and |X(J,{s})|.
 
-        s is a simple reflection conjugate to s_t in W_J, so |X(J,{s})|, half
-        the order of the centralizer of s in W_J, is |W_J| / (2 |t^W_J|).
+        floor(t) holds the members of the class with support J, sorted.  A
+        finite Coxeter diagram is a forest, so reflections of W_J that are
+        conjugate in W are conjugate in W_J, and the class is also t's
+        class in W.  s is a simple reflection conjugate to s_t in W_J, so
+        |X(J,{s})|, half the order of the centralizer of s in W_J, is
+        |W_J| / (2 |t^W_J|).
         """
         roots = self.roots
         members = roots.parabolic_class(t)
@@ -321,7 +298,7 @@ class Arrangement:
                 f"2 |t^W_J| = {2 * len(members)} does not divide "
                 f"|W_J| = {order_J}")
         floor = members[roots.support[members] == roots.support[t]]
-        return members, len(floor), x
+        return members, floor, x
 
     def multiplicity_reports(self, with_oracle=False):
         """One report per irreducible Coxeter class."""
@@ -334,65 +311,3 @@ class Arrangement:
                 rep.l_oracle = self.multiplicity_oracle(edge)
             out.append(rep)
         return out
-
-    # -- the explicit chamber-set decomposition ------------------------------
-
-    def decompose_L(self, J, t: int):
-        """Materialize the block decomposition of L(E_{T_J}, t).
-
-        Returns (blocks, union) where blocks maps (K, u) to an element set.
-        """
-        J = tuple(sorted(J))
-        g = self.group
-        if int(self.roots.support[t]) != _mask(J):
-            raise SupportMismatch(f"reflection {t} does not have support {J}")
-        pd = self.parabolic(J)
-        N_members = pd.normalizer_members()
-        s, chain = self.roots.chain(t)
-        v = g.element_of_word(chain[::-1])  # t = v^-1 s v
-        # centralizer of t in W_J, and N_{W_J}(W_{s})^v which must equal it
-        D = g.conj_tables
-        WJ = pd.W_J
-        cent_t = [int(x) for x in WJ if int(D[x, t]) == t]
-        vinv = int(g.inv[v])
-        cent_s_v = {g.mul(g.mul(vinv, int(c)), v)
-                    for c in WJ if int(D[c, s]) == s}
-        if cent_s_v != set(cent_t):
-            raise InvariantError(
-                f"centralizer of reflection {t} in W_J is not the "
-                f"centralizer of {s} conjugated by element {v}")
-        floor = self.roots.floor_class(t).tolist()
-        lengths = g.length
-        blocks = {}
-        union = set()
-        for K in self.coxeter_class(J):
-            # minimal-length representative of the coset c N_W(W_J), where
-            # c is any element conjugating W_K onto W_J
-            TK = self.roots.reflections_in(_mask(K))
-            cKJ = self._conjugator(TK, pd.T_J, range(g.order))
-            coset = [g.mul(cKJ, int(x)) for x in N_members]
-            cK = min(coset, key=lambda e: (int(lengths[e]), e))
-            for u in floor:
-                cut = self._conjugator([u], [t], WJ)
-                coset_u = [g.mul(int(cut), int(c)) for c in cent_t]
-                cu = min(coset_u, key=lambda e: (int(lengths[e]), e))
-                block = set()
-                for x in pd.X_SJ:
-                    a = g.mul(cK, int(x))
-                    for c in cent_t:
-                        block.add(g.mul(g.mul(a, cu), int(c)))
-                key = (K, u)
-                if union & block:
-                    raise BlocksOverlap(f"block {key} overlaps previous blocks")
-                blocks[key] = block
-                union |= block
-        return blocks, union
-
-    def _conjugator(self, U, T, members) -> int:
-        """Some c among the members with {u^c : u in U} = T."""
-        D = self.group.conj_tables
-        target = np.sort(np.ravel(T))
-        for x in members:
-            if np.array_equal(np.sort(D[x, U]), target):
-                return int(x)
-        raise InvariantError(f"no conjugator from {U} to {T}")

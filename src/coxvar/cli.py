@@ -32,7 +32,6 @@ import sys
 from .arrangement import Arrangement
 from .coxeter_core import DEFAULT_ORDER_LIMIT, group, parse_group_spec
 from .errors import (
-    BlocksOverlap,
     CountOutOfRange,
     CoxvarError,
     InvarianceViolation,
@@ -48,18 +47,18 @@ EXIT_LIMIT = 3
 
 # largest |W| for which tables runs the chamber oracle by default
 ORACLE_BUDGET = 1152
-# largest |W| of W-sized work (matrix, oracle, determinants) under
+# largest |W| of the oracle in tables and of verify's determinants under
 # --unsafe-large
 HARD_DET_CAP = 14400
 
 # errors meaning that a computed result failed a check, not that the input
 # was bad
-_VERIFICATION_ERRORS = (InvarianceViolation, BlocksOverlap, InvariantError)
+_VERIFICATION_ERRORS = (InvarianceViolation, InvariantError)
 
 def _read_explicit_file(path: str) -> dict[int, str]:
     mapping = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -78,7 +77,7 @@ def _read_explicit_file(path: str) -> dict[int, str]:
                     raise ParseError(
                         f"{path}:{lineno}: duplicate reflection index {idx}")
                 mapping[idx] = parts[1]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read weight file {path}: {exc}")
     return mapping
 
@@ -145,12 +144,11 @@ def cmd_det(args):
 
 
 def cmd_matrix(args):
-    from .varchenko import MATRIX_DUMP_LIMIT, build_varchenko_matrix
+    from .varchenko import build_varchenko_matrix
 
     g = group(args.group, limit=args.limit)
     wa = _weight_assignment(g, args.assign)
-    cap = HARD_DET_CAP if args.unsafe_large else MATRIX_DUMP_LIMIT
-    vm = build_varchenko_matrix(g, wa, cap=cap)
+    vm = build_varchenko_matrix(g, wa)
     labels = ["".join(f"s{i + 1}" for i in g.word(x)) or "e"
               for x in range(g.order)]
     if args.format == "json":
@@ -288,8 +286,7 @@ _FLAGS = {
 }
 _COMMANDS = {
     "det": (cmd_det, ("--assign", "--format", "--limit")),
-    "matrix": (cmd_matrix,
-               ("--assign", "--format", "--limit", "--unsafe-large")),
+    "matrix": (cmd_matrix, ("--assign", "--format", "--limit")),
     "tables": (cmd_tables, ("--format", "--limit", "--unsafe-large")),
     "verify": (cmd_verify, tuple(_FLAGS)),
     "multiplicity": (cmd_multiplicity, ("--format", "--limit")),

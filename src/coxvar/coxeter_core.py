@@ -22,7 +22,7 @@ y = x s of length k depends only on its parent x of length k - 1, so
 ``left_mul[y] = right_mul[left_mul[x], s]`` (as g y = (g x) s), and the
 inverses, conjugation and inversion tables are built the same way.  Its
 reflections are the table's roots, their ids checked against it; it reads
-their supports, T_J and classes from the table, with no copy of its own.
+their classes from the table, with no copy of its own.
 
 Every orbit the library needs is an orbit of sets of points under
 generators, computed by the one helper ``_orbit``.
@@ -113,9 +113,7 @@ class Component:
 def _component_bonds(letter: str, param: int):
     """Bond matrix of one irreducible type, on local node ids."""
     if letter == "I":
-        n = 2
-        bonds = [[1, param], [param, 1]]
-        return bonds
+        return [[1, param], [param, 1]]
     n = param
     bonds = [[2] * n for _ in range(n)]
     for i in range(n):
@@ -551,15 +549,6 @@ class ReflectionTable:
         J = _bits(int(self.support[t]))
         return np.sort(_orbit([[t]], self.R, J)[:, 0])
 
-    def floor_class(self, t: int):
-        """floor(t): the members of t's W_J-class with t's support J.
-
-        A finite Coxeter diagram is a forest, so reflections of W_J that
-        are conjugate in W are conjugate in W_J.
-        """
-        cls = self.parabolic_class(t)
-        return cls[self.support[cls] == self.support[t]]
-
     def chain(self, t: int):
         """(a, [g1, ..., gk]) up the tree: s_t = g1..gk s_a gk..g1."""
         letters = []
@@ -627,11 +616,6 @@ class EnumeratedGroup:
         w.reverse()
         return w
 
-    def mul(self, x: int, y: int) -> int:
-        for g in self.word(y):
-            x = int(self.right_mul[x, g])
-        return x
-
     @cached_property
     def inv(self):
         inv = np.zeros(self.order, dtype=np.int64)
@@ -639,10 +623,6 @@ class EnumeratedGroup:
             # (x s)^-1 = s x^-1
             inv[ys] = self.left_mul[inv[self.parent[ys]], self.gen_of[ys]]
         return inv
-
-    @property
-    def longest_element(self) -> int:
-        return int(np.argmax(self.length))
 
     # -- reflections ---------------------------------------------------------
 
@@ -710,85 +690,10 @@ class EnumeratedGroup:
             N[ids, c] = True
         return N
 
-    def inversion_set(self, x: int) -> set[int]:
-        return set(np.nonzero(self.inversion_table[x])[0].tolist())
-
-    # -- parabolic machinery -------------------------------------------------
-
-    def parabolic_members(self, J):
-        """Element ids of W_J (those whose inversion set lies in T_J)."""
-        TJ = self.roots.reflections_in(_mask(J))
-        outside = np.setdiff1d(np.arange(self.num_reflections), TJ)
-        ok = ~self.inversion_table[:, outside].any(axis=1)
-        return np.nonzero(ok)[0]
-
-    def min_coset_reps(self, J):
-        """X_J: elements with no left descent in J."""
-        if len(J) == 0:
-            return np.arange(self.order)
-        ok = ~self.inversion_table[:, list(J)].any(axis=1)
-        return np.nonzero(ok)[0]
-
-    def element_of_word(self, word) -> int:
-        x = 0
-        for g in word:
-            x = int(self.right_mul[x, g])
-        return x
-
-    def parabolic_data(self, J) -> "ParabolicData":
-        J = tuple(sorted(int(s) for s in J))
-        W_J = self.parabolic_members(J)
-        T_J = self.roots.reflections_in(_mask(J))
-        X_J = self.min_coset_reps(J)
-        X_SJ = self._stabilizing_reps(X_J, J)
-        return ParabolicData(
-            J=J,
-            group=self,
-            W_J=W_J,
-            T_J=T_J,
-            X_SJ=X_SJ,
-            normalizer_order=len(W_J) * len(X_SJ),
-        )
-
-    def _stabilizing_reps(self, X, J):
-        """Members x of X with J^x = J (setwise)."""
-        if len(J) == 0:
-            return X
-        block = self.conj_tables[np.ix_(X, list(J))]
-        block = np.sort(block, axis=1)
-        target = np.array(sorted(J))
-        ok = (block == target[None, :]).all(axis=1)
-        return X[ok]
-
     @cached_property
     def reflection_class_of(self):
         """Reflection index -> conjugacy class index, from the root table."""
         return self.roots.reflection_class_of
-
-
-@dataclass
-class ParabolicData:
-    """W_J and its normalizer as element sets, for the chamber-set blocks."""
-
-    J: tuple[int, ...]
-    group: EnumeratedGroup
-    W_J: np.ndarray
-    T_J: np.ndarray
-    X_SJ: np.ndarray
-    normalizer_order: int
-
-    def normalizer_members(self):
-        """N_W(W_J) = W_J * X(S,J), materialized as a sorted id array."""
-        g = self.group
-        out = set()
-        for u in self.W_J:
-            for x in self.X_SJ:
-                out.add(g.mul(int(u), int(x)))
-        if len(out) != self.normalizer_order:
-            raise InvariantError(
-                f"W_J X(S,J) has {len(out)} elements, not "
-                f"|N_W(W_J)| = {self.normalizer_order}")
-        return np.array(sorted(out), dtype=np.int64)
 
 
 def _levels(length):

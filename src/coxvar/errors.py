@@ -39,10 +39,6 @@ class InvarianceViolation(CoxvarError):
     pass
 
 
-class BlocksOverlap(CoxvarError):
-    pass
-
-
 class InvariantError(CoxvarError):
     """An identity that the theory guarantees failed on computed data."""
 
@@ -76,10 +72,6 @@ class ParameterOutOfRange(CoxvarError, ValueError):
 
 
 class ReducibleSubset(CoxvarError, ValueError):
-    pass
-
-
-class SupportMismatch(CoxvarError, ValueError):
     pass
 
 

@@ -566,9 +566,6 @@ class Monomial:
             acc[v] = acc.get(v, 0) + e
         return Monomial.from_dict(acc)
 
-    def __pow__(self, k):
-        return Monomial(tuple((v, e * k) for v, e in self.exps)) if k else Monomial()
-
     @property
     def degree(self):
         return sum(e for _, e in self.exps)
@@ -642,7 +639,6 @@ class Factorization:
         for m, e in self.factors:
             ms = str(m)
             sq = "1" if ms == "1" else "".join(
-                v + ("^%d" % (2 * k) if 2 * k != 1 else "") for v, k in m.exps
-            )
+                f"{v}^{2 * k}" for v, k in m.exps)
             parts.append(f"(1-{sq})^{e}")
         return " ".join(parts)

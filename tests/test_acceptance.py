@@ -435,28 +435,37 @@ def _property_bundle():
         primes_list,
         reducible_product,
     )
+    from group_reference import (
+        conjugator,
+        decompose_L,
+        edge_lookup,
+        longest_element,
+        minimal_edge_through_chamber_face,
+        separating_set,
+    )
     from varchenko_reference import modular_matrix_reference
 
     for spec in ("A2", "A3", "B2", "B3", "I2(5)", "I2(6)", "A2xA1"):
         g = group(spec)
         a = Arrangement(g)
-        a.separating_set(0, g.longest_element)
+        separating_set(g, 0, longest_element(g))
         edges = a.relevant_edges()
-        assert a.edge_lookup()
+        lookup = edge_lookup(a)
+        assert lookup
         for rep in a.multiplicity_reports(with_oracle=True):
             assert rep.match
         for x in range(0, g.order, 7):
             for t in range(g.num_reflections):
-                e = a.minimal_edge_through_chamber_face(x, t)
+                e = minimal_edge_through_chamber_face(a, lookup, x, t)
                 assert t in e.reflections
         full_J = tuple(range(g.n))
         if g.diagram.is_connected_subset(full_J):
             full_mask = (1 << g.n) - 1
             tJ = int(np.flatnonzero(a.roots.support == full_mask)[0])
-            a.decompose_L(full_J, tJ)
+            decompose_L(a, full_J, tJ)
             if int(a.roots.support[0]) != full_mask:
                 try:
-                    a.decompose_L(full_J, 0)
+                    decompose_L(a, full_J, 0)
                     raise AssertionError("support guard did not trigger")
                 except ValueError:
                     pass
@@ -531,8 +540,8 @@ def _property_bundle():
             (0, 1)), "InvariantError"),
         (lambda: wrong_class.multiplicity_formula((0, 1)), "InvariantError"),
         (lambda: g_swapped.refl_ids, "InvariantError"),
-        (lambda: no_letters.decompose_L((0, 1, 2), t_a3), "InvariantError"),
-        (lambda: Arrangement(g3)._conjugator(0, 1, []), "InvariantError"),
+        (lambda: decompose_L(no_letters, (0, 1, 2), t_a3), "InvariantError"),
+        (lambda: conjugator(g3, 0, 1, []), "InvariantError"),
         (lambda: zagier_formula(1), "ParameterOutOfRange"),
         (lambda: duchamp_formula_A(1), "ParameterOutOfRange"),
         (lambda: randriamaro_formula_B(0), "ParameterOutOfRange"),

@@ -25,7 +25,17 @@ from coxvar.errors import (
     InvariantError,
     ReducibleSubset,
     ReflectionNotOnEdge,
+)
+from group_reference import (
     SupportMismatch,
+    conjugator,
+    decompose_L,
+    edge_lookup,
+    inversion_set,
+    minimal_edge_through_chamber_face,
+    mul,
+    parabolic_data,
+    separating_set,
 )
 
 
@@ -37,19 +47,18 @@ def arr(spec, **kw):
 
 
 def test_separating_set_metric_properties():
-    a = arr("B3")
-    g = a.group
+    g = group("B3")
     rng = random.Random(5)
     for _ in range(300):
         x, y, z = (rng.randrange(g.order) for _ in range(3))
-        sxy = a.separating_set(x, y)
-        syz = a.separating_set(y, z)
-        sxz = a.separating_set(x, z)
-        assert sxy == a.separating_set(y, x)
+        sxy = separating_set(g, x, y)
+        syz = separating_set(g, y, z)
+        sxz = separating_set(g, x, z)
+        assert sxy == separating_set(g, y, x)
         # symmetric difference law: sep(x,z) = sep(x,y) XOR sep(y,z)
         assert sxz == sxy ^ syz
     for x in range(g.order):
-        assert len(a.separating_set(0, x)) == int(g.length[x])
+        assert len(separating_set(g, 0, x)) == int(g.length[x])
 
 
 # -- edge enumeration --------------------------------------------------------
@@ -81,7 +90,7 @@ def test_edges_are_closed_reflection_sets():
                 nxt = []
                 for x in frontier:
                     for t in refl:
-                        y = g.mul(x, int(g.refl_ids[t]))
+                        y = mul(g, x, int(g.refl_ids[t]))
                         if y not in seen:
                             seen.add(y)
                             nxt.append(y)
@@ -112,7 +121,7 @@ def test_edge_orbit_sizes_match_normalizer_index():
         for e in a.relevant_edges():
             by_class.setdefault(e.class_J, []).append(e)
         for J, edges in by_class.items():
-            pd = a.parabolic(J)
+            pd = parabolic_data(g, J)
             assert len(edges) == g.order // pd.normalizer_order
 
 
@@ -124,10 +133,11 @@ def test_edge_orbit_sizes_match_normalizer_index():
 def test_every_chamber_face_spans_a_relevant_edge(spec):
     a = arr(spec)
     g = a.group
+    lookup = edge_lookup(a)
     for x in range(g.order):
-        for t in g.inversion_set(x) | (set(range(g.num_reflections)) -
-                                       g.inversion_set(x)):
-            e = a.minimal_edge_through_chamber_face(x, t)
+        for t in inversion_set(g, x) | (set(range(g.num_reflections)) -
+                                        inversion_set(g, x)):
+            e = minimal_edge_through_chamber_face(a, lookup, x, t)
             assert t in e.reflections
 
 
@@ -135,11 +145,12 @@ def test_every_chamber_face_spans_a_relevant_edge(spec):
 def test_chamber_faces_sampled_large_groups(spec):
     a = arr(spec)
     g = a.group
+    lookup = edge_lookup(a)
     rng = random.Random(17)
     for _ in range(2500):
         x = rng.randrange(g.order)
         t = rng.randrange(g.num_reflections)
-        e = a.minimal_edge_through_chamber_face(x, t)
+        e = minimal_edge_through_chamber_face(a, lookup, x, t)
         assert t in e.reflections
 
 
@@ -205,7 +216,7 @@ def test_chambers_spanning_matches_reference_on_every_edge(spec):
 def test_chambers_spanning_matches_reference_on_class_edges(spec):
     a = arr(spec)
     for J in a.class_representatives():
-        pd = a.parabolic(J)
+        pd = parabolic_data(a.group, J)
         edge = Edge(reflections=tuple(int(t) for t in pd.T_J),
                     class_J=J, coset_id=0)
         for t in edge.reflections[:3]:
@@ -260,7 +271,7 @@ def chambers_spanning_sorted_rows(self, edge, t):
 def test_chambers_spanning_matches_sorted_rows_on_every_hyperplane(spec):
     a = arr(spec)
     for J in a.class_representatives():
-        pd = a.parabolic(J)
+        pd = parabolic_data(a.group, J)
         edge = Edge(reflections=tuple(int(t) for t in pd.T_J),
                     class_J=J, coset_id=0)
         for t in edge.reflections:
@@ -276,7 +287,7 @@ def test_chamber_candidates_are_keyed_by_the_class_too(true_first):
     # faces span three reflections: a memo keyed on the reflections alone
     # would answer the second query with the first one's chambers
     a = arr("A3")
-    true_edge = a.edge_lookup()[frozenset({0})]
+    true_edge = edge_lookup(a)[frozenset({0})]
     wrong_edge = Edge(reflections=(0,), class_J=(0, 1), coset_id=0)
     assert true_edge.reflections == (0,) and true_edge.class_J != (0, 1)
     expected = chambers_spanning_reference(a, true_edge, 0)
@@ -290,7 +301,8 @@ def test_chamber_candidates_are_keyed_by_the_class_too(true_first):
 
 def test_arrangement_memos_belong_to_the_instance():
     a3, b3 = arr("A3"), arr("B3")
-    for name in ("class_representatives", "relevant_edges", "edge_lookup"):
+    for name in ("class_representatives", "relevant_edges",
+                 "_subsets_by_reflections"):
         first = {a: getattr(a, name)() for a in (a3, b3)}
         assert first[a3] != first[b3], name
         for a in (a3, b3, a3, b3):
@@ -299,7 +311,7 @@ def test_arrangement_memos_belong_to_the_instance():
     g = build_group(parse_group_spec("A3"))
     a = Arrangement(g)
     a.relevant_edges()
-    a.edge_lookup()
+    edge_lookup(a)
     a.chambers_spanning(a.relevant_edges()[-1], 0)
     refs = weakref.ref(a), weakref.ref(g)
     del a, g
@@ -373,7 +385,7 @@ def test_floor_over_W_equals_floor_over_W_J():
         a = arr(spec)
         g = a.group
         for t in range(g.num_reflections):
-            floor = a.roots.floor_class(t).tolist()
+            floor = a._floor_and_x_J_s(t)[1].tolist()
             assert floor == floor_class_over_W(g, t), (spec, t)
 
 
@@ -416,7 +428,7 @@ def test_degree_identities_on_the_root_tables(spec):
 def test_decompose_L_reproduces_chamber_set(spec, J):
     a = arr(spec)
     g = a.group
-    pd = a.parabolic(J)
+    pd = parabolic_data(g, J)
     edge = Edge(reflections=tuple(int(t) for t in pd.T_J),
                 class_J=tuple(J), coset_id=0)
     Jmask = sum(1 << s for s in J)
@@ -424,7 +436,7 @@ def test_decompose_L_reproduces_chamber_set(spec, J):
             if int(a.roots.support[t]) == Jmask]
     assert full
     for t in full[:3]:
-        blocks, union = a.decompose_L(J, t)
+        blocks, union = decompose_L(a, J, t)
         assert union == a.chambers_spanning(edge, t)
         assert sum(len(b) for b in blocks.values()) == len(union)
         # block count and sizes mirror the formula ingredients
@@ -436,7 +448,7 @@ def test_decompose_L_reproduces_chamber_set(spec, J):
              if int(a.roots.support[t]) != Jmask]
     if small:
         with pytest.raises(ValueError):
-            a.decompose_L(J, small[0])
+            decompose_L(a, J, small[0])
 
 
 # -- invariant guards --------------------------------------------------------
@@ -511,17 +523,17 @@ def test_decompose_L_checks_centralizer_identity():
     a.roots.chain = lambda t: (true_chain(t)[0], [])
     t = int(np.flatnonzero(a.roots.support == 0b111)[0])
     with pytest.raises(InvariantError, match="centralizer"):
-        a.decompose_L((0, 1, 2), t)
+        decompose_L(a, (0, 1, 2), t)
 
 
 def test_conjugator_search_reports_failure():
     with pytest.raises(InvariantError, match="no conjugator"):
-        arr("A2")._conjugator(0, 1, [])
+        conjugator(group("A2"), 0, 1, [])
 
 
 @pytest.mark.parametrize("call,error", [
     (lambda: arr("A3").multiplicity_formula((0, 2)), ReducibleSubset),
-    (lambda: arr("A3").decompose_L((0, 1), 0), SupportMismatch),
+    (lambda: decompose_L(arr("A3"), (0, 1), 0), SupportMismatch),
 ], ids=["multiplicity_formula", "decompose_L"])
 def test_bad_arguments_raise_typed_value_errors(call, error):
     # ValueError keeps callers that caught the former bare ValueError working

@@ -8,7 +8,7 @@ import pytest
 from coxvar import arrangement, coxeter_core
 from coxvar.arrangement import Arrangement
 from coxvar.cli import main
-from coxvar.errors import BlocksOverlap, InvarianceViolation, InvariantError
+from coxvar.errors import InvarianceViolation, InvariantError
 
 
 def run(capsys, *argv):
@@ -61,6 +61,9 @@ def test_matrix_text_A1(capsys):
 def test_matrix_cap_exit_code(capsys):
     code, out, err = run(capsys, "matrix", "A5")
     assert code == 3 and out == "" and "exceeds" in err
+    # the cap of 200 has no override
+    code, out, err = run(capsys, "matrix", "A5", "--unsafe-large")
+    assert code == 2 and out == "" and "unrecognized" in err
 
 
 def test_parse_error_exit_code(capsys):
@@ -170,8 +173,7 @@ def test_oracle_mismatch_exits_1(capsys, monkeypatch, command, fmt):
         assert json.loads(bad)[key][-1]["match"] is False
 
 
-@pytest.mark.parametrize("error", [InvarianceViolation, BlocksOverlap,
-                                   InvariantError])
+@pytest.mark.parametrize("error", [InvarianceViolation, InvariantError])
 def test_verification_errors_exit_1(capsys, monkeypatch, error):
     def fail(self, with_oracle=False):
         raise error("doctored")
@@ -279,6 +281,10 @@ def test_explicit_weight_file_errors(tmp_path, capsys):
     code, _, err = run(capsys, "det", "A2",
                        "--assign", f"explicit:{tmp_path}/missing.txt")
     assert code == 2
+    # bytes that are not UTF-8
+    wf.write_bytes(b"0 x\n1 \xff\xfe\n2 \x80z\n")
+    code, out, err = run(capsys, "det", "A2", "--assign", f"explicit:{wf}")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_unknown_flag_is_parse_error(capsys):

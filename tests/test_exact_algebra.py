@@ -716,7 +716,7 @@ def test_monomial_basics():
     assert m.degree == 3
     assert str(Monomial.from_vars([])) == "1"
     assert (m * m).degree == 6
-    assert m ** 3 == Monomial.from_dict({"a1": 3, "a2": 6})
+    assert m * m * m == Monomial.from_dict({"a1": 3, "a2": 6})
 
 
 @given(st.dictionaries(st.sampled_from(["x", "y", "z"]),
