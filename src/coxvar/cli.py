@@ -44,6 +44,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_LIMIT = 3
+# 128 + SIGPIPE, what a shell reports for a process that signal killed
+EXIT_BROKEN_PIPE = 141
 
 # largest |W| for which tables runs the chamber oracle by default
 ORACLE_BUDGET = 1152
@@ -318,7 +320,10 @@ def main(argv=None) -> int:
         # every subcommand takes --limit
         if args.limit < 1:
             raise CountOutOfRange(f"order limit {args.limit} is below 1")
-        return args.handler(args)
+        code = args.handler(args)
+        # a closed stdout shows here rather than at the interpreter's exit
+        sys.stdout.flush()
+        return code
     except OrderLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -328,6 +333,13 @@ def main(argv=None) -> int:
     except CoxvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # the reader closed stdout; what is left unwritten goes to devnull,
+        # so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -77,3 +77,8 @@ class ReducibleSubset(CoxvarError, ValueError):
 
 class NonIntegerMatrix(CoxvarError, ValueError):
     """A matrix handed to an integer kernel has a non-integer entry or dtype."""
+
+
+class NotAResidueStack(CoxvarError, ValueError):
+    """An array handed to the in-place modular elimination is not a
+    writeable C-contiguous float64 stack of residues."""

@@ -5,8 +5,12 @@ an int in range(p).  The golden ratio of H3 and H4 appears only in the
 root orbit of ``coxeter_core``, and no other ring does.  Everything is
 immutable and exact.
 
-``det_mod_p`` is a blocked elimination over F_p for any p < 2**32, of one
-matrix or of a stack of k matrices of one order.  The members of a stack
+``det_mod_p_in_place`` is a blocked elimination over F_p for any
+p < 2**32 of a stack of k matrices of one order, given as a C-contiguous
+float64 array of residues that it overwrites, so that a caller which
+writes its matrices there holds them only once.  ``det_mod_p`` takes one
+integer matrix or a stack of them in any integer form, reduces it mod p
+into a fresh float64 stack and eliminates that.  The members of a stack
 run in lockstep, each panel's Gauss-Jordan steps and each row chunk's
 products taken over all of them at once, so that k small matrices pay
 numpy's per-call overhead once, not k times; a single matrix is a stack
@@ -37,7 +41,7 @@ multiply-adds per member.  OpenBLAS 0.3.31, the BLAS numpy ships, forms a
 product of that size on the calling thread and hands one of about 2**20
 or more to its worker threads; on a 2-core host the second thread saved
 no wall time on these products, spun between them and doubled the CPU
-time.  So ``det_mod_p`` wakes no BLAS worker, and it sets no thread count
+time.  So the elimination wakes no BLAS worker, and it sets no thread count
 and reads no environment variable to get there.  The ``coxvar`` command
 goes one step further for its own process: ``cli`` sets
 OPENBLAS_NUM_THREADS to 1 when it is unset, before numpy loads, so the
@@ -56,6 +60,7 @@ from .errors import (
     ModulusOutOfRange,
     NonIntegerMatrix,
     NonSquareMatrix,
+    NotAResidueStack,
     UnassignedVariable,
 )
 
@@ -64,7 +69,7 @@ from .errors import (
 # algebra over word-size prime fields", ACM TOMS 35(3), 2008.  Entries live
 # in float64 as integers; a product of two residues is formed from 16-bit
 # limbs, so that every sum BLAS forms stays an exact integer below 2**53.
-DET_MODULUS_LIMIT = 1 << 32  # det_mod_p is exact for 2 <= p below this
+DET_MODULUS_LIMIT = 1 << 32  # the elimination is exact for 2 <= p below it
 _PANEL = 32  # order of the diagonal blocks inverted one at a time
 # rows of A per product, to bound temporaries; a multiple of _PANEL
 _ROW_CHUNK = 128
@@ -151,7 +156,7 @@ def _reduce(d, p, out):
 
 def _residues(a, p):
     """Residues in [0, p) of float64 integers below 2**53, as int64, by
-    floor division: see ``_reduce_whole``."""
+    floor division: see ``reduce_whole``."""
     b = a.astype(np.int64)
     q = b // p
     q *= p
@@ -190,7 +195,7 @@ def _inverses(xs, p):
     return out[::-1]
 
 
-def _reduce_whole(G, up, scratch):
+def reduce_whole(G, up, scratch):
     """G %= up in place for a uint64 array G, through scratch.
 
     numpy divides uint64 by a scalar with libdivide, a multiply and a
@@ -249,7 +254,7 @@ def _gauss_jordan(G, p, rows, start, det):
                     det[m] = -det[m] % p
             pivots = column[:, j].tolist()
             if 0 in pivots:
-                _reduce_whole(G, up, scratch)
+                reduce_whole(G, up, scratch)
                 return det, j
         det = [d * x % p for d, x in zip(det, pivots)]
         inverse = np.array(_inverses(pivots, p), dtype=np.uint64)
@@ -265,10 +270,10 @@ def _gauss_jordan(G, p, rows, start, det):
         pivot_row[...] = row
         since += 1
         if since == delay:
-            _reduce_whole(G, up, scratch)
+            reduce_whole(G, up, scratch)
             since = 0
     if since:
-        _reduce_whole(G, up, scratch)
+        reduce_whole(G, up, scratch)
     return det, w
 
 
@@ -332,7 +337,7 @@ def _invert_diagonal_block(A, a21, k0, k1, p, symmetric):
     rows = np.tile(np.arange(w), (k, 1))
     d, j = _gauss_jordan(G, p, rows, 0, [1] * k)
     if j < w and symmetric:
-        _mirror_lower(A, k0)
+        mirror_lower(A, k0)
         symmetric = False
     while j < w:
         for m in np.flatnonzero(G[:, j, j] == 0):
@@ -422,6 +427,20 @@ def _delayed_updates(p):
     return max(1, (2**53 - 2 * p) // bound)
 
 
+def _are_residues(A, p):
+    """Whether every entry of the stack A is an integer in range(p): its
+    least and greatest entries lie there, and each row chunk of each
+    member equals its floor."""
+    if not A.size:
+        return True
+    # a NaN fails both comparisons
+    if not (0 <= A.min() and A.max() < p):
+        return False
+    return all(np.array_equal(np.floor(member[r0:r0 + _ROW_CHUNK]),
+                              member[r0:r0 + _ROW_CHUNK])
+               for member in A for r0 in range(0, A.shape[1], _ROW_CHUNK))
+
+
 def _is_symmetric(A):
     """Whether every member of the stack A equals its transpose, read one
     row chunk at a time."""
@@ -431,7 +450,7 @@ def _is_symmetric(A):
                for r0 in range(0, A.shape[1], _ROW_CHUNK))
 
 
-def _mirror_lower(A, k0):
+def mirror_lower(A, k0):
     """Copy the lower triangle of each A[m, k0:, k0:] onto its upper one,
     one band of _ROW_CHUNK columns at a time."""
     n = A.shape[1]
@@ -459,12 +478,9 @@ def _residue_matrix(matrix, p):
             raise NonIntegerMatrix(
                 f"matrix of dtype {matrix.dtype} is not an integer matrix")
         A = np.empty(matrix.shape, dtype=np.float64)
-        # entries in range(p), such as those of modular_matrix, are copied
-        # as they are; others are reduced, unsigned ones as uint64 and
-        # signed ones as int64, so that no entry wraps before it is reduced
-        if matrix.size and 0 <= matrix.min() and matrix.max() < p:
-            A[...] = matrix
-        elif kind == "u":
+        # unsigned entries are reduced as uint64 and signed ones as int64,
+        # so that no entry wraps before it is reduced
+        if kind == "u":
             np.remainder(matrix, np.uint64(p), out=A)
         else:
             np.remainder(matrix.astype(np.int64, copy=False), p, out=A)
@@ -491,37 +507,59 @@ def det_mod_p(matrix, p: int) -> int | list[int]:
     Accepts nested lists of ints, or an ndarray of integer or object
     dtype; every entry is reduced mod p before any cast.  An integer
     ndarray of shape (k, n, n) is a stack of k matrices, and the result is
-    the list of their k determinants; its members are eliminated in
-    lockstep, which spares numpy's per-call overhead on small orders, and
-    take k times the float64 memory of one.  Blocked right-looking
-    elimination: for each diagonal block A11 of _PANEL columns,
-    Gauss-Jordan on [A11 | I] gives det(A11) and A11^-1 in uint64
-    residues, reduced whole mod p every ``_delayed_steps(p)`` steps, and
-    the trailing matrix becomes A22 - (A21 A11^-1) A12 through exact
-    float64 products on 16-bit limbs, each small enough to run on the
-    calling thread.  A block singular mod p at column j takes,
-    in exchange for its row at position j, the first row below whose
-    column j is nonzero once reduced by the block's pivot rows, and
-    Gauss-Jordan goes on from column j; a row-permuted matrix can need
-    such an exchange for nearly every column, which makes it the slowest
-    input.  A stack whose members' residues are all symmetric is
-    eliminated on its lower triangles, up to the first exchange in any
-    member, and the trailing matrices are reduced mod p every
-    ``_delayed_updates(p)`` updates.  Pivots are the first nonzero entry
-    wherever one is searched, so the result is deterministic for fixed
-    input, and a member's determinant does not depend on the stack it is
-    in.  Exact for 2 <= p < 2**32 (p is assumed prime): the uint64 updates
-    stay below 2**64 and every sum of a product below 2**53.  Raises
+    the list of their k determinants.  The residues go into a fresh
+    float64 array, which ``det_mod_p_in_place`` eliminates.  Raises
     NonSquareMatrix, NonIntegerMatrix (float, complex or other non-integer
     entries) and ModulusOutOfRange.
     """
-    if not 2 <= p < DET_MODULUS_LIMIT:
-        raise ModulusOutOfRange(
-            f"modulus {p} outside the exact range 2 <= p < 2**32")
+    _check_modulus(p)
     A = _residue_matrix(matrix, p)
-    single = A.ndim == 2
-    if single:
-        A = A[None]
+    if A.ndim == 2:
+        return det_mod_p_in_place(A[None], p)[0]
+    return det_mod_p_in_place(A, p)
+
+
+def det_mod_p_in_place(A: np.ndarray, p: int) -> list[int]:
+    """The determinants over the field of p elements of the k members of
+    the stack A, as ints in range(p); the elimination overwrites A.
+
+    A is a C-contiguous float64 array of shape (k, n, n) whose entries are
+    integers in range(p), and it is the only copy of the matrices that
+    the elimination holds.  Its members are eliminated in lockstep, which
+    spares numpy's per-call overhead on small orders.  Blocked
+    right-looking elimination: for each diagonal block A11 of _PANEL
+    columns, Gauss-Jordan on [A11 | I] gives det(A11) and A11^-1 in uint64
+    residues, reduced whole mod p every ``_delayed_steps(p)`` steps, and
+    the trailing matrix becomes A22 - (A21 A11^-1) A12 through exact
+    float64 products on 16-bit limbs, each small enough to run on the
+    calling thread.  A block singular mod p at column j takes, in
+    exchange for its row at position j, the first row below whose column
+    j is nonzero once reduced by the block's pivot rows, and Gauss-Jordan
+    goes on from column j; a row-permuted matrix can need such an
+    exchange for nearly every column, which makes it the slowest input.
+    A stack whose members are all symmetric is eliminated on its lower
+    triangles, up to the first exchange in any member, and the trailing
+    matrices are reduced mod p every ``_delayed_updates(p)`` updates.
+    Pivots are the first nonzero entry wherever one is searched, so the
+    result is deterministic for fixed input, and a member's determinant
+    does not depend on the stack it is in.  Exact for 2 <= p < 2**32 (p
+    is assumed prime): the uint64 updates stay below 2**64 and every sum
+    of a product below 2**53.  Raises ModulusOutOfRange, NonSquareMatrix
+    for a rank other than 3 or non-square members, and NotAResidueStack
+    for another dtype, a layout that is not C-contiguous, a read-only
+    array or an entry that is not an integer in range(p).
+    """
+    _check_modulus(p)
+    if not isinstance(A, np.ndarray) or A.dtype != np.float64:
+        raise NotAResidueStack(
+            f"expected a float64 ndarray, got {getattr(A, 'dtype', type(A))}")
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise NonSquareMatrix(
+            f"array of shape {A.shape} is not a stack of square matrices")
+    if not (A.flags.c_contiguous and A.flags.writeable):
+        raise NotAResidueStack("the stack must be C-contiguous and writeable")
+    if not _are_residues(A, p):
+        raise NotAResidueStack(f"an entry is not an integer in range({p})")
     n = A.shape[1]
     symmetric = _is_symmetric(A)
     delay = _delayed_updates(p)
@@ -539,7 +577,13 @@ def det_mod_p(matrix, p: int) -> int | list[int]:
                           reduce=k0 // _PANEL % delay == delay - 1)
         # not held while the next panel's a21 is formed
         del a21, inverse
-    return det[0] if single else det
+    return det
+
+
+def _check_modulus(p):
+    if not 2 <= p < DET_MODULUS_LIMIT:
+        raise ModulusOutOfRange(
+            f"modulus {p} outside the exact range 2 <= p < 2**32")
 
 
 @dataclass(frozen=True, order=True)

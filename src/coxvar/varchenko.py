@@ -17,7 +17,11 @@ X w0,
 where B1(x, y) is the weight of N(x) ^ N(y) and B2(x, y), the entry of x
 against y w0, that of its complement in T.  Both identities hold entry by
 entry for any weights on the hyperplanes, so the fold is exact for every
-weight assignment.
+weight assignment.  Both halves are symmetric: each is formed on its lower
+triangle and mirrored, written once as float64 residues into the array
+whose determinant ``det_mod_p_in_place`` then takes in place.  So verify
+holds at most 2 bytes per entry of B, one half of order |W|/2 in float64,
+and no other copy of it.
 
 The concordance checks against the published type-A and type-B formulas
 and the product rule never enumerate W: a root's chain in the reflection
@@ -45,23 +49,30 @@ from .errors import (
     CountOutOfRange,
     InvariantError,
     NonIntegerExponent,
+    NonSquareMatrix,
     OrderLimitExceeded,
     ParameterOutOfRange,
     VariableCollision,
 )
-from .exact_algebra import Factorization, Monomial, det_mod_p
+from .exact_algebra import (
+    Factorization,
+    Monomial,
+    det_mod_p_in_place,
+    mirror_lower,
+    reduce_whole,
+)
 
-# primes just above 2**31, inside det_mod_p's exact range p < 2**32; more
-# are generated on demand
+# primes just above 2**31, inside the modular determinant's exact range
+# p < 2**32; more are generated on demand
 DEFAULT_PRIMES = (2147483659, 2147483693, 2147483713)
 # Miller-Rabin bases exact for every n < 3.1e23 (Sorenson, Webster 2015)
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MATRIX_DUMP_LIMIT = 200
-_MATRIX_CHUNK = 1 << 16  # entries of modular_matrix formed at a time
-# Most float64 bytes of one stack of folded halves that det_mod_p takes at
-# once: B4's ten order-192 halves (2.9 MB) and A5's two order-360 halves
-# (2.1 MB) fit, F4's two order-576 halves (5.3 MB) do not
+_MATRIX_CHUNK = 1 << 14  # entries of modular_matrix formed at a time
+# Most float64 bytes of one stack of folded halves, the only copy of them
+# that verify holds: B4's ten order-192 halves (2.9 MB) and A5's two
+# order-360 halves (2.1 MB) fit, F4's two order-576 halves (5.3 MB) do not
 DET_STACK_BYTES = 1 << 22
 DET_BUDGET = 3840
 
@@ -351,53 +362,77 @@ def _one_to_one(dic: dict[int, str], count: int, kind: str):
 # verification
 
 
-def modular_matrix(group: EnumeratedGroup, values: np.ndarray,
-                   p: int) -> np.ndarray:
+def modular_matrix(group: EnumeratedGroup, values: np.ndarray, p: int, *,
+                   S: np.ndarray | None = None,
+                   D: np.ndarray | None = None) -> np.ndarray:
     """The Varchenko matrix mod p, folded by the longest element w0.
 
-    For per-reflection weight values, returns the uint32 array [S | D] of
-    shape (|W|/2, |W|), S = B1 + B2 and D = B1 - B2 mod p, both symmetric,
-    as in the module docstring.  Rows and columns are the chambers X with
-    reflection 0 outside their inversion set, in element order; neither w0
-    nor any x w0 is looked up, and no |W| x |W| array is formed.
+    For per-reflection weight values, writes S = B1 + B2 and D = B1 - B2
+    mod p, as in the module docstring, into the given arrays of shape
+    (|W|/2, |W|/2), float64 for ``det_mod_p_in_place``, as residues in
+    range(p).  Either half or both may be given; one pass forms B1 and B2
+    once for both.  Returns S, or D when S is not given.  Rows and columns
+    are the chambers X with reflection 0 outside their inversion set, in
+    element order; neither w0 nor any x w0 is looked up, and no |W| x |W|
+    array is formed.
 
     Eight reflections at a time: their inversion bits form a byte key per
     chamber, the XOR of two keys is the byte of the separating set, and a
     256-entry table holds the product of the weights for every byte.  The
     complement of that byte within the eight reflections, for B2, indexes
-    the same table reversed.  The rows are filled one chunk at a time, so
-    that the products, in uint64 since entries stay below p < 2**32, take
-    no (|W|/2)-square temporary.
+    the same table reversed.  Both halves are symmetric, so only the lower
+    triangle is formed, one chunk of rows at a time, each chunk up to the
+    column of its own last row, and then mirrored onto the upper one.  The
+    products are formed in uint64, since entries stay below p < 2**32, and
+    take no temporary larger than a chunk; ``reduce_whole`` reduces them
+    mod p by floor division, which numpy takes faster than %.
     """
+    if S is None and D is None:
+        raise ParameterOutOfRange("modular_matrix needs S, D or both")
     N = group.inversion_table
     X = N[~N[:, 0]]
     h, q = len(X), np.uint64(p)
+    for half in (S, D):
+        if half is not None and half.shape != (h, h):
+            raise NonSquareMatrix(
+                f"a half of shape {half.shape} is not of order {h}")
     keys, tables = [], []
     for t0 in range(0, group.num_reflections, 8):
         bits = X[:, t0:t0 + 8]
+        # intp, so that XORs of keys index the tables with no cast
         keys.append((bits << np.arange(bits.shape[1], dtype=np.uint8)).sum(
-            axis=1, dtype=np.uint8))
+            axis=1, dtype=np.uint8).astype(np.intp))
         table = np.ones(1, dtype=np.uint64)
         for v in values[t0:t0 + 8]:
             table = np.concatenate([table, table * np.uint64(int(v) % p) % q])
         tables.append(table)
-    SD = np.empty((h, 2 * h), dtype=np.uint32)
     step = max(1, _MATRIX_CHUNK // h)
+    scratch = np.empty(step * h, dtype=np.uint64)
     for r0 in range(0, h, step):
+        r1 = min(r0 + step, h)
         # every group has a reflection, so there is a first key
-        byte = keys[0][r0:r0 + step, None] ^ keys[0]
+        byte = keys[0][r0:r1, None] ^ keys[0][:r1]
         b1, b2 = tables[0][byte], tables[0][::-1][byte]
+        s = scratch[:b1.size].reshape(b1.shape)
         for key, table in zip(keys[1:], tables[1:]):
-            byte = key[r0:r0 + step, None] ^ key
+            byte = key[r0:r1, None] ^ key[:r1]
             b1 *= table[byte]
-            b1 %= q
+            reduce_whole(b1, q, s)
             b2 *= table[::-1][byte]
-            b2 %= q
-        SD[r0:r0 + step, :h] = (b1 + b2) % q
-        b1 += q
-        b1 -= b2
-        SD[r0:r0 + step, h:] = b1 % q
-    return SD
+            reduce_whole(b2, q, s)
+        if S is not None:
+            total = b1 + b2
+            reduce_whole(total, q, s)
+            S[r0:r1, :r1] = total
+        if D is not None:
+            b1 += q
+            b1 -= b2
+            reduce_whole(b1, q, s)
+            D[r0:r1, :r1] = b1
+    for half in (S, D):
+        if half is not None:
+            mirror_lower(half[None], 0)
+    return S if S is not None else D
 
 
 def verify_mod_p(group: EnumeratedGroup | Arrangement, wa: WeightAssignment,
@@ -408,12 +443,15 @@ def verify_mod_p(group: EnumeratedGroup | Arrangement, wa: WeightAssignment,
     For each (prime, trial) samples nonzero weights, compares the modular
     determinant of the chamber matrix, the product of the determinants of
     the two folded halves of ``modular_matrix``, with the evaluated closed
-    form.  Each prime's points are drawn in trial order.  The halves of as
-    many consecutive trials as fit in DET_STACK_BYTES of float64 go to
-    ``det_mod_p`` as one stack, which eliminates them in lockstep; when
-    one trial's two halves do not fit, each half goes alone, so a large
-    group's peak memory is that of one half.  The records do not depend on
-    the grouping.
+    form.  Each prime's points are drawn in trial order.  Each half is
+    written once, as float64 residues, into the array that
+    ``det_mod_p_in_place`` then eliminates, so the halves in memory are
+    the elimination's only copy: 2 bytes per entry of the |W| x |W|
+    matrix at most.  The halves of as many consecutive trials as fit in
+    DET_STACK_BYTES go into one stack, eliminated in lockstep; when one
+    trial's two halves do not fit, S and then D take turns in a single
+    buffer, so a large group's peak memory is that of one half.  The
+    records do not depend on the grouping.
     ``group`` is a group, or an arrangement over one, whose edges and
     multiplicities are then read rather than computed again.  Raises
     CountOutOfRange unless there is at least one prime and one trial.
@@ -437,30 +475,31 @@ def verify_mod_p(group: EnumeratedGroup | Arrangement, wa: WeightAssignment,
     records = []
     variables = wa.variables()
     h = group.order // 2
-    # trials whose halves go to det_mod_p as one stack, or 0 when one
-    # trial's two halves already pass DET_STACK_BYTES and each goes alone
+    # trials whose halves form one stack, or 0 when one trial's two halves
+    # already pass DET_STACK_BYTES and each takes the buffer alone
     per_stack = DET_STACK_BYTES // (2 * 8 * h * h)
     step = per_stack or 1
+    buffer = np.empty((2 * min(step, trials) if per_stack else 1, h, h))
     for p in primes:
         points = [{v: rng.randrange(1, p) for v in variables}
                   for _ in range(trials)]
         dets = []
         for t0 in range(0, trials, step):
             batch = points[t0:t0 + step]
-            if per_stack:
-                stack = np.empty((2 * len(batch), h, h), dtype=np.uint32)
             for i, point in enumerate(batch):
                 values = np.array([point[wa.var_of[t]]
                                    for t in range(group.num_reflections)],
                                   dtype=np.int64)
-                halves = np.hsplit(modular_matrix(group, values, p), 2)
                 if per_stack:
-                    stack[2 * i], stack[2 * i + 1] = halves
+                    modular_matrix(group, values, p, S=buffer[2 * i],
+                                   D=buffer[2 * i + 1])
                 else:
-                    dets += [det_mod_p(half, p) for half in halves]
-                del halves  # [S | D] is not held through a stack's elimination
+                    modular_matrix(group, values, p, S=buffer[0])
+                    dets += det_mod_p_in_place(buffer, p)
+                    modular_matrix(group, values, p, D=buffer[0])
+                    dets += det_mod_p_in_place(buffer, p)
             if per_stack:
-                dets += det_mod_p(stack, p)
+                dets += det_mod_p_in_place(buffer[:2 * len(batch)], p)
         for trial, point in enumerate(points):
             lhs = dets[2 * trial] * dets[2 * trial + 1] % p
             rhs = fact.eval_mod(point, p)

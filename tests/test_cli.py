@@ -1,10 +1,15 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coxvar
 from coxvar import arrangement, coxeter_core
 from coxvar.arrangement import Arrangement
 from coxvar.cli import main
@@ -362,3 +367,21 @@ def test_det_E7_E8_total_degree(capsys, monkeypatch, spec, degree):
     factors = re.findall(r"\(1-q\^(\d+)\)\^(\d+)", out)
     assert " ".join(f"(1-q^{d})^{m}" for d, m in factors) == out.strip()
     assert sum(int(d) * int(m) for d, m in factors) == degree
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # det E7 --format json is about 2.2 MB, past any pipe buffer, so the
+    # command is still writing when its reader stops after one line
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(coxvar.__file__).resolve().parents[1]),
+        os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "coxvar.cli", "det", "E7", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=300) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

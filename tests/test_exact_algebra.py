@@ -15,6 +15,7 @@ from coxvar.exact_algebra import (
     Factorization,
     Monomial,
     det_mod_p,
+    det_mod_p_in_place,
 )
 from coxvar.errors import (
     CoxvarError,
@@ -22,6 +23,7 @@ from coxvar.errors import (
     ModulusOutOfRange,
     NonIntegerMatrix,
     NonSquareMatrix,
+    NotAResidueStack,
 )
 from coxvar.varchenko import DEFAULT_PRIMES, primes_list
 from varchenko_reference import modular_matrix_reference, to_sympy
@@ -640,13 +642,100 @@ def test_det_mod_p_stack_of_members_with_row_swaps(n):
 
 
 def test_det_mod_p_stack_of_uint32_halves_and_edge_cases():
-    # verify passes uint32 stacks; an empty stack has no determinants, and
-    # a stack of order-0 matrices has determinants 1
+    # a uint32 stack is read like any integer one; an empty stack has no
+    # determinants, and a stack of order-0 matrices has determinants 1
     rng = np.random.default_rng(3)
     stack = rng.integers(0, P, size=(3, 40, 40)).astype(np.uint32)
     assert det_mod_p(stack, P) == [det_mod_p(M, P) for M in stack]
     assert det_mod_p(np.zeros((0, 3, 3), dtype=np.int64), P) == []
     assert det_mod_p(np.zeros((2, 0, 0), dtype=np.int64), P) == [1, 1]
+
+
+# -- in-place elimination ----------------------------------------------------
+
+
+def _in_place_members(n, p):
+    """The five ``_stack_members`` and two symmetric matrices that need a
+    row exchange: c J, J the anti-diagonal matrix, whose leading block
+    has a zero row (all zero from order 64), and, from order 65 on,
+    ``_symmetric_without_pivot``, whose second block is zero once the
+    first is eliminated."""
+    members = _stack_members(n, p)
+    members.append(np.eye(n, dtype=np.int64)[::-1] * 3 % p)
+    if n > 64:
+        members.append(_symmetric_without_pivot(n, p))
+    return members
+
+
+@pytest.mark.parametrize("p", [P, EDGE_P], ids=["P", "edge-prime"])
+@pytest.mark.parametrize("n", [33, 130])
+def test_det_mod_p_in_place_agrees_with_det_mod_p(monkeypatch, n, p):
+    members = _in_place_members(n, p)
+    expect = [det_mod_p(M, p) for M in members]
+    assert expect[2] == 0 and expect.count(0) == 1  # the singular member
+    flags = _record_updates(monkeypatch)
+    for M, det in zip(members, expect):
+        flags.clear()
+        A = M.astype(np.float64)[None]
+        assert det_mod_p_in_place(A, p) == [det]
+        # symmetry is detected on what the elimination is given: a
+        # symmetric member runs the staircase until its first row
+        # exchange, which a zero row of its leading block forces at once
+        if (M == M.T).all():
+            assert flags[0][0] == M[:32, :32].any(axis=1).all()
+        else:
+            assert not any(s for s, _ in flags)
+    stack = np.stack(members).astype(np.float64)
+    dets = det_mod_p_in_place(stack, p)
+    assert dets == expect and all(type(d) is int for d in dets)
+    # a slice of a stack along its first axis is a stack too
+    stack = np.stack(members).astype(np.float64)
+    assert det_mod_p_in_place(stack[:2], p) == expect[:2]
+
+
+def test_det_mod_p_in_place_overwrites_its_argument():
+    M = np.eye(40)[::-1] * 5
+    A = M[None].copy()
+    assert det_mod_p_in_place(A, P) == [det_mod_p(M.astype(np.int64), P)]
+    assert not np.array_equal(A[0], M)
+    assert det_mod_p_in_place(np.zeros((0, 3, 3)), P) == []
+    assert det_mod_p_in_place(np.zeros((2, 0, 0)), P) == [1, 1]
+
+
+@pytest.mark.parametrize("array, error", [
+    (np.eye(3, dtype=np.int64)[None], NotAResidueStack),
+    (np.eye(3, dtype=np.float32)[None], NotAResidueStack),
+    (np.eye(3, dtype=np.uint32)[None], NotAResidueStack),
+    ([[[1.0]]], NotAResidueStack),
+    (np.eye(3), NonSquareMatrix),
+    (np.zeros((2, 2, 3, 3)), NonSquareMatrix),
+    (np.zeros((2, 3, 4)), NonSquareMatrix),
+    (np.asfortranarray(np.eye(3)[None].repeat(2, axis=0)), NotAResidueStack),
+    (np.eye(6)[None, ::2, ::2], NotAResidueStack),
+    (np.eye(3)[None] * P, NotAResidueStack),
+    (-np.eye(3)[None], NotAResidueStack),
+    (np.eye(3)[None] * 1.5, NotAResidueStack),
+    (np.full((1, 2, 2), np.nan), NotAResidueStack),
+    (np.full((1, 2, 2), np.inf), NotAResidueStack),
+], ids=["int64", "float32", "uint32", "list", "rank-2", "rank-4",
+        "non-square", "fortran", "strided", "entry-p", "negative",
+        "non-integer", "nan", "inf"])
+def test_det_mod_p_in_place_rejects_what_is_not_a_residue_stack(array,
+                                                                error):
+    with pytest.raises(error) as info:
+        det_mod_p_in_place(array, P)
+    assert isinstance(info.value, CoxvarError)
+    assert isinstance(info.value, ValueError)
+
+
+def test_det_mod_p_in_place_rejects_a_read_only_stack_and_a_bad_modulus():
+    A = np.eye(3)[None]
+    A.flags.writeable = False
+    with pytest.raises(NotAResidueStack):
+        det_mod_p_in_place(A, P)
+    for p in (1, DET_MODULUS_LIMIT):
+        with pytest.raises(ModulusOutOfRange):
+            det_mod_p_in_place(np.eye(3)[None], p)
 
 
 def test_det_mod_p_reads_integer_arrays_without_wrapping():

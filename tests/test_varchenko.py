@@ -9,6 +9,7 @@ import pytest
 
 from coxvar import Factorization, Monomial, det_mod_p, group
 from coxvar import arrangement, cli, coxeter_core, varchenko
+from coxvar.exact_algebra import det_mod_p_in_place
 from coxvar.coxeter_core import (
     build_group,
     parse_group_spec,
@@ -17,6 +18,7 @@ from coxvar.coxeter_core import (
 from coxvar.errors import (
     CountOutOfRange,
     InvariantError,
+    NonSquareMatrix,
     OrderLimitExceeded,
     ParameterOutOfRange,
     VariableCollision,
@@ -184,6 +186,20 @@ def test_right_multiplication_by_w0_preserves_the_matrix(spec):
             assert vm.entries[opposite[x]][opposite[y]] == vm.entries[x][y]
 
 
+def _halves(g, values, p):
+    """S and D of ``modular_matrix``, written in one pass into float64
+    arrays; each half written alone, into an array of NaNs, must match
+    it, so that every entry is written."""
+    h = g.order // 2
+    S, D = np.empty((h, h)), np.empty((h, h))
+    assert modular_matrix(g, values, p, S=S, D=D) is S
+    for name, half in (("S", S), ("D", D)):
+        alone = np.full((h, h), np.nan)
+        assert modular_matrix(g, values, p, **{name: alone}) is alone
+        assert np.array_equal(alone, half)
+    return S, D
+
+
 # as in the unfolded tests, B2 fills part of one key byte and B3 and A4
 # need a second, partial byte
 @pytest.mark.parametrize("spec", ["B2", "B3", "A4"])
@@ -196,19 +212,20 @@ def test_folded_halves_agree_with_symbolic_entries(spec):
     point = {v: rng.randrange(1, P) for v in wa.variables()}
     values = np.array([point[wa.var_of[t]]
                        for t in range(g.num_reflections)], dtype=np.int64)
-    S, D = np.hsplit(modular_matrix(g, values, P), 2)
+    S, D = _halves(g, values, P)
     X = [x for x in range(g.order) if 0 not in inversion_set(g, x)]
     assert len(X) == g.order // 2
-    assert S.dtype == D.dtype == np.uint32
+    assert S.dtype == D.dtype == np.float64
     assert S.shape == D.shape == (len(X), len(X))
+    assert np.array_equal(S, S.T) and np.array_equal(D, D.T)
     w0 = longest_element(g)
     vm = build_varchenko_matrix(g, wa)
     for i, x in enumerate(X):
         for j, y in enumerate(X):
             b1 = vm.entries[x][y].eval_mod(point, P)
             b2 = vm.entries[x][mul(g, y, w0)].eval_mod(point, P)
-            assert int(S[i, j]) == (b1 + b2) % P
-            assert int(D[i, j]) == (b1 - b2) % P
+            assert S[i, j] == (b1 + b2) % P
+            assert D[i, j] == (b1 - b2) % P
 
 
 # a product group, I2(m) for odd and even m, and F4, whose halves take
@@ -221,10 +238,27 @@ def test_folded_product_equals_the_unfolded_determinant(spec, p):
     rng = random.Random(7)
     values = np.array([rng.randrange(1, p) for _ in range(g.num_reflections)],
                       dtype=np.int64)
-    S, D = np.hsplit(modular_matrix(g, values, p), 2)
+    S, D = _halves(g, values, p)
+    assert np.array_equal(S, S.T) and np.array_equal(D, D.T)
     full = det_mod_p(modular_matrix_reference(g, values, p), p)
     assert full != 0
-    assert det_mod_p(S, p) * det_mod_p(D, p) % p == full
+    # each half alone, as verify takes F4's, and both as one stack
+    alone = [det_mod_p_in_place(half.copy()[None], p)[0] for half in (S, D)]
+    assert det_mod_p_in_place(np.stack([S, D]), p) == alone
+    assert alone[0] * alone[1] % p == full
+
+
+def test_modular_matrix_needs_a_half_of_the_folded_order():
+    g = group("B3")
+    values = np.arange(1, g.num_reflections + 1, dtype=np.int64)
+    with pytest.raises(ParameterOutOfRange):
+        modular_matrix(g, values, P)
+    # B3 has 48 chambers, so its halves have order 24
+    with pytest.raises(NonSquareMatrix):
+        modular_matrix(g, values, P, S=np.empty((23, 23)))
+    with pytest.raises(NonSquareMatrix):
+        modular_matrix(g, values, P, S=np.empty((24, 24)),
+                       D=np.empty((48, 48)))
 
 
 # -- weight assignment modes -------------------------------------------------
@@ -566,16 +600,16 @@ def test_verify_is_deterministic():
 
 def _verify_B4_stacks(monkeypatch, capsys, stack_bytes):
     """Output of ``verify B4 --seed 7`` with DET_STACK_BYTES set, and the
-    shape of every argument det_mod_p took."""
+    shape of every stack the elimination took."""
     shapes = []
-    det = varchenko.det_mod_p
+    eliminate = varchenko.det_mod_p_in_place
 
-    def recording(matrix, p):
-        shapes.append(matrix.shape)
-        return det(matrix, p)
+    def recording(A, p):
+        shapes.append(A.shape)
+        return eliminate(A, p)
 
     monkeypatch.setattr(varchenko, "DET_STACK_BYTES", stack_bytes)
-    monkeypatch.setattr(varchenko, "det_mod_p", recording)
+    monkeypatch.setattr(varchenko, "det_mod_p_in_place", recording)
     assert cli.main(["verify", "B4", "--seed", "7", "--format", "json"]) == 0
     return capsys.readouterr().out, shapes
 
@@ -595,11 +629,34 @@ def test_verify_output_does_not_depend_on_the_stack_size(monkeypatch,
     # all fifteen trials would fit, but a stack holds one prime's
     whole, shapes = _verify_B4_stacks(monkeypatch, capsys, 1 << 30)
     assert shapes == [(10, 192, 192)] * 3
-    # below one trial's two halves, each half goes alone as a matrix
+    # below one trial's two halves, each half goes alone, a stack of one
     alone, shapes = _verify_B4_stacks(monkeypatch, capsys, 2 * half - 1)
-    assert shapes == [(192, 192)] * 30
+    assert shapes == [(1, 192, 192)] * 30
     assert split == default and whole == default and alone == default
     assert json.loads(default)["verdict"] == "PASS"
+
+
+# F4's halves take turns in one (1, 576, 576) float64 buffer, and A5's
+# two form one (2, 360, 360) stack.  The traced peak of verify is about
+# 1.4 and 1.6 times that array; when each half was built as uint32 and
+# copied to float64 for the elimination it was about 2.4 and 2.1 times.
+@pytest.mark.parametrize("spec, order, members, bound", [
+    ("F4", 576, 1, 1.9), ("A5", 360, 2, 1.85)])
+def test_verify_holds_each_half_once(spec, order, members, bound):
+    import tracemalloc
+
+    g = group(spec)
+    ar = arrangement.Arrangement(g)
+    wa = WeightAssignment.per_hyperplane(g)
+    g.inversion_table
+    tracemalloc.start()
+    try:
+        report = verify_mod_p(ar, wa, trials=1, primes=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["verdict"] == "PASS"
+    assert peak < bound * members * 8 * order**2
 
 
 # -- symbolic anchor ---------------------------------------------------------
