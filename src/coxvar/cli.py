@@ -11,6 +11,11 @@ numpy, so this module runs first under ``python -m coxvar.cli`` and the
 ``coxvar`` console script alike.  ``varchenko`` and ``exact_algebra`` are
 imported by the handlers that use them (det, matrix, verify), so tables
 and multiplicity load neither.
+
+``main`` builds one ``Arrangement`` per command and hands it to the
+handler.  W is enumerated only when its ``group`` is first read: by the
+chamber oracle, and by matrix and verify once the order has passed their
+cap or determinant budget.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import json
 import sys
 
 from .arrangement import Arrangement
-from .coxeter_core import DEFAULT_ORDER_LIMIT, group, parse_group_spec
+from .coxeter_core import DEFAULT_ORDER_LIMIT, parse_group_spec
 from .errors import (
     CountOutOfRange,
     CoxvarError,
@@ -84,18 +89,18 @@ def _read_explicit_file(path: str) -> dict[int, str]:
     return mapping
 
 
-def _weight_assignment(g, assign: str):
+def _weight_assignment(roots, assign: str):
     from .varchenko import WeightAssignment
 
     if assign == "per-hyperplane":
-        return WeightAssignment.per_hyperplane(g)
+        return WeightAssignment.per_hyperplane(roots)
     if assign == "per-orbit":
-        return WeightAssignment.per_orbit(g)
+        return WeightAssignment.per_orbit(roots)
     if assign == "q":
-        return WeightAssignment.single_q(g)
+        return WeightAssignment.single_q(roots)
     if assign.startswith("explicit:"):
         return WeightAssignment.explicit(
-            g, _read_explicit_file(assign[len("explicit:"):]))
+            roots, _read_explicit_file(assign[len("explicit:"):]))
     raise ParseError(f"unknown weight assignment {assign!r}")
 
 
@@ -114,21 +119,22 @@ def _variables_json(roots, wa):
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_det(args):
+def cmd_det(ar, args):
     from .varchenko import closed_form_factorization, edge_factors
 
     # from the reflection table alone: W is never enumerated
-    diagram = parse_group_spec(args.group)
-    ar = Arrangement(diagram=diagram, limit=args.limit)
+    diagram = ar.diagram
     wa = _weight_assignment(ar.roots, args.assign)
     if args.format == "json":
+        label_of = {J: diagram.subdiagram(J).label
+                    for J in ar.class_representatives()}
         factors = []
         for edge, mono, mult in edge_factors(ar, wa):
             factors.append({
                 "monomial": {v: e for v, e in mono.exps},
                 "multiplicity": mult,
                 "edge": {
-                    "class": diagram.subdiagram(edge.class_J).label,
+                    "class": label_of[edge.class_J],
                     "size": len(edge.reflections),
                     "coset": edge.coset_id,
                 },
@@ -145,12 +151,12 @@ def cmd_det(args):
     return EXIT_OK
 
 
-def cmd_matrix(args):
+def cmd_matrix(ar, args):
     from .varchenko import build_varchenko_matrix
 
-    g = group(args.group, limit=args.limit)
-    wa = _weight_assignment(g, args.assign)
-    vm = build_varchenko_matrix(g, wa)
+    wa = _weight_assignment(ar.roots, args.assign)
+    vm = build_varchenko_matrix(ar, wa)
+    g = ar.group
     labels = ["".join(f"s{i + 1}" for i in g.word(x)) or "e"
               for x in range(g.order)]
     if args.format == "json":
@@ -168,17 +174,15 @@ def cmd_matrix(args):
     return EXIT_OK
 
 
-def cmd_tables(args):
+def cmd_tables(ar, args):
     # W is enumerated only for the oracle
-    diagram = parse_group_spec(args.group)
     oracle_budget = HARD_DET_CAP if args.unsafe_large else ORACLE_BUDGET
-    ar = Arrangement(diagram=diagram, limit=args.limit)
     reports = ar.multiplicity_reports(
-        with_oracle=diagram.order <= oracle_budget)
+        with_oracle=ar.diagram.order <= oracle_budget)
     ok = all(r.match for r in reports)
     if args.format == "json":
         _emit_json({
-            "group": diagram.type_label,
+            "group": ar.diagram.type_label,
             "floor_ambient": "WJ",
             "rows": [
                 {"class": r.label,
@@ -206,17 +210,16 @@ def cmd_tables(args):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_verify(args):
+def cmd_verify(ar, args):
     from .varchenko import DET_BUDGET, concordance_checks, verify_mod_p
 
-    g = group(args.group, limit=args.limit)
-    wa = _weight_assignment(g, args.assign)
+    wa = _weight_assignment(ar.roots, args.assign)
     budget = HARD_DET_CAP if args.unsafe_large else DET_BUDGET
-    if g.order > DET_BUDGET and args.unsafe_large:
-        print(f"warning: |W| = {g.order}, dense modular determinants "
-              "will take a while", file=sys.stderr)
-    # one arrangement serves the closed form and the concordance checks
-    ar = Arrangement(g)
+    # only a run that starts is announced: past the budget verify_mod_p
+    # refuses at once
+    if DET_BUDGET < ar.diagram.order <= budget:
+        print(f"warning: |W| = {ar.diagram.order}, dense modular "
+              "determinants will take a while", file=sys.stderr)
     report = verify_mod_p(ar, wa, trials=args.trials, primes=args.primes,
                           seed=args.seed, budget=budget)
     extra = concordance_checks(ar)
@@ -224,7 +227,7 @@ def cmd_verify(args):
         r["verdict"] == "PASS" for r in extra)
     if args.format == "json":
         _emit_json({
-            "group": g.diagram.type_label,
+            "group": ar.diagram.type_label,
             "weight_mode": wa.mode,
             "seed": args.seed,
             "determinant": report,
@@ -245,14 +248,14 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_multiplicity(args):
-    g = group(args.group, limit=args.limit)
-    ar = Arrangement(g)
+def cmd_multiplicity(ar, args):
+    # the oracle needs W: a group past --limit fails before the formula
+    ar.group
     reports = ar.multiplicity_reports(with_oracle=True)
     ok = all(r.match for r in reports)
     if args.format == "json":
         _emit_json({
-            "group": g.diagram.type_label,
+            "group": ar.diagram.type_label,
             "floor_ambient": "WJ",
             "reports": [
                 {"class": r.label,
@@ -320,7 +323,9 @@ def main(argv=None) -> int:
         # every subcommand takes --limit
         if args.limit < 1:
             raise CountOutOfRange(f"order limit {args.limit} is below 1")
-        code = args.handler(args)
+        ar = Arrangement(diagram=parse_group_spec(args.group),
+                         limit=args.limit)
+        code = args.handler(ar, args)
         # a closed stdout shows here rather than at the interpreter's exit
         sys.stdout.flush()
         return code

@@ -9,12 +9,11 @@ immutable and exact.
 p < 2**32 of a stack of k matrices of one order, given as a C-contiguous
 float64 array of residues that it overwrites, so that a caller which
 writes its matrices there holds them only once.  ``det_mod_p`` takes one
-integer matrix or a stack of them in any integer form, reduces it mod p
-into a fresh float64 stack and eliminates that.  The members of a stack
-run in lockstep, each panel's Gauss-Jordan steps and each row chunk's
-products taken over all of them at once, so that k small matrices pay
-numpy's per-call overhead once, not k times; a single matrix is a stack
-of one.  Each 32 x 32 diagonal block is inverted by Gauss-Jordan in uint64
+integer matrix in any integer form, reduces it mod p into a fresh float64
+stack of one and eliminates that.  The members of a stack run in
+lockstep, each panel's Gauss-Jordan steps and each row chunk's products
+taken over all of them at once, so that k small matrices pay numpy's
+per-call overhead once, not k times; a single matrix is a stack of one.  Each 32 x 32 diagonal block is inverted by Gauss-Jordan in uint64
 residues, reduced mod p only every few steps, as many as keep every entry
 below 2**64 (three for primes near 2**31, one near 2**32); the rest of the
 matrix is updated through float64 products on 16-bit limbs, where every
@@ -470,8 +469,10 @@ def _entry(e, p):
 
 
 def _residue_matrix(matrix, p):
-    """Residues in [0, p) of a square integer matrix, or of an integer
-    ndarray stack of them, as float64."""
+    """Residues in [0, p) of a square integer matrix, as float64."""
+    if isinstance(matrix, np.ndarray) and matrix.ndim != 2:
+        raise NonSquareMatrix(
+            f"array of shape {matrix.shape} is not a square matrix")
     if isinstance(matrix, np.ndarray) and matrix.dtype != object:
         kind = matrix.dtype.kind
         if kind not in "biu":
@@ -485,38 +486,28 @@ def _residue_matrix(matrix, p):
         else:
             np.remainder(matrix.astype(np.int64, copy=False), p, out=A)
     else:
-        if isinstance(matrix, np.ndarray) and matrix.ndim != 2:
-            raise NonSquareMatrix(
-                f"object array of shape {matrix.shape} is not a square "
-                "matrix")
         rows = [[_entry(e, p) for e in row] for row in matrix]
         try:
             A = np.array(rows, dtype=np.float64)
         except ValueError:
             raise NonSquareMatrix("matrix rows differ in length") from None
-    # a stack is an integer ndarray, square in its last two axes
-    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSquareMatrix(f"matrix of shape {A.shape} is not square")
     return A
 
 
-def det_mod_p(matrix, p: int) -> int | list[int]:
-    """Determinant over the field of p elements, as an int in range(p), or
-    the list of the determinants of a stack.
+def det_mod_p(matrix, p: int) -> int:
+    """Determinant over the field of p elements, as an int in range(p).
 
-    Accepts nested lists of ints, or an ndarray of integer or object
-    dtype; every entry is reduced mod p before any cast.  An integer
-    ndarray of shape (k, n, n) is a stack of k matrices, and the result is
-    the list of their k determinants.  The residues go into a fresh
-    float64 array, which ``det_mod_p_in_place`` eliminates.  Raises
-    NonSquareMatrix, NonIntegerMatrix (float, complex or other non-integer
-    entries) and ModulusOutOfRange.
+    Accepts nested lists of ints, or a 2-D ndarray of integer or object
+    dtype; every entry is reduced mod p before any cast.  The residues go
+    into a fresh float64 stack of one, which ``det_mod_p_in_place``
+    eliminates; a stack of matrices goes to ``det_mod_p_in_place``
+    itself.  Raises NonSquareMatrix, NonIntegerMatrix (float, complex or
+    other non-integer entries) and ModulusOutOfRange.
     """
     _check_modulus(p)
-    A = _residue_matrix(matrix, p)
-    if A.ndim == 2:
-        return det_mod_p_in_place(A[None], p)[0]
-    return det_mod_p_in_place(A, p)
+    return det_mod_p_in_place(_residue_matrix(matrix, p)[None], p)[0]
 
 
 def det_mod_p_in_place(A: np.ndarray, p: int) -> list[int]:

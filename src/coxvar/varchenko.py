@@ -23,16 +23,20 @@ whose determinant ``det_mod_p_in_place`` then takes in place.  So verify
 holds at most 2 bytes per entry of B, one half of order |W|/2 in float64,
 and no other copy of it.
 
-The concordance checks against the published type-A and type-B formulas
-and the product rule never enumerate W: a root's chain in the reflection
-table spells its reflection, both for the dictionaries and for renaming a
-factor's roots into a product's.
+Every pipeline function takes an ``Arrangement``.  Its edges and
+multiplicities come from the reflection table, and W is enumerated only
+when its ``group`` is first read: by ``build_varchenko_matrix`` and
+``verify_mod_p`` once the order has passed the cap or the determinant
+budget.  The concordance checks against the published type-A and type-B
+formulas and the product rule never enumerate W: a root's chain in the
+reflection table spells its reflection, both for the dictionaries and for
+renaming a factor's roots into a product's.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -40,7 +44,6 @@ import numpy as np
 from .arrangement import Arrangement
 from .coxeter_core import (
     Component,
-    CoxeterDiagram,
     EnumeratedGroup,
     ReflectionTable,
     parse_group_spec,
@@ -124,21 +127,17 @@ class WeightAssignment:
 
     mode: str
     var_of: dict[int, str]
-    orbit_of: dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def per_hyperplane(cls, group: EnumeratedGroup | ReflectionTable):
         var_of = {t: f"a{t + 1}" for t in range(group.num_reflections)}
-        orbit = {t: int(group.reflection_class_of[t])
-                 for t in range(group.num_reflections)}
-        return cls("per_hyperplane", var_of, orbit)
+        return cls("per_hyperplane", var_of)
 
     @classmethod
     def per_orbit(cls, group: EnumeratedGroup | ReflectionTable):
-        orbit = {t: int(group.reflection_class_of[t])
-                 for t in range(group.num_reflections)}
-        var_of = {t: f"b{c + 1}" for t, c in orbit.items()}
-        return cls("per_orbit", var_of, orbit)
+        var_of = {t: f"b{int(group.reflection_class_of[t]) + 1}"
+                  for t in range(group.num_reflections)}
+        return cls("per_orbit", var_of)
 
     @classmethod
     def single_q(cls, group: EnumeratedGroup | ReflectionTable):
@@ -163,38 +162,35 @@ class VarchenkoMatrix:
     entries: list[list[Monomial]]  # symmetric, unit diagonal
 
 
-def build_varchenko_matrix(group: EnumeratedGroup, wa: WeightAssignment,
+def build_varchenko_matrix(ar: Arrangement, wa: WeightAssignment,
                            cap: int = MATRIX_DUMP_LIMIT) -> VarchenkoMatrix:
-    if group.order > cap:
-        raise OrderLimitExceeded(
-            f"|W| = {group.order} exceeds matrix cap {cap}",
-            known_order=group.order)
-    N = group.inversion_table
+    """The symbolic |W| x |W| matrix; W is enumerated past the cap check."""
+    order = ar.diagram.order
+    if order > cap:
+        raise OrderLimitExceeded(f"|W| = {order} exceeds matrix cap {cap}",
+                                 known_order=order)
+    N = ar.group.inversion_table
     rows = []
-    for x in range(group.order):
+    for x in range(order):
         row = []
-        for y in range(group.order):
+        for y in range(order):
             diff = np.nonzero(N[x] ^ N[y])[0]
             row.append(Monomial.from_vars(wa.var_of[int(t)] for t in diff))
         rows.append(row)
-    return VarchenkoMatrix(group.order, rows)
+    return VarchenkoMatrix(order, rows)
 
 
-def closed_form_factorization(group: EnumeratedGroup | Arrangement,
+def closed_form_factorization(ar: Arrangement,
                               wa: WeightAssignment) -> Factorization:
     """One factor (1 - a(E)^2)^l(E) per relevant edge, normalized."""
     return Factorization(tuple(
-        (mono, mult) for _, mono, mult in edge_factors(group, wa))
+        (mono, mult) for _, mono, mult in edge_factors(ar, wa))
     ).normalize()
 
 
-def edge_factors(group: EnumeratedGroup | Arrangement, wa: WeightAssignment):
-    """Unmerged per-edge factor records for reporting.
-
-    ``group`` is a group, or an arrangement, which needs no enumerated W
-    for its edges and multiplicities.
-    """
-    ar = group if isinstance(group, Arrangement) else Arrangement(group)
+def edge_factors(ar: Arrangement, wa: WeightAssignment):
+    """Unmerged per-edge factor records for reporting, from the reflection
+    table alone."""
     l_of_class = {J: ar.multiplicity_formula(J).l_formula
                   for J in ar.class_representatives()}
     out = []
@@ -435,9 +431,8 @@ def modular_matrix(group: EnumeratedGroup, values: np.ndarray, p: int, *,
     return S if S is not None else D
 
 
-def verify_mod_p(group: EnumeratedGroup | Arrangement, wa: WeightAssignment,
-                 trials: int = 5, primes=None, seed: int = 0,
-                 budget: int = DET_BUDGET) -> dict:
+def verify_mod_p(ar: Arrangement, wa: WeightAssignment, trials: int = 5,
+                 primes=None, seed: int = 0, budget: int = DET_BUDGET) -> dict:
     """Random-evaluation check of the determinant identity.
 
     For each (prime, trial) samples nonzero weights, compares the modular
@@ -451,30 +446,29 @@ def verify_mod_p(group: EnumeratedGroup | Arrangement, wa: WeightAssignment,
     DET_STACK_BYTES go into one stack, eliminated in lockstep; when one
     trial's two halves do not fit, S and then D take turns in a single
     buffer, so a large group's peak memory is that of one half.  The
-    records do not depend on the grouping.
-    ``group`` is a group, or an arrangement over one, whose edges and
-    multiplicities are then read rather than computed again.  Raises
-    CountOutOfRange unless there is at least one prime and one trial.
+    records do not depend on the grouping.  Raises CountOutOfRange unless
+    there is at least one prime and one trial, and OrderLimitExceeded past
+    the budget, before W is enumerated.
     """
-    ar = group if isinstance(group, Arrangement) else Arrangement(group)
-    group = ar.group
     if trials < 1:
         raise CountOutOfRange(f"trial count {trials} is below 1")
-    if group.order > budget:
+    order = ar.diagram.order
+    if order > budget:
         raise OrderLimitExceeded(
-            f"|W| = {group.order} exceeds determinant budget {budget}",
-            known_order=group.order)
+            f"|W| = {order} exceeds determinant budget {budget}",
+            known_order=order)
     if primes is None:
         primes = primes_list(3)
     elif isinstance(primes, int):
         primes = primes_list(primes)
     elif not primes:
         raise CountOutOfRange("no primes given")
+    group = ar.group
     fact = closed_form_factorization(ar, wa)
     rng = random.Random(seed)
     records = []
     variables = wa.variables()
-    h = group.order // 2
+    h = order // 2
     # trials whose halves form one stack, or 0 when one trial's two halves
     # already pass DET_STACK_BYTES and each takes the buffer alone
     per_stack = DET_STACK_BYTES // (2 * 8 * h * h)
@@ -542,17 +536,13 @@ def embedded_roots(roots: ReflectionTable, comp: Component,
     return out
 
 
-def concordance_checks(diagram: CoxeterDiagram | Arrangement) -> list[dict]:
-    """Formal factorization identities applicable to this diagram's type.
+def concordance_checks(ar: Arrangement) -> list[dict]:
+    """Formal factorization identities applicable to this arrangement's type.
 
-    ``diagram`` is a diagram, or an arrangement whose edges and
-    multiplicities are then read rather than computed again.  Every
-    closed form and dictionary comes from reflection tables; W is never
-    enumerated.
+    Every closed form and dictionary comes from reflection tables; W is
+    never enumerated.
     """
     out = []
-    ar = (diagram if isinstance(diagram, Arrangement)
-          else Arrangement(diagram=diagram))
     diagram = ar.diagram
     comps = diagram.components
 

@@ -326,7 +326,8 @@ def test_criterion_4_determinant_identity():
     failures = []
     for spec in VERIFY_SPECS:
         g = group(spec)
-        report = verify_mod_p(g, WeightAssignment.per_hyperplane(g),
+        report = verify_mod_p(Arrangement(g),
+                              WeightAssignment.per_hyperplane(g),
                               trials=5, primes=3, seed=0)
         passed = sum(1 for r in report["records"]
                      if r["verdict"] == "PASS")
@@ -344,23 +345,24 @@ def test_criterion_5_formal_concordance():
     failures = []
     for n in range(2, 6):
         g = group(f"A{n - 1}")
+        ar = Arrangement(g)
         if closed_form_factorization(
-                g, WeightAssignment.single_q(g)) != zagier_formula(n):
+                ar, WeightAssignment.single_q(g)) != zagier_formula(n):
             failures.append(f"zagier n={n}")
         dic = a_type_dictionary(g.roots, n)
         if closed_form_factorization(
-                g, WeightAssignment("explicit", dic)) != \
+                ar, WeightAssignment("explicit", dic)) != \
                 duchamp_formula_A(n):
             failures.append(f"duchamp n={n}")
     for n in range(2, 5):
         g = group(f"B{n}")
         dic = b_type_dictionary(g.roots, n)
         if closed_form_factorization(
-                g, WeightAssignment("explicit", dic)) != \
+                Arrangement(g), WeightAssignment("explicit", dic)) != \
                 randriamaro_formula_B(n):
             failures.append(f"randriamaro n={n}")
     for spec in ("A1xA1", "B2xA1"):
-        recs = concordance_checks(group(spec).diagram)
+        recs = concordance_checks(Arrangement(group(spec)))
         if not recs or any(r["verdict"] != "PASS" for r in recs):
             failures.append(f"reducible {spec}")
     _verdict(5, not failures,
@@ -378,7 +380,8 @@ def test_criterion_6_symbolic_anchor():
         g = group(spec)
         wa = WeightAssignment.per_hyperplane(g)
         det = symbolic_determinant(g, wa)
-        closed = sympy.expand(to_sympy(closed_form_factorization(g, wa)))
+        closed = sympy.expand(to_sympy(
+            closed_form_factorization(Arrangement(g), wa)))
         if sympy.expand(det - closed) != 0:
             failures.append(spec)
     _verdict(6, not failures,
@@ -570,7 +573,7 @@ def _property_bundle():
         for wa in (WeightAssignment.per_hyperplane(g),
                    WeightAssignment.per_orbit(g),
                    WeightAssignment.single_q(g)):
-            f = closed_form_factorization(g, wa)
+            f = closed_form_factorization(Arrangement(g), wa)
             assert f.normalize() == f
             point = {v: 1234567 + i for i, v in enumerate(wa.variables())}
             p = DEFAULT_PRIMES[0]
@@ -580,10 +583,11 @@ def _property_bundle():
             from coxvar.exact_algebra import det_mod_p
             assert det_mod_p(modular_matrix_reference(g, values, p), p) == \
                 f.eval_mod(point, p)
-        build_varchenko_matrix(g, WeightAssignment.per_hyperplane(g))
-        edge_factors(g, WeightAssignment.per_hyperplane(g))
-        concordance_checks(g.diagram)
-        verify_mod_p(g, WeightAssignment.per_hyperplane(g),
+        a = Arrangement(g)
+        build_varchenko_matrix(a, WeightAssignment.per_hyperplane(g))
+        edge_factors(a, WeightAssignment.per_hyperplane(g))
+        concordance_checks(a)
+        verify_mod_p(a, WeightAssignment.per_hyperplane(g),
                      trials=1, primes=2, seed=1)
     zagier_formula(5)
     duchamp_formula_A(4)
@@ -592,7 +596,8 @@ def _property_bundle():
     # 1 and a composite past trial division, which primes_list never meets
     assert not any(_is_prime(n) for n in (1, 41 * 43))
     # B3's nine reflections fill a second key byte of modular_matrix
-    verify_mod_p(group("B3"), WeightAssignment.per_hyperplane(group("B3")),
+    verify_mod_p(Arrangement(group("B3")),
+                 WeightAssignment.per_hyperplane(group("B3")),
                  trials=1, primes=1)
     a_type_dictionary(group("A3").roots, 4)
     b_type_dictionary(group("B3").roots, 3)
@@ -604,12 +609,13 @@ def _property_bundle():
     except OrderLimitExceeded:
         pass
     try:
-        build_varchenko_matrix(group("A5"),
+        build_varchenko_matrix(Arrangement(group("A5")),
                                WeightAssignment.single_q(group("A5")))
     except OrderLimitExceeded:
         pass
     try:
-        verify_mod_p(group("H4"), WeightAssignment.single_q(group("H4")))
+        verify_mod_p(Arrangement(group("H4")),
+                     WeightAssignment.single_q(group("H4")))
     except OrderLimitExceeded:
         pass
     try:
@@ -617,13 +623,14 @@ def _property_bundle():
     except VariableCollision:
         pass
     f1 = closed_form_factorization(
-        group("A1"), WeightAssignment.per_hyperplane(group("A1")))
+        Arrangement(group("A1")), WeightAssignment.per_hyperplane(group("A1")))
     try:
         reducible_product(f1, 2, f1, 2)
     except VariableCollision:
         pass
     f2 = closed_form_factorization(
-        group("A1"), WeightAssignment.explicit(group("A1"), {0: "w"}))
+        Arrangement(group("A1")),
+        WeightAssignment.explicit(group("A1"), {0: "w"}))
     reducible_product(f1, 2, f2, 2)
 
 

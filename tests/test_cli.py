@@ -56,6 +56,29 @@ def test_det_json_schema_and_determinism(capsys):
     assert out2 == out1  # byte identical
 
 
+def test_det_json_names_each_class_once(capsys, monkeypatch):
+    # each edge's class label is looked up, so the subdiagram calls of
+    # --format json exceed those of the text form by one per class, not
+    # one per edge
+    classes = len(Arrangement(
+        diagram=coxeter_core.parse_group_spec("D6")).class_representatives())
+    calls = []
+    subdiagram = coxeter_core.CoxeterDiagram.subdiagram
+
+    def counting(self, J):
+        calls.append(J)
+        return subdiagram(self, J)
+
+    monkeypatch.setattr(coxeter_core.CoxeterDiagram, "subdiagram", counting)
+    assert run(capsys, "det", "D6")[0] == 0
+    text_calls = len(calls)
+    calls.clear()
+    code, out, _ = run(capsys, "det", "D6", "--format", "json")
+    assert code == 0
+    factors = json.loads(out)["factors"]
+    assert len(calls) - text_calls == classes < len(factors)
+
+
 def test_matrix_text_A1(capsys):
     code, out, _ = run(capsys, "matrix", "A1")
     assert code == 0
@@ -325,6 +348,33 @@ def test_verify_unsafe_large_warns_and_passes(capsys):
     code, out, err = run(capsys, "verify", "A5xA2", "--trials", "1",
                          "--primes", "1")
     assert code == 3 and out == "" and "3840" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "B7"), "|W| = 645120 exceeds determinant budget 3840"),
+    (("verify", "D7"), "|W| = 322560 exceeds determinant budget 3840"),
+    (("matrix", "B7"), "|W| = 645120 exceeds matrix cap 200"),
+    (("matrix", "D7"), "|W| = 322560 exceeds matrix cap 200"),
+], ids=["verify-B7", "verify-D7", "matrix-B7", "matrix-D7"])
+def test_verify_and_matrix_refuse_before_enumerating(capsys, monkeypatch,
+                                                     argv, message):
+    # the budget and the cap are checked on the diagram's order
+    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
+    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
+    monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err == f"error: {message}\n"
+
+
+def test_verify_unsafe_large_past_the_cap_warns_of_nothing(capsys,
+                                                           monkeypatch):
+    # E6, |W| = 51840, is past the cap of 14400: no run starts, so none is
+    # announced
+    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
+    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
+    code, out, err = run(capsys, "verify", "E6", "--unsafe-large")
+    assert code == 3 and out == ""
+    assert err == "error: |W| = 51840 exceeds determinant budget 14400\n"
 
 
 def test_verify_D5_within_the_budget(capsys):

@@ -569,6 +569,12 @@ def _stack_members(n, p):
             rng.integers(0, p, size=(n, n)), symmetric()]
 
 
+def _residue_stack(members):
+    """Integer residue matrices as the float64 stack det_mod_p_in_place
+    takes."""
+    return np.array(members, dtype=np.float64)
+
+
 # orders on both sides of the 32-column panel and the 128-row update chunk
 @pytest.mark.parametrize("p", [P, EDGE_P], ids=["P", "edge-prime"])
 @pytest.mark.parametrize("n", [31, 33, 130])
@@ -581,7 +587,7 @@ def test_det_mod_p_stack_matches_its_members_taken_alone(monkeypatch, k, n,
     assert (0 in alone) == (k == 5)  # only the singular member is 0
     flags = _record_updates(monkeypatch)
     calls = _count_pivot_steps(monkeypatch)
-    dets = det_mod_p(np.stack(members), p)
+    dets = det_mod_p_in_place(_residue_stack(members), p)
     assert dets == alone and all(type(d) is int for d in dets)
     # the staircase runs only while every member is symmetric
     assert [s for s, _ in flags] == [k == 1] * ((n - 1) // 32)
@@ -605,11 +611,11 @@ def test_det_mod_p_stack_leaves_the_staircase_when_one_member_exchanges(
     members = [(R + R.T) % p, _symmetric_without_pivot(129, p)]
     alone = [_agree_with_reference(M, p) for M in members]
     flags = _record_updates(monkeypatch)
-    assert det_mod_p(np.stack(members), p) == alone
+    assert det_mod_p_in_place(_residue_stack(members), p) == alone
     assert [s for s, _ in flags] == [True, False, False, False]
     # a stack of one symmetric matrix stays on the staircase throughout
     flags.clear()
-    assert det_mod_p(members[0][None], p) == alone[:1]
+    assert det_mod_p_in_place(_residue_stack(members[:1]), p) == alone[:1]
     assert [s for s, _ in flags] == [True] * 4
 
 
@@ -638,17 +644,20 @@ def test_det_mod_p_stack_of_members_with_row_swaps(n):
     members, expect = zip(
         *(_first_block_permuted(n, P, rng) for _ in range(2)),
         *(_shuffled_upper_triangular(n, P, rng) for _ in range(2)))
-    assert det_mod_p(np.stack(members), P) == list(expect)
+    assert det_mod_p_in_place(_residue_stack(members), P) == list(expect)
 
 
 def test_det_mod_p_stack_of_uint32_halves_and_edge_cases():
-    # a uint32 stack is read like any integer one; an empty stack has no
-    # determinants, and a stack of order-0 matrices has determinants 1
+    # uint32 residues, each read alone by det_mod_p, agree with their
+    # float64 stack; an empty stack has no determinants, and a stack of
+    # order-0 matrices has determinants 1
     rng = np.random.default_rng(3)
     stack = rng.integers(0, P, size=(3, 40, 40)).astype(np.uint32)
-    assert det_mod_p(stack, P) == [det_mod_p(M, P) for M in stack]
-    assert det_mod_p(np.zeros((0, 3, 3), dtype=np.int64), P) == []
-    assert det_mod_p(np.zeros((2, 0, 0), dtype=np.int64), P) == [1, 1]
+    assert det_mod_p_in_place(_residue_stack(stack), P) == \
+        [det_mod_p(M, P) for M in stack]
+    assert det_mod_p_in_place(_residue_stack(np.zeros((0, 3, 3))), P) == []
+    assert det_mod_p_in_place(_residue_stack(np.zeros((2, 0, 0))), P) == \
+        [1, 1]
 
 
 # -- in-place elimination ----------------------------------------------------
@@ -780,13 +789,15 @@ def test_det_mod_p_rejects_non_square():
         det_mod_p(np.zeros(4, dtype=np.int64), P)
     with pytest.raises(NonSquareMatrix):
         det_mod_p([[1, 2], [3]], P)
-    # a stack is square in its last two axes, and has three
-    with pytest.raises(NonSquareMatrix):
-        det_mod_p(np.zeros((2, 3, 4), dtype=np.int64), P)
-    with pytest.raises(NonSquareMatrix):
-        det_mod_p(np.zeros((2, 2, 3, 3), dtype=np.int64), P)
-    with pytest.raises(NonSquareMatrix):
-        det_mod_p(np.zeros((2, 3, 3), dtype=object), P)
+    # det_mod_p takes one matrix; a stack goes to det_mod_p_in_place,
+    # which takes one square in its last two axes, and of three axes
+    for stack in (np.zeros((2, 3, 3), dtype=np.int64),
+                  np.zeros((2, 3, 3), dtype=object)):
+        with pytest.raises(NonSquareMatrix):
+            det_mod_p(stack, P)
+    for stack in (np.zeros((2, 3, 4)), np.zeros((2, 2, 3, 3))):
+        with pytest.raises(NonSquareMatrix):
+            det_mod_p_in_place(stack, P)
 
 
 @pytest.mark.parametrize("p", [0, 1, DET_MODULUS_LIMIT, 2 ** 61 - 1])

@@ -9,6 +9,7 @@ import pytest
 
 from coxvar import Factorization, Monomial, det_mod_p, group
 from coxvar import arrangement, cli, coxeter_core, varchenko
+from coxvar.arrangement import Arrangement
 from coxvar.exact_algebra import det_mod_p_in_place
 from coxvar.coxeter_core import (
     build_group,
@@ -102,14 +103,15 @@ def test_primes_list_rejects_counts_below_one(count):
 
 def test_matrix_A1():
     g = group("A1")
-    vm = build_varchenko_matrix(g, WeightAssignment.per_hyperplane(g))
+    vm = build_varchenko_matrix(Arrangement(g),
+                                WeightAssignment.per_hyperplane(g))
     strs = [[str(m) for m in row] for row in vm.entries]
     assert strs == [["1", "a1"], ["a1", "1"]]
 
 
 def test_matrix_A2_single_q():
     g = group("A2")
-    vm = build_varchenko_matrix(g, WeightAssignment.single_q(g))
+    vm = build_varchenko_matrix(Arrangement(g), WeightAssignment.single_q(g))
     w0 = longest_element(g)
     assert str(vm.entries[0][w0]) == "q^3"
     assert str(vm.entries[0][0]) == "1"
@@ -118,7 +120,8 @@ def test_matrix_A2_single_q():
 @pytest.mark.parametrize("spec", ["A2", "B2", "I2(4)", "A2xA1"])
 def test_matrix_symmetric_unit_diagonal(spec):
     g = group(spec)
-    vm = build_varchenko_matrix(g, WeightAssignment.per_hyperplane(g))
+    vm = build_varchenko_matrix(Arrangement(g),
+                                WeightAssignment.per_hyperplane(g))
     assert vm.order == g.order
     for i in range(g.order):
         assert str(vm.entries[i][i]) == "1"
@@ -129,7 +132,7 @@ def test_matrix_symmetric_unit_diagonal(spec):
 def test_matrix_cap():
     with pytest.raises(OrderLimitExceeded):
         build_varchenko_matrix(
-            group("A5"), WeightAssignment.single_q(group("A5")))
+            Arrangement(group("A5")), WeightAssignment.single_q(group("A5")))
 
 
 # B2 fills part of one 8-reflection key byte; B3 (9 reflections) and A4
@@ -143,7 +146,7 @@ def test_modular_matrix_agrees_with_symbolic_entries(spec):
     values = np.array([point[wa.var_of[t]]
                        for t in range(g.num_reflections)], dtype=np.int64)
     M = modular_matrix_reference(g, values, P)
-    vm = build_varchenko_matrix(g, wa)
+    vm = build_varchenko_matrix(Arrangement(g), wa)
     for i in range(g.order):
         for j in range(g.order):
             assert int(M[i, j]) == vm.entries[i][j].eval_mod(point, P)
@@ -176,7 +179,8 @@ def test_modular_matrix_is_uint32_products_over_separating_sets(spec):
 def test_right_multiplication_by_w0_preserves_the_matrix(spec):
     # x w0 is the chamber opposite x, and B(x w0, y w0) = B(x, y)
     g = group(spec)
-    vm = build_varchenko_matrix(g, WeightAssignment.per_hyperplane(g))
+    vm = build_varchenko_matrix(Arrangement(g),
+                                WeightAssignment.per_hyperplane(g))
     w0 = longest_element(g)
     opposite = [mul(g, x, w0) for x in range(g.order)]
     N = g.inversion_table
@@ -219,7 +223,7 @@ def test_folded_halves_agree_with_symbolic_entries(spec):
     assert S.shape == D.shape == (len(X), len(X))
     assert np.array_equal(S, S.T) and np.array_equal(D, D.T)
     w0 = longest_element(g)
-    vm = build_varchenko_matrix(g, wa)
+    vm = build_varchenko_matrix(Arrangement(g), wa)
     for i, x in enumerate(X):
         for j, y in enumerate(X):
             b1 = vm.entries[x][y].eval_mod(point, P)
@@ -268,8 +272,8 @@ def test_weight_modes_are_coherent():
     g = group("B3")
     per_h = WeightAssignment.per_hyperplane(g)
     per_o = WeightAssignment.per_orbit(g)
-    f_h = closed_form_factorization(g, per_h)
-    f_o = closed_form_factorization(g, per_o)
+    f_h = closed_form_factorization(Arrangement(g), per_h)
+    f_o = closed_form_factorization(Arrangement(g), per_o)
     rng = random.Random(9)
     for _ in range(50):
         orbit_vals = {v: rng.randrange(1, P) for v in per_o.variables()}
@@ -289,14 +293,15 @@ def test_explicit_assignment_must_cover_all_reflections():
 
 def test_closed_form_A2_per_hyperplane():
     g = group("A2")
-    f = closed_form_factorization(g, WeightAssignment.per_hyperplane(g))
+    f = closed_form_factorization(Arrangement(g),
+                                  WeightAssignment.per_hyperplane(g))
     assert str(f) == "(1-a1^2)^2 (1-a2^2)^2 (1-a3^2)^2 (1-a1^2a2^2a3^2)^1"
     assert f.total_degree == 18
 
 
 def test_closed_form_A3_single_q_is_zagier_4():
     g = group("A3")
-    f = closed_form_factorization(g, WeightAssignment.single_q(g))
+    f = closed_form_factorization(Arrangement(g), WeightAssignment.single_q(g))
     assert str(f) == "(1-q^2)^36 (1-q^6)^8 (1-q^12)^2"
     assert f == zagier_formula(4)
 
@@ -318,9 +323,9 @@ def test_degree_matches_matrix_size():
     # under weight coarsening
     g = group("B2")
     d1 = closed_form_factorization(
-        g, WeightAssignment.per_hyperplane(g)).total_degree
+        Arrangement(g), WeightAssignment.per_hyperplane(g)).total_degree
     d2 = closed_form_factorization(
-        g, WeightAssignment.single_q(g)).total_degree
+        Arrangement(g), WeightAssignment.single_q(g)).total_degree
     assert d1 == d2
 
 
@@ -331,7 +336,8 @@ def test_degree_matches_matrix_size():
 def test_duchamp_concordance(n):
     g = group(f"A{n - 1}")
     dic = a_type_dictionary(g.roots, n)
-    f = closed_form_factorization(g, WeightAssignment("explicit", dic))
+    f = closed_form_factorization(Arrangement(g),
+                                  WeightAssignment("explicit", dic))
     assert f == duchamp_formula_A(n)
 
 
@@ -339,7 +345,8 @@ def test_duchamp_concordance(n):
 def test_randriamaro_concordance(n):
     g = group(f"B{n}")
     dic = b_type_dictionary(g.roots, n)
-    f = closed_form_factorization(g, WeightAssignment("explicit", dic))
+    f = closed_form_factorization(Arrangement(g),
+                                  WeightAssignment("explicit", dic))
     assert f == randriamaro_formula_B(n)
 
 
@@ -492,25 +499,26 @@ def test_reducible_product_rule():
                 for t, u in enumerate(embedded_roots_reference(g, comp))}
     comp_a2, comp_a1 = g.diagram.components
     f1 = closed_form_factorization(
-        a2, WeightAssignment("explicit", embedded(a2, comp_a2)))
+        Arrangement(a2), WeightAssignment("explicit", embedded(a2, comp_a2)))
     f2 = closed_form_factorization(
-        a1, WeightAssignment("explicit", embedded(a1, comp_a1)))
+        Arrangement(a1), WeightAssignment("explicit", embedded(a1, comp_a1)))
     combined = reducible_product(f1, 2, f2, 6)
     direct = closed_form_factorization(
-        g, WeightAssignment.per_hyperplane(g))
+        Arrangement(g), WeightAssignment.per_hyperplane(g))
     assert combined == direct
 
 
 def test_reducible_product_rejects_shared_variables():
     a1 = group("A1")
-    f = closed_form_factorization(a1, WeightAssignment.per_hyperplane(a1))
+    f = closed_form_factorization(Arrangement(a1),
+                                  WeightAssignment.per_hyperplane(a1))
     with pytest.raises(VariableCollision):
         reducible_product(f, 2, f, 2)
 
 
 @pytest.mark.parametrize("spec", ["A1xA1", "B2xA1", "A2xA2"])
 def test_concordance_reducible(spec):
-    recs = concordance_checks(parse_group_spec(spec))
+    recs = concordance_checks(Arrangement(diagram=parse_group_spec(spec)))
     assert recs and all(r["verdict"] == "PASS" for r in recs)
 
 
@@ -530,7 +538,7 @@ def test_concordance_builds_no_group(monkeypatch):
         "A3xB2xI2(9)": ["reducible_product"],
     }
     for spec, checks in expected.items():
-        recs = concordance_checks(parse_group_spec(spec))
+        recs = concordance_checks(Arrangement(diagram=parse_group_spec(spec)))
         assert [r["check"] for r in recs] == checks
         assert all(r["verdict"] == "PASS" for r in recs), recs
 
@@ -549,7 +557,7 @@ def test_verify_mod_p_passes(spec, mode):
         "per_orbit": WeightAssignment.per_orbit,
         "single_q": WeightAssignment.single_q,
     }[mode](g)
-    report = verify_mod_p(g, wa, trials=2, primes=2, seed=3)
+    report = verify_mod_p(Arrangement(g), wa, trials=2, primes=2, seed=3)
     assert report["verdict"] == "PASS"
     assert len(report["records"]) == 4
     for rec in report["records"]:
@@ -560,7 +568,7 @@ def test_verify_mod_p_detects_wrong_exponents():
     # corrupt one multiplicity: the modular check must notice
     g = group("A2")
     wa = WeightAssignment.per_hyperplane(g)
-    good = closed_form_factorization(g, wa)
+    good = closed_form_factorization(Arrangement(g), wa)
     bad = Factorization(tuple(
         (m, e + (1 if m.degree == 3 else 0)) for m, e in good.factors))
     rng = random.Random(0)
@@ -578,22 +586,23 @@ def test_verify_mod_p_detects_wrong_exponents():
 def test_verify_requires_a_determinant_record(kwargs):
     g = group("B3")
     with pytest.raises(CountOutOfRange):
-        verify_mod_p(g, WeightAssignment.per_hyperplane(g), **kwargs)
+        verify_mod_p(Arrangement(g), WeightAssignment.per_hyperplane(g),
+                     **kwargs)
 
 
 def test_verify_budget_enforced():
     g = group("H4")
     with pytest.raises(OrderLimitExceeded):
-        verify_mod_p(g, WeightAssignment.single_q(g))
+        verify_mod_p(Arrangement(g), WeightAssignment.single_q(g))
 
 
 def test_verify_is_deterministic():
     g = group("B2")
     wa = WeightAssignment.per_hyperplane(g)
-    r1 = verify_mod_p(g, wa, trials=3, primes=2, seed=11)
-    r2 = verify_mod_p(g, wa, trials=3, primes=2, seed=11)
+    r1 = verify_mod_p(Arrangement(g), wa, trials=3, primes=2, seed=11)
+    r2 = verify_mod_p(Arrangement(g), wa, trials=3, primes=2, seed=11)
     assert r1 == r2
-    r3 = verify_mod_p(g, wa, trials=3, primes=2, seed=12)
+    r3 = verify_mod_p(Arrangement(g), wa, trials=3, primes=2, seed=12)
     assert [x["lhs"] for x in r1["records"]] != \
         [x["lhs"] for x in r3["records"]]
 
@@ -690,7 +699,7 @@ def test_symbolic_determinant_equals_cofactor_reference(spec):
                WeightAssignment.single_q(g)):
         rows = [[sympy.Mul(*(sympy.Symbol(v) ** e for v, e in m.exps))
                  for m in r]
-                for r in build_varchenko_matrix(g, wa).entries]
+                for r in build_varchenko_matrix(Arrangement(g), wa).entries]
         assert symbolic_determinant(g, wa) == \
             sympy.expand(cofactor_det(rows))
 
@@ -701,5 +710,5 @@ def test_symbolic_determinant_equals_closed_form(spec):
     g = group(spec)
     wa = WeightAssignment.per_hyperplane(g)
     det = symbolic_determinant(g, wa)
-    f = closed_form_factorization(g, wa)
+    f = closed_form_factorization(Arrangement(g), wa)
     assert sympy.expand(det - sympy.expand(to_sympy(f))) == 0

@@ -10,6 +10,7 @@ the test extra installs.
 import numpy as np
 import sympy
 
+from coxvar.arrangement import Arrangement
 from coxvar.coxeter_core import EnumeratedGroup
 from coxvar.exact_algebra import Factorization
 from coxvar.varchenko import WeightAssignment, build_varchenko_matrix
@@ -70,7 +71,7 @@ def symbolic_determinant(group: EnumeratedGroup, wa: WeightAssignment):
     of the 2^n minors is computed once, as a bitmask-indexed `sympy.Poly`,
     instead of n! products along the expansion tree.
     """
-    vm = build_varchenko_matrix(group, wa, cap=8)
+    vm = build_varchenko_matrix(Arrangement(group), wa, cap=8)
     names = wa.variables()
     pos = {v: i for i, v in enumerate(names)}
     gens = [sympy.Symbol(v) for v in names]
