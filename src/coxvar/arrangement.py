@@ -208,7 +208,10 @@ class Arrangement:
 
         Returns the chambers and, aligned with them, the bitmask of each
         chamber's K.  The edge's class is part of the memo key: one
-        reflection set can be labelled with different classes.
+        reflection set can be labelled with different classes.  The
+        chambers are narrowed one column t of T_K at a time, to those with
+        D[x, t] in E, so the scan holds O(|W|) indices and never a
+        |W| x |T_K| block of D.
         """
         key = (edge.reflections, edge.class_J)
         if key not in self._candidates:
@@ -223,7 +226,9 @@ class Arrangement:
                 TK = self.roots.reflections_in(Kmask)
                 if len(TK) != size:
                     continue
-                found = np.flatnonzero(inE[D[:, TK]].all(axis=1))
+                found = np.flatnonzero(inE[D[:, TK[0]]])
+                for t in TK[1:]:
+                    found = found[inE[D[found, t]]]
                 xs.append(found)
                 masks.append(np.full(len(found), Kmask, dtype=np.int64))
             self._candidates[key] = (np.concatenate(xs),

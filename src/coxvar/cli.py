@@ -35,7 +35,11 @@ import json
 import sys
 
 from .arrangement import Arrangement
-from .coxeter_core import DEFAULT_ORDER_LIMIT, parse_group_spec
+from .coxeter_core import (
+    DEFAULT_ORDER_LIMIT,
+    conj_table_bytes,
+    parse_group_spec,
+)
 from .errors import (
     CountOutOfRange,
     CoxvarError,
@@ -57,6 +61,10 @@ ORACLE_BUDGET = 1152
 # largest |W| of the oracle in tables and of verify's determinants under
 # --unsafe-large
 HARD_DET_CAP = 14400
+# largest conjugation table, in bytes, that multiplicity builds for its
+# oracle: 8 times B7's 31.6 MB, the largest table of a group other than
+# I2(m) under the default --limit; I2(20000)'s would take 1.6 GB
+TABLE_BYTES_LIMIT = 1 << 28
 
 # errors meaning that a computed result failed a check, not that the input
 # was bad
@@ -249,7 +257,16 @@ def cmd_verify(ar, args):
 
 
 def cmd_multiplicity(ar, args):
-    # the oracle needs W: a group past --limit fails before the formula
+    # the oracle needs W and its conjugation table, and the diagram gives
+    # the size of both: a group past --limit, refused on its order when
+    # ar.group is read, or one whose table would pass TABLE_BYTES_LIMIT,
+    # fails before W is enumerated
+    order = ar.diagram.order
+    table = conj_table_bytes(order, ar.roots.num_reflections)
+    if order <= ar.limit and table > TABLE_BYTES_LIMIT:
+        raise OrderLimitExceeded(
+            f"the conjugation table of {ar.diagram.type_label} would take "
+            f"{table} bytes > limit {TABLE_BYTES_LIMIT}")
     ar.group
     reports = ar.multiplicity_reports(with_oracle=True)
     ok = all(r.match for r in reports)

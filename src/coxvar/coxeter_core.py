@@ -463,14 +463,34 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def index_dtype(count: int) -> np.dtype:
+    """The narrowest dtype of the indices below ``count``.
+
+    uint8 up to 256, uint16 up to 65536, int32 beyond.  The root table R
+    and the conjugation table D hold reflection indices in it, so D is
+    filled from R with no cast.
+    """
+    if count <= 1 << 8:
+        return np.dtype(np.uint8)
+    if count <= 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.int32)
+
+
+def conj_table_bytes(order: int, num_reflections: int) -> int:
+    """Bytes of the |W| x |T| conjugation table D, from the two counts."""
+    return order * num_reflections * index_dtype(num_reflections).itemsize
+
+
 class ReflectionTable:
     """The reflections of W as its positive roots, and how S conjugates them.
 
     Built from the root action alone; W is never enumerated.  The positive
     roots are numbered in the element order of their reflections in W, so
     root t stands for the reflection s_t with reflection index t, and root
-    g is alpha_g.  ``R[t, g]`` is the root of s_g s_t s_g; ``support[t]`` (a
-    bitmask) is that of the root and of s_t, and l(s_t) = 2 ``depth[t]`` - 1.
+    g is alpha_g.  ``R[t, g]`` is the root of s_g s_t s_g, in
+    ``index_dtype(|T|)``; ``support[t]`` (a bitmask) is that of the root
+    and of s_t, and l(s_t) = 2 ``depth[t]`` - 1.
     ``gen[t]`` is the least right descent of s_t, and a root t past the
     simple ones is s_gen[t](parent[t]), one deeper than its parent.
     """
@@ -517,13 +537,15 @@ class ReflectionTable:
         tied = Counter(key)
         order = np.array(sorted(range(len(R)), key=lambda t: (
             key[t], self._normal_form(t) if tied[key[t]] > 1 else [])))
-        rank = np.empty_like(order)
+        rank = np.empty(len(order), dtype=index_dtype(len(order)))
         rank[order] = np.arange(len(order))
         self.R = rank[R[order]]
         self.depth, self.support, self.gen = (
             depth[order], support[order], self.gen[order])
-        self.parent = np.where(self.depth > 1,
-                               self.R[np.arange(len(R)), self.gen], -1)
+        # int64, as R's unsigned dtype cannot hold the -1 of a simple root
+        self.parent = np.where(
+            self.depth > 1,
+            self.R[np.arange(len(R)), self.gen].astype(np.int64), -1)
 
     @property
     def num_reflections(self):
@@ -666,9 +688,13 @@ class EnumeratedGroup:
 
     @cached_property
     def conj_tables(self):
-        """D[x, t] = index of t^x; the index of t^(x^-1) is D[inv[x], t]."""
+        """D[x, t] = index of t^x; the index of t^(x^-1) is D[inv[x], t].
+
+        D has R's dtype, ``index_dtype(|T|)``: one byte per entry up to
+        256 reflections, so ``conj_table_bytes`` gives its size.
+        """
         R = self.conj_by_gen
-        D = np.zeros((self.order, self.num_reflections), dtype=np.int32)
+        D = np.zeros((self.order, self.num_reflections), dtype=R.dtype)
         D[0] = np.arange(self.num_reflections)
         for ys in self._levels:
             # t^(x s) = (t^x)^s

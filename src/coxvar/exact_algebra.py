@@ -486,7 +486,13 @@ def _residue_matrix(matrix, p):
         else:
             np.remainder(matrix.astype(np.int64, copy=False), p, out=A)
     else:
-        rows = [[_entry(e, p) for e in row] for row in matrix]
+        try:
+            rows = [[_entry(e, p) for e in row] for row in matrix]
+        except TypeError:
+            # _entry turns its own TypeError into NonIntegerMatrix, so this
+            # one is a matrix, or a row of it, that cannot be iterated
+            raise NonSquareMatrix("matrix is not a sequence of rows") \
+                from None
         try:
             A = np.array(rows, dtype=np.float64)
         except ValueError:

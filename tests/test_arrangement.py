@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -297,6 +298,25 @@ def test_chamber_candidates_are_keyed_by_the_class_too(true_first):
         queries.reverse()
     for edge, want in queries + queries:
         assert a.chambers_spanning(edge, 0) == want, edge
+
+
+def test_oracle_never_copies_the_conjugation_table():
+    # with W's tables built, the E6 oracle holds O(|W|) chamber indices: a
+    # gather of D[:, T_K] for the E6 class alone would hold 51840 x 36
+    # entries, 1.9 MB even at one byte each, and its boolean image
+    g = group("E6")
+    g.conj_tables, g.inv
+    a = Arrangement(g)
+    edges = [Edge(tuple(a.roots.reflections_in(_mask(J)).tolist()), J, 0)
+             for J in a.class_representatives()]
+    tracemalloc.start()
+    try:
+        for edge in edges:
+            a.multiplicity_oracle(edge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_arrangement_memos_belong_to_the_instance():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import coxvar
-from coxvar import arrangement, coxeter_core
+from coxvar import arrangement, cli, coxeter_core
 from coxvar.arrangement import Arrangement
 from coxvar.cli import main
 from coxvar.errors import InvarianceViolation, InvariantError
@@ -364,6 +364,32 @@ def test_verify_and_matrix_refuse_before_enumerating(capsys, monkeypatch,
     monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec, table", [("I2(20000)", 1600000000),
+                                         ("I2(30000)", 3600000000)])
+def test_multiplicity_refuses_an_oversized_table_before_enumerating(
+        capsys, monkeypatch, spec, table):
+    # |W| is under --limit, but the oracle's |W| x |T| uint16 table would
+    # take gigabytes: the estimate from the diagram refuses it first
+    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
+    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
+    monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
+    code, out, err = run(capsys, "multiplicity", spec)
+    assert code == 3 and out == ""
+    assert err == (f"error: the conjugation table of {spec} would take "
+                   f"{table} bytes > limit {cli.TABLE_BYTES_LIMIT}\n")
+
+
+def test_multiplicity_table_limit_is_inclusive(capsys, monkeypatch):
+    # A3's table is 24 x 6 bytes
+    monkeypatch.setattr(cli, "TABLE_BYTES_LIMIT", 144)
+    code, out, _ = run(capsys, "multiplicity", "A3")
+    assert code == 0 and out
+    monkeypatch.setattr(cli, "TABLE_BYTES_LIMIT", 143)
+    monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
+    code, out, err = run(capsys, "multiplicity", "A3")
+    assert code == 3 and out == "" and "144 bytes > limit 143" in err
 
 
 def test_verify_unsafe_large_past_the_cap_warns_of_nothing(capsys,

@@ -18,6 +18,8 @@ from coxvar import build_group, coxeter_core, group, parse_group_spec
 from coxvar.arrangement import Arrangement
 from coxvar.coxeter_core import (
     _orbit,
+    conj_table_bytes,
+    index_dtype,
     known_order,
     known_reflection_count,
     reflection_table,
@@ -178,6 +180,32 @@ def test_conjugation_tables_agree_with_multiplication():
             assert int(g.refl_ids[int(D[x, t])]) == conj
             conj2 = mul(g, mul(g, x, telem), xinv)
             assert int(g.refl_ids[int(C[x, t])]) == conj2
+
+
+@pytest.mark.parametrize("count, dtype", [
+    (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+    (65537, np.int32)])
+def test_index_dtype_is_the_narrowest_that_holds_the_indices(count, dtype):
+    # on the numbers alone: no group with more than 65536 reflections
+    assert index_dtype(count) == dtype
+    assert np.iinfo(dtype).max >= count - 1
+    assert conj_table_bytes(3, count) == 3 * count * np.dtype(dtype).itemsize
+
+
+@pytest.mark.parametrize("spec, itemsize", [
+    ("H4", 1), ("E6", 1), ("A2xA1", 1), ("I2(1000)", 2)])
+def test_conjugation_table_dtype(spec, itemsize):
+    g = group(spec)
+    D = g.conj_tables
+    assert D.dtype == g.roots.R.dtype == index_dtype(g.num_reflections)
+    assert D.itemsize == itemsize
+    assert D.nbytes == conj_table_bytes(g.order, g.num_reflections)
+    # every row is a permutation of the reflection indices
+    assert np.array_equal(np.sort(D[::97], axis=1),
+                          np.broadcast_to(np.arange(g.num_reflections),
+                                          D[::97].shape))
+    assert g.roots.parent.dtype == np.int64
+    assert (g.roots.parent < 0).sum() == g.n
 
 
 def geometric_matrices(g):

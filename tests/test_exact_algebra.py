@@ -789,6 +789,10 @@ def test_det_mod_p_rejects_non_square():
         det_mod_p(np.zeros(4, dtype=np.int64), P)
     with pytest.raises(NonSquareMatrix):
         det_mod_p([[1, 2], [3]], P)
+    # a flat list or a scalar has no rows to iterate
+    for matrix in ([1, 2], 5):
+        with pytest.raises(NonSquareMatrix, match="sequence of rows"):
+            det_mod_p(matrix, 7)
     # det_mod_p takes one matrix; a stack goes to det_mod_p_in_place,
     # which takes one square in its last two axes, and of three axes
     for stack in (np.zeros((2, 3, 3), dtype=np.int64),
