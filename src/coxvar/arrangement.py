@@ -25,6 +25,7 @@ import numpy as np
 from .coxeter_core import (
     DEFAULT_ORDER_LIMIT,
     EnumeratedGroup,
+    ReflectionTable,
     _bits,
     _mask,
     _orbit,
@@ -82,7 +83,9 @@ class Arrangement:
 
     Built from an enumerated group, or from a diagram alone; then W is
     enumerated, up to ``limit`` elements, only when ``group`` is first
-    read, and ``limit`` also bounds the members of each edge orbit.
+    read, and ``limit`` also bounds the members of each edge orbit.  The
+    reflection table is built only when ``roots`` is first read, so a
+    command can refuse a group on its diagram's counts at no cost.
     """
 
     def __init__(self, group: EnumeratedGroup | None = None, diagram=None,
@@ -93,10 +96,14 @@ class Arrangement:
             limit = max(limit, group.order)
         self.diagram = diagram
         self.limit = limit
-        self.roots = reflection_table(diagram)
         self._orbits = {}  # J -> (edge rows of roots, Coxeter class [J])
         self._memo = {}
-        self._candidates = {}  # (reflections, class_J) -> (chambers, masks)
+        # (reflections, class_J) -> (inverses of chambers, K masks, counts)
+        self._candidates = {}
+
+    @cached_property
+    def roots(self) -> ReflectionTable:
+        return reflection_table(self.diagram)
 
     @cached_property
     def group(self) -> EnumeratedGroup:
@@ -185,8 +192,8 @@ class Arrangement:
         E under conjugation by x^-1, and T_K determines K, its simple
         reflections.  So the sets are those of the per-t test.
         """
-        xs, spans = self._candidates_spanning(edge, t)
-        return set(xs[spans].tolist())
+        inverses, spans = self._candidates_spanning(edge, t)
+        return set(self.group.inv[inverses[spans]].tolist())
 
     def count_L(self, edge: Edge, t: int) -> int:
         """|L(E, t)|, counted without building the chamber set.
@@ -196,18 +203,21 @@ class Arrangement:
         return int(np.count_nonzero(self._candidates_spanning(edge, t)[1]))
 
     def _candidates_spanning(self, edge: Edge, t: int):
-        """The edge's candidates, and which of them span it from t."""
+        """The inverses of the edge's candidates, and which candidates span
+        it from t."""
         if t not in edge.reflections:
             raise ReflectionNotOnEdge(f"reflection {t} not on edge")
-        g = self.group
-        xs, masks = self._edge_candidates(edge)
-        return xs, self.roots.support[g.conj_tables[g.inv[xs], t]] == masks
+        inverses, masks, sizes = self._edge_candidates(edge)
+        support = self.roots.support[self.group.conj_tables[inverses, t]]
+        return inverses, support == np.repeat(masks, sizes)
 
     def _edge_candidates(self, edge: Edge):
         """Chambers x with D[x, T_K] = E for some K in the edge's class.
 
-        Returns the chambers and, aligned with them, the bitmask of each
-        chamber's K.  The edge's class is part of the memo key: one
+        Returns the inverses x^-1 of those chambers, which every t reads as
+        D[x^-1, t], as int32 and grouped by K, the bitmask of each K and the
+        number of chambers of each: the memo keeps one mask per K, not one
+        per chamber.  The edge's class is part of the memo key: one
         reflection set can be labelled with different classes.  The
         chambers are narrowed one column t of T_K at a time, to those with
         D[x, t] in E, so the scan holds O(|W|) indices and never a
@@ -220,8 +230,7 @@ class Arrangement:
             inE = np.zeros(g.num_reflections, dtype=bool)
             inE[list(edge.reflections)] = True
             size = int(inE.sum())
-            xs = [np.empty(0, dtype=np.int64)]
-            masks = [np.empty(0, dtype=np.int64)]
+            inverses, masks = [np.empty(0, dtype=np.int32)], []
             for Kmask in {_mask(K) for K in self.coxeter_class(edge.class_J)}:
                 TK = self.roots.reflections_in(Kmask)
                 if len(TK) != size:
@@ -229,10 +238,11 @@ class Arrangement:
                 found = np.flatnonzero(inE[D[:, TK[0]]])
                 for t in TK[1:]:
                     found = found[inE[D[found, t]]]
-                xs.append(found)
-                masks.append(np.full(len(found), Kmask, dtype=np.int64))
-            self._candidates[key] = (np.concatenate(xs),
-                                     np.concatenate(masks))
+                inverses.append(g.inv[found].astype(np.int32))
+                masks.append(Kmask)
+            self._candidates[key] = (
+                np.concatenate(inverses), np.array(masks, dtype=np.int64),
+                np.array([len(x) for x in inverses[1:]], dtype=np.int64))
         return self._candidates[key]
 
     def multiplicity_oracle(self, edge: Edge) -> int:

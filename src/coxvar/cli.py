@@ -15,7 +15,9 @@ and multiplicity load neither.
 ``main`` builds one ``Arrangement`` per command and hands it to the
 handler.  W is enumerated only when its ``group`` is first read: by the
 chamber oracle, and by matrix and verify once the order has passed their
-cap or determinant budget.
+cap or determinant budget.  Its reflection table is built only when
+``roots`` is first read, so multiplicity, matrix and verify refuse a
+group from its diagram's counts before either is built.
 """
 
 from __future__ import annotations
@@ -160,8 +162,11 @@ def cmd_det(ar, args):
 
 
 def cmd_matrix(ar, args):
-    from .varchenko import build_varchenko_matrix
+    from .varchenko import MATRIX_DUMP_LIMIT, build_varchenko_matrix, \
+        check_order
 
+    # refused before the weight assignment builds the reflection table
+    check_order(ar, MATRIX_DUMP_LIMIT, "matrix cap")
     wa = _weight_assignment(ar.roots, args.assign)
     vm = build_varchenko_matrix(ar, wa)
     g = ar.group
@@ -219,13 +224,15 @@ def cmd_tables(ar, args):
 
 
 def cmd_verify(ar, args):
-    from .varchenko import DET_BUDGET, concordance_checks, verify_mod_p
+    from .varchenko import DET_BUDGET, check_verify_limits, \
+        concordance_checks, verify_mod_p
 
-    wa = _weight_assignment(ar.roots, args.assign)
     budget = HARD_DET_CAP if args.unsafe_large else DET_BUDGET
-    # only a run that starts is announced: past the budget verify_mod_p
-    # refuses at once
-    if DET_BUDGET < ar.diagram.order <= budget:
+    # refused before the weight assignment builds the reflection table
+    check_verify_limits(ar, args.trials, budget)
+    wa = _weight_assignment(ar.roots, args.assign)
+    # only a run that starts is announced
+    if ar.diagram.order > DET_BUDGET:
         print(f"warning: |W| = {ar.diagram.order}, dense modular "
               "determinants will take a while", file=sys.stderr)
     report = verify_mod_p(ar, wa, trials=args.trials, primes=args.primes,
@@ -260,9 +267,9 @@ def cmd_multiplicity(ar, args):
     # the oracle needs W and its conjugation table, and the diagram gives
     # the size of both: a group past --limit, refused on its order when
     # ar.group is read, or one whose table would pass TABLE_BYTES_LIMIT,
-    # fails before W is enumerated
+    # fails before W is enumerated or the reflection table built
     order = ar.diagram.order
-    table = conj_table_bytes(order, ar.roots.num_reflections)
+    table = conj_table_bytes(order, ar.diagram.num_reflections)
     if order <= ar.limit and table > TABLE_BYTES_LIMIT:
         raise OrderLimitExceeded(
             f"the conjugation table of {ar.diagram.type_label} would take "

@@ -187,6 +187,12 @@ class CoxeterDiagram:
             r *= c.order
         return r
 
+    @property
+    def num_reflections(self):
+        """|T|, from the components' types: no root is built."""
+        return sum(known_reflection_count(c.letter, c.param)
+                   for c in self.components)
+
     def bond_graph_neighbors(self, i):
         return [j for j in range(self.rank) if j != i and self.bonds[i][j] >= 3]
 

@@ -10,19 +10,20 @@ p < 2**32 of a stack of k matrices of one order, given as a C-contiguous
 float64 array of residues that it overwrites, so that a caller which
 writes its matrices there holds them only once.  ``det_mod_p`` takes one
 integer matrix in any integer form, reduces it mod p into a fresh float64
-stack of one and eliminates that.  The members of a stack run in
-lockstep, each panel's Gauss-Jordan steps and each row chunk's products
-taken over all of them at once, so that k small matrices pay numpy's
-per-call overhead once, not k times; a single matrix is a stack of one.  Each 32 x 32 diagonal block is inverted by Gauss-Jordan in uint64
-residues, reduced mod p only every few steps, as many as keep every entry
-below 2**64 (three for primes near 2**31, one near 2**32); the rest of the
-matrix is updated through float64 products on 16-bit limbs, where every
-sum is an integer below 2**53, which float64 holds and sums exactly.  A
-member's block that is singular mod p at column j takes a row from below,
-reduced against its j pivot rows, and Gauss-Jordan goes on from column j,
-so every block runs exactly 32 pivot steps; a member with no such row has
-determinant 0 and runs on as an identity matrix.  Floating point appears
-nowhere else.
+stack of one and eliminates that.  Only Gauss-Jordan is stacked: each
+pivot step runs over the diagonal blocks of all k members at once, so k
+small matrices pay numpy's per-call overhead once.  The float64 trailing
+update runs one member at a time, so a stack's temporaries are one
+member's; a single matrix is a stack of one.  Each 32 x 32 diagonal block
+is inverted by Gauss-Jordan in uint64 residues, reduced mod p only every
+few steps, as many as keep every entry below 2**64 (three for primes near
+2**31, one near 2**32); the rest of the matrix is updated through float64
+products on 16-bit limbs, where every sum is an integer below 2**53,
+which float64 holds and sums exactly.  A member's block that is singular
+mod p at column j takes a row from below, reduced against its j pivot
+rows, and Gauss-Jordan goes on from column j, so every block runs exactly
+32 pivot steps; a member with no such row has determinant 0 and runs on
+as an identity matrix.  Floating point appears nowhere else.
 
 A symmetric input, such as a Varchenko matrix, is eliminated on its lower
 triangle alone: A12 is read as A21 transposed, and each chunk of rows of
@@ -36,7 +37,7 @@ primes near 2**31, one near 2**32), and every read of the trailing matrix
 reduces what it reads.
 
 Every matrix product goes through ``_product``, in tiles of at most 2**19
-multiply-adds per member.  OpenBLAS 0.3.31, the BLAS numpy ships, forms a
+multiply-adds.  OpenBLAS 0.3.31, the BLAS numpy ships, forms a
 product of that size on the calling thread and hands one of about 2**20
 or more to its worker threads; on a 2-core host the second thread saved
 no wall time on these products, spun between them and doubled the CPU
@@ -72,12 +73,11 @@ DET_MODULUS_LIMIT = 1 << 32  # the elimination is exact for 2 <= p below it
 _PANEL = 32  # order of the diagonal blocks inverted one at a time
 # rows of A per product, to bound temporaries; a multiple of _PANEL
 _ROW_CHUNK = 128
-# Most multiply-adds (M * N * K) in one float64 product of one member.
-# OpenBLAS 0.3.31 runs a GEMM on its worker threads from about 2**20
-# multiply-adds on (measured on a 2-core host: M, K = 128, 64 ran on one
-# thread up to N = 120 and on two from N = 127), so 2**19 keeps a factor
-# of two of margin.  numpy forms a product of stacks as one GEMM per
-# member.  Row chunks of _ROW_CHUNK also keep every matrix-vector product
+# Most multiply-adds (M * N * K) in one float64 product.  OpenBLAS 0.3.31
+# runs a GEMM on its worker threads from about 2**20 multiply-adds on
+# (measured on a 2-core host: M, K = 128, 64 ran on one thread up to
+# N = 120 and on two from N = 127), so 2**19 keeps a factor of two of
+# margin.  Row chunks of _ROW_CHUNK also keep every matrix-vector product
 # at M * K <= 2**13, far below OpenBLAS's threshold for those (between
 # 4.6e5 and 4.9e5 multiply-adds, measured the same way).
 _PRODUCT_LIMIT = 1 << 19
@@ -86,34 +86,28 @@ _PRODUCT_LIMIT = 1 << 19
 def _product(a, b, out):
     """out = a @ b in column tiles of at most _PRODUCT_LIMIT multiply-adds.
 
-    a is one row chunk of at most _ROW_CHUNK rows, or a stack of such
-    chunks with b and out stacks of the same length, and out, which may be
-    a view of a larger buffer, receives every tile in place.  Each tile of
-    each member is small enough that BLAS forms it on the calling thread.
+    a is one row chunk of at most _ROW_CHUNK rows of one member, and out,
+    which may be a view of a larger buffer, receives every tile in place.
+    Each tile is small enough that BLAS forms it on the calling thread.
     This is the only place where the kernel multiplies matrices.
     """
-    m, k = a.shape[-2:]
+    m, k = a.shape
     width = max(1, _PRODUCT_LIMIT // max(1, m * k))
-    for c0 in range(0, b.shape[-1], width):
+    for c0 in range(0, b.shape[1], width):
         c1 = c0 + width
-        np.matmul(a, b[..., c0:c1], out=out[..., c0:c1])
+        np.matmul(a, b[:, c0:c1], out=out[:, c0:c1])
     return out
 
 
 def _split(x, p):
     """Limbs [lo; hi] of integers x mod p, stacked on the row axis, as
-    float64: ``_limbs`` of x taken by ``_reduce`` to |b| <= p/2 + 2."""
+    float64: x taken by ``_reduce`` to |b| <= p/2 + 2 is written
+    lo + 2**16 hi with |lo|, |hi| <= 2**15."""
     b = np.empty(x.shape)
     _reduce(x, p, out=b)
-    return _limbs(b)
-
-
-def _limbs(b):
-    """[lo; hi], stacked on the row axis, of float64 integers |b| <= p/2 + 2
-    written lo + 2**16 hi with |lo|, |hi| <= 2**15."""
-    w = b.shape[-2]
-    out = np.empty(b.shape[:-2] + (2 * w, b.shape[-1]))
-    lo, hi = out[..., :w, :], out[..., w:, :]
+    w = b.shape[0]
+    out = np.empty((2 * w, b.shape[1]))
+    lo, hi = out[:w], out[w:]
     np.multiply(b, 1.0 / (1 << 16), out=hi)
     np.rint(hi, out=hi)
     np.multiply(hi, -(1 << 16), out=lo)
@@ -132,12 +126,12 @@ def _with_shift(x, p, out=None):
     ``_delayed_updates`` counts how many such sums an entry of A takes
     before it must be reduced to stay below 2**53 - p.
     """
-    w = x.shape[-1]
+    w = x.shape[1]
     if out is None:
-        out = np.empty(x.shape[:-1] + (2 * w,))
-    _reduce(x, p, out=out[..., :w])
-    np.multiply(out[..., :w], 1 << 16, out=out[..., w:])
-    _reduce(out[..., w:], p, out=out[..., w:])
+        out = np.empty((x.shape[0], 2 * w))
+    _reduce(x, p, out=out[:, :w])
+    np.multiply(out[:, :w], 1 << 16, out=out[:, w:])
+    _reduce(out[:, w:], p, out=out[:, w:])
     return out
 
 
@@ -308,27 +302,27 @@ def _reduced_row_below(a21, G, j, p):
     return None
 
 
-def _invert_diagonal_block(A, a21, k0, k1, p, symmetric):
+def _invert_diagonal_block(A, k0, k1, p, symmetric):
     """Determinants and inverses of each member's A11 = A[m, k0:k1, k0:k1],
     exchanging rows.
 
     Gauss-Jordan runs on the blocks alone.  If column j of a member's A11
-    has no pivot, the first row below whose column j, reduced against the
-    j pivot rows, is nonzero is exchanged for the member's block row at
-    position j (over columns k0 onward, and in a21, the ``_with_shift`` of
-    A21), its reduced row takes position j in G, and Gauss-Jordan goes on
-    from column j for the whole stack, so each block runs exactly w pivot
-    steps.  An exchange that does not supply the pivot raises
-    InvariantError.  A member with no such row below has determinant 0: it
-    goes on as an identity matrix, A[m, k0:, k0:], its block and its rows
-    of a21 replaced, and its determinant here is 0.  When ``symmetric``,
-    each A[m, k0:, k0:] is held on its lower triangle and on the diagonal
-    blocks, which the staircase of ``_schur_update`` covers whole; the
-    first exchange, which moves whole rows, first mirrors every trailing
-    matrix from its lower triangle.  Returns ``(d, inverse, symmetric)``,
-    d the list of the determinants of the final blocks times the signs of
-    the exchanges, inverse the stack of block inverses and symmetric false
-    once an exchange was made.
+    has no pivot, the member's A21 is read from A, which holds every row
+    exchanged so far, and the first row below whose column j, reduced
+    against the j pivot rows, is nonzero is exchanged for the member's
+    block row at position j (over columns k0 onward); its reduced row
+    takes position j in G, and Gauss-Jordan goes on from column j for the
+    whole stack, so each block runs exactly w pivot steps.  An exchange
+    that does not supply the pivot raises InvariantError.  A member with
+    no such row below has determinant 0: it goes on as an identity matrix,
+    A[m, k0:, k0:] and its block replaced, and its determinant here is 0.
+    When ``symmetric``, each A[m, k0:, k0:] is held on its lower triangle
+    and on the diagonal blocks, which the staircase of ``_schur_update``
+    covers whole; the first exchange, which moves whole rows, first
+    mirrors every trailing matrix from its lower triangle.  Returns
+    ``(d, inverse, symmetric)``, d the list of the determinants of the
+    final blocks times the signs of the exchanges, inverse the stack of
+    block inverses and symmetric false once an exchange was made.
     """
     k, n = A.shape[:2]
     w = k1 - k0
@@ -340,10 +334,10 @@ def _invert_diagonal_block(A, a21, k0, k1, p, symmetric):
         symmetric = False
     while j < w:
         for m in np.flatnonzero(G[:, j, j] == 0):
-            found = _reduced_row_below(a21[m], G[m], j, p)
+            found = _reduced_row_below(_with_shift(A[m, k1:, k0:k1], p),
+                                       G[m], j, p)
             if found is None:
                 A[m, k0:, k0:] = np.eye(n - k0)
-                a21[m] = 0
                 G[m] = np.eye(w, dtype=np.uint64)
                 rows[m] = np.arange(w)
                 d[m] = 0
@@ -351,7 +345,6 @@ def _invert_diagonal_block(A, a21, k0, k1, p, symmetric):
             i, G[m, j] = found
             a, b = k0 + rows[m, j], k1 + i
             A[m, [a, b], k0:] = A[m, [b, a], k0:]
-            a21[m, i] = _with_shift(A[m, b, k0:k1], p)
             d[m] = -d[m] % p
         d, stop = _gauss_jordan(G, p, rows, j, d)
         if stop == j:
@@ -365,19 +358,20 @@ def _invert_diagonal_block(A, a21, k0, k1, p, symmetric):
     return d, G.view(np.int64), symmetric
 
 
-def _schur_update(A, a21, inverse, k0, k1, p, symmetric, reduce):
-    """A22 -= (A21 A11^-1) A12 for every member, one chunk of _ROW_CHUNK
-    rows of the whole stack at a time.
+def _schur_update(A, inverse, k0, k1, p, symmetric, reduce):
+    """A22 -= (A21 A11^-1) A12 for one member A, one chunk of _ROW_CHUNK
+    rows at a time.
 
-    a21 is ``_with_shift`` of A21.  z = A21 A11^-1 is formed chunk by
-    chunk, and its ``_with_shift`` takes the buffer of a21.  Then each
-    chunk's z A12 is formed by ``_product``, one column tile at a time into
-    a buffer of k x _ROW_CHUNK x 64 entries, not of a chunk's whole width,
-    and subtracted from the chunk in place; so the temporaries of a stack
-    stay near three times the size of its a21.  When ``symmetric``, A12 is
-    read as A21 transposed, from a21, and each chunk stops at the column
-    of its own last row: this staircase covers the lower triangle of A22,
-    which stays symmetric, with about half the products.  Chunks start at
+    z = A21 A11^-1 is formed chunk by chunk as the ``_split`` limbs of A21
+    times [A11^-1; 2**16 A11^-1], and then taken by ``_with_shift``.  When
+    ``symmetric``, A12 is A21 transposed and its limbs are those already
+    formed; each chunk stops at the column of its own last row, a
+    staircase that covers the lower triangle of A22, which stays
+    symmetric, with about half the products.  Each chunk's z A12 is formed
+    by ``_product`` into one buffer of a single product's output, as many
+    columns at a time as one GEMM forms for the chunk's rows, and
+    subtracted from the chunk in place; so the temporaries, one member's,
+    stay near three times the size of the shifted z.  Chunks start at
     multiples of _PANEL, as _ROW_CHUNK is one, so each later diagonal
     block lies in one chunk and is updated whole.  The chunk is reduced
     mod p only when ``reduce``.  Otherwise its entries move by less than
@@ -385,26 +379,26 @@ def _schur_update(A, a21, inverse, k0, k1, p, symmetric, reduce):
     ``_with_shift`` residue and a 16-bit limb, and ``_delayed_updates``
     says how many such updates keep them below 2**53 - p.
     """
-    k, n = A.shape[:2]
-    # a21 begins with the reduced residues of A21, contiguous where A is not
-    right = (_limbs(a21[:, :, :k1 - k0].swapaxes(1, 2)) if symmetric
-             else _split(A[:, k0:k1, k1:], p))
-    inverse_limbs = _split(inverse, p)
-    z = np.empty((k, n - k1, k1 - k0))
+    n, w = A.shape[0], k1 - k0
+    below = _split(A[k1:, k0:k1].T, p)  # limbs of A21, transposed
+    right = below if symmetric else _split(A[k0:k1, k1:], p)
+    inverse_shifted = _with_shift(inverse.T, p).T
+    # Fortran order keeps z and both halves of [z | 2**16 z] contiguous
+    z = np.empty((n - k1, w), order="F")
     for r0 in range(0, n - k1, _ROW_CHUNK):
-        _product(a21[:, r0:r0 + _ROW_CHUNK], inverse_limbs,
-                 z[:, r0:r0 + _ROW_CHUNK])
-    z = _with_shift(z, p, out=a21)
-    # the columns _product forms in one GEMM of a full chunk
-    tile = max(1, _PRODUCT_LIMIT // (_ROW_CHUNK * 2 * (k1 - k0)))
-    g = np.empty((k, _ROW_CHUNK, min(tile, n - k1)))
+        _product(below[:, r0:r0 + _ROW_CHUNK].T, inverse_shifted,
+                 z[r0:r0 + _ROW_CHUNK])
+    del below
+    z = _with_shift(z, p, out=np.empty((n - k1, 2 * w), order="F"))
+    g = np.empty(min(_PRODUCT_LIMIT // (2 * w), _ROW_CHUNK * (n - k1)))
     for r0 in range(0, n - k1, _ROW_CHUNK):
         r1 = min(r0 + _ROW_CHUNK, n - k1)
+        tile = len(g) // (r1 - r0)
         for c0 in range(0, r1 if symmetric else n - k1, tile):
             c1 = min(c0 + tile, r1 if symmetric else n - k1)
-            block = A[:, k1 + r0:k1 + r1, k1 + c0:k1 + c1]
-            update = _product(z[:, r0:r1], right[:, :, c0:c1],
-                              g[:, :r1 - r0, :c1 - c0])
+            block = A[k1 + r0:k1 + r1, k1 + c0:k1 + c1]
+            update = _product(z[r0:r1], right[:, c0:c1],
+                              g[:(r1 - r0) * (c1 - c0)].reshape(block.shape))
             if reduce:
                 np.subtract(block, update, out=update)
                 _reduce(update, p, out=block)
@@ -428,16 +422,21 @@ def _delayed_updates(p):
 
 def _are_residues(A, p):
     """Whether every entry of the stack A is an integer in range(p): its
-    least and greatest entries lie there, and each row chunk of each
-    member equals its floor."""
+    least and greatest entries lie there, and every _PANEL rows less their
+    floor, formed in one reused scratch, are zero."""
     if not A.size:
         return True
     # a NaN fails both comparisons
     if not (0 <= A.min() and A.max() < p):
         return False
-    return all(np.array_equal(np.floor(member[r0:r0 + _ROW_CHUNK]),
-                              member[r0:r0 + _ROW_CHUNK])
-               for member in A for r0 in range(0, A.shape[1], _ROW_CHUNK))
+    rows = A.reshape(-1, A.shape[2])
+    scratch = np.empty((_PANEL, A.shape[2]))
+    for r0 in range(0, len(rows), _PANEL):
+        chunk, fraction = rows[r0:r0 + _PANEL], scratch[:len(rows) - r0]
+        np.subtract(chunk, np.floor(chunk, out=fraction), out=fraction)
+        if fraction.any():
+            return False
+    return True
 
 
 def _is_symmetric(A):
@@ -451,13 +450,14 @@ def _is_symmetric(A):
 
 def mirror_lower(A, k0):
     """Copy the lower triangle of each A[m, k0:, k0:] onto its upper one,
-    one band of _ROW_CHUNK columns at a time."""
+    one member and one band of _ROW_CHUNK columns at a time."""
     n = A.shape[1]
-    for c0 in range(k0, n, _ROW_CHUNK):
-        c1 = min(c0 + _ROW_CHUNK, n)
-        A[:, k0:c0, c0:c1] = A[:, c0:c1, k0:c0].swapaxes(1, 2)
-        square = A[:, c0:c1, c0:c1]
-        square[...] = np.tril(square) + np.tril(square, -1).swapaxes(1, 2)
+    for member in A:
+        for c0 in range(k0, n, _ROW_CHUNK):
+            c1 = min(c0 + _ROW_CHUNK, n)
+            member[k0:c0, c0:c1] = member[c0:c1, k0:c0].T
+            square = member[c0:c1, c0:c1]
+            square[...] = np.tril(square) + np.tril(square, -1).T
 
 
 def _entry(e, p):
@@ -522,29 +522,32 @@ def det_mod_p_in_place(A: np.ndarray, p: int) -> list[int]:
 
     A is a C-contiguous float64 array of shape (k, n, n) whose entries are
     integers in range(p), and it is the only copy of the matrices that
-    the elimination holds.  Its members are eliminated in lockstep, which
-    spares numpy's per-call overhead on small orders.  Blocked
-    right-looking elimination: for each diagonal block A11 of _PANEL
-    columns, Gauss-Jordan on [A11 | I] gives det(A11) and A11^-1 in uint64
-    residues, reduced whole mod p every ``_delayed_steps(p)`` steps, and
-    the trailing matrix becomes A22 - (A21 A11^-1) A12 through exact
-    float64 products on 16-bit limbs, each small enough to run on the
-    calling thread.  A block singular mod p at column j takes, in
-    exchange for its row at position j, the first row below whose column
-    j is nonzero once reduced by the block's pivot rows, and Gauss-Jordan
-    goes on from column j; a row-permuted matrix can need such an
-    exchange for nearly every column, which makes it the slowest input.
-    A stack whose members are all symmetric is eliminated on its lower
-    triangles, up to the first exchange in any member, and the trailing
-    matrices are reduced mod p every ``_delayed_updates(p)`` updates.
-    Pivots are the first nonzero entry wherever one is searched, so the
-    result is deterministic for fixed input, and a member's determinant
-    does not depend on the stack it is in.  Exact for 2 <= p < 2**32 (p
-    is assumed prime): the uint64 updates stay below 2**64 and every sum
-    of a product below 2**53.  Raises ModulusOutOfRange, NonSquareMatrix
-    for a rank other than 3 or non-square members, and NotAResidueStack
-    for another dtype, a layout that is not C-contiguous, a read-only
-    array or an entry that is not an integer in range(p).
+    the elimination holds.  Blocked right-looking elimination: for each
+    diagonal block A11 of _PANEL columns, Gauss-Jordan on [A11 | I] gives
+    det(A11) and A11^-1 in uint64 residues, reduced whole mod p every
+    ``_delayed_steps(p)`` steps, and the trailing matrix becomes
+    A22 - (A21 A11^-1) A12 through exact float64 products on 16-bit limbs,
+    each small enough to run on the calling thread.  Gauss-Jordan takes
+    each pivot step over the blocks of all members at once, sparing
+    numpy's per-call overhead on small orders; the trailing update runs
+    one member at a time, so besides A the elimination holds the
+    (k, 32, 32) blocks and one member's float64 buffers.  A block singular
+    mod p at column j takes, in exchange for its row at position j, the
+    first row below whose column j is nonzero once reduced by the block's
+    pivot rows, and Gauss-Jordan goes on from column j; a row-permuted
+    matrix can need such an exchange for nearly every column, which makes
+    it the slowest input.  A stack whose members are all symmetric is
+    eliminated on its lower triangles, up to the first exchange in any
+    member, and the trailing matrices are reduced mod p every
+    ``_delayed_updates(p)`` updates.  Pivots are the first nonzero entry
+    wherever one is searched, so the result is deterministic for fixed
+    input, and a member's determinant does not depend on the stack it is
+    in.  Exact for 2 <= p < 2**32 (p is assumed prime): the uint64 updates
+    stay below 2**64 and every sum of a product below 2**53.  Raises
+    ModulusOutOfRange, NonSquareMatrix for a rank other than 3 or
+    non-square members, and NotAResidueStack for another dtype, a layout
+    that is not C-contiguous, a read-only array or an entry that is not an
+    integer in range(p).
     """
     _check_modulus(p)
     if not isinstance(A, np.ndarray) or A.dtype != np.float64:
@@ -565,15 +568,13 @@ def det_mod_p_in_place(A: np.ndarray, p: int) -> list[int]:
         if not any(det):
             break
         k1 = min(k0 + _PANEL, n)
-        a21 = _with_shift(A[:, k1:, k0:k1], p)
-        d, inverse, symmetric = _invert_diagonal_block(A, a21, k0, k1, p,
+        d, inverse, symmetric = _invert_diagonal_block(A, k0, k1, p,
                                                        symmetric)
         det = [a * b % p for a, b in zip(det, d)]
-        if k1 < n:
-            _schur_update(A, a21, inverse, k0, k1, p, symmetric,
+        # a member of determinant 0 is an identity matrix from here on
+        for m in np.flatnonzero(det) if k1 < n else ():
+            _schur_update(A[m], inverse[m], k0, k1, p, symmetric,
                           reduce=k0 // _PANEL % delay == delay - 1)
-        # not held while the next panel's a21 is formed
-        del a21, inverse
     return det
 
 

@@ -165,10 +165,8 @@ class VarchenkoMatrix:
 def build_varchenko_matrix(ar: Arrangement, wa: WeightAssignment,
                            cap: int = MATRIX_DUMP_LIMIT) -> VarchenkoMatrix:
     """The symbolic |W| x |W| matrix; W is enumerated past the cap check."""
+    check_order(ar, cap, "matrix cap")
     order = ar.diagram.order
-    if order > cap:
-        raise OrderLimitExceeded(f"|W| = {order} exceeds matrix cap {cap}",
-                                 known_order=order)
     N = ar.group.inversion_table
     rows = []
     for x in range(order):
@@ -431,6 +429,25 @@ def modular_matrix(group: EnumeratedGroup, values: np.ndarray, p: int, *,
     return S if S is not None else D
 
 
+def check_order(ar: Arrangement, limit: int, what: str) -> None:
+    """Raise OrderLimitExceeded when |W| passes ``limit``, the ``what`` of
+    the message, from the diagram alone: neither W nor the reflection
+    table is built."""
+    order = ar.diagram.order
+    if order > limit:
+        raise OrderLimitExceeded(f"|W| = {order} exceeds {what} {limit}",
+                                 known_order=order)
+
+
+def check_verify_limits(ar: Arrangement, trials: int,
+                        budget: int = DET_BUDGET) -> None:
+    """The checks ``verify_mod_p`` makes before it reads its weights: at
+    least one trial, and |W| within the determinant budget."""
+    if trials < 1:
+        raise CountOutOfRange(f"trial count {trials} is below 1")
+    check_order(ar, budget, "determinant budget")
+
+
 def verify_mod_p(ar: Arrangement, wa: WeightAssignment, trials: int = 5,
                  primes=None, seed: int = 0, budget: int = DET_BUDGET) -> dict:
     """Random-evaluation check of the determinant identity.
@@ -443,20 +460,17 @@ def verify_mod_p(ar: Arrangement, wa: WeightAssignment, trials: int = 5,
     ``det_mod_p_in_place`` then eliminates, so the halves in memory are
     the elimination's only copy: 2 bytes per entry of the |W| x |W|
     matrix at most.  The halves of as many consecutive trials as fit in
-    DET_STACK_BYTES go into one stack, eliminated in lockstep; when one
+    DET_STACK_BYTES go into one stack: its Gauss-Jordan steps run in
+    lockstep, and its trailing updates one member at a time, so the
+    elimination adds the buffers of one half, not of the stack.  When one
     trial's two halves do not fit, S and then D take turns in a single
     buffer, so a large group's peak memory is that of one half.  The
     records do not depend on the grouping.  Raises CountOutOfRange unless
     there is at least one prime and one trial, and OrderLimitExceeded past
-    the budget, before W is enumerated.
+    the budget, before W is enumerated (``check_verify_limits``).
     """
-    if trials < 1:
-        raise CountOutOfRange(f"trial count {trials} is below 1")
+    check_verify_limits(ar, trials, budget)
     order = ar.diagram.order
-    if order > budget:
-        raise OrderLimitExceeded(
-            f"|W| = {order} exceeds determinant budget {budget}",
-            known_order=order)
     if primes is None:
         primes = primes_list(3)
     elif isinstance(primes, int):

@@ -319,6 +319,16 @@ def test_oracle_never_copies_the_conjugation_table():
     assert peak < 3 * 2**20
 
 
+def test_oracle_memo_keeps_one_mask_per_parabolic():
+    # the E6 candidates, as int32 with one mask per K, take 0.28 MB; int64
+    # chambers beside an int64 mask per chamber took 1.14 MB
+    a = arr("E6")
+    reports = a.multiplicity_reports(with_oracle=True)
+    assert all(r.match for r in reports)
+    memo = [x for entry in a._candidates.values() for x in entry]
+    assert memo and sum(x.nbytes for x in memo) <= 0.4 * 2**20
+
+
 def test_arrangement_memos_belong_to_the_instance():
     a3, b3 = arr("A3"), arr("B3")
     for name in ("class_representatives", "relevant_edges",

@@ -381,6 +381,29 @@ def test_multiplicity_refuses_an_oversized_table_before_enumerating(
                    f"{table} bytes > limit {cli.TABLE_BYTES_LIMIT}\n")
 
 
+def _never_build_roots(*args, **kwargs):
+    raise AssertionError("the reflection table was built")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("multiplicity", "I2(200000)"),
+     "the conjugation table of I2(200000) would take 320000000000 bytes "
+     f"> limit {cli.TABLE_BYTES_LIMIT}"),
+    (("verify", "I2(200000)"),
+     "|W| = 400000 exceeds determinant budget 3840"),
+    (("matrix", "I2(200000)"), "|W| = 400000 exceeds matrix cap 200"),
+], ids=["multiplicity", "verify", "matrix"])
+def test_refusals_come_before_the_reflection_table(capsys, monkeypatch,
+                                                   argv, message):
+    # |T| = 200000: the reflection table, a Python loop over the roots,
+    # would take 1.4 s and 190 MB; the diagram's counts suffice to refuse
+    monkeypatch.setattr(coxeter_core.ReflectionTable, "__init__",
+                        _never_build_roots)
+    monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err == f"error: {message}\n"
+
+
 def test_multiplicity_table_limit_is_inclusive(capsys, monkeypatch):
     # A3's table is 24 x 6 bytes
     monkeypatch.setattr(cli, "TABLE_BYTES_LIMIT", 144)

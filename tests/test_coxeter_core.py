@@ -96,7 +96,7 @@ def test_group_orders(spec, order):
 @pytest.mark.parametrize("spec,count", sorted(REFLECTIONS.items()))
 def test_reflection_counts(spec, count):
     g = group(spec)
-    assert g.num_reflections == count
+    assert g.num_reflections == g.diagram.num_reflections == count
     # every reflection is an involution with odd length
     for t in range(count):
         e = int(g.refl_ids[t])

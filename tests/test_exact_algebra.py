@@ -3,6 +3,8 @@
 import ast
 import inspect
 import random
+import tracemalloc
+from collections import namedtuple
 from itertools import permutations
 
 import numpy as np
@@ -156,16 +158,24 @@ def test_det_mod_p_matches_unblocked_reference(n):
         _agree_with_reference(rng.integers(0, p, size=(n, n)), p)
 
 
+# one trailing update of one member: the panel's first column, the address
+# of the member's first entry, and the flags it ran with
+Update = namedtuple("Update", "k0 member symmetric reduce")
+
+
 def _record_updates(monkeypatch):
-    """(symmetric, reduce) of every trailing update of det_mod_p; each
-    leaves the entries it keeps, the lower triangle of a symmetric
-    matrix, below 2**53 - p, where float64 is exact."""
+    """An ``Update`` for every trailing update of det_mod_p_in_place, which
+    updates one member at a time; each leaves the entries it keeps, the
+    lower triangle of a symmetric matrix, below 2**53 - p, where float64
+    is exact."""
     flags = []
     schur_update = exact_algebra._schur_update
 
-    def recording(A, a21, inverse, k0, k1, p, symmetric, reduce):
-        flags.append((symmetric, reduce))
-        schur_update(A, a21, inverse, k0, k1, p, symmetric, reduce)
+    def recording(A, inverse, k0, k1, p, symmetric, reduce):
+        assert A.ndim == 2  # one member
+        flags.append(Update(k0, A.__array_interface__["data"][0],
+                            symmetric, reduce))
+        schur_update(A, inverse, k0, k1, p, symmetric, reduce)
         assert np.abs(np.tril(A) if symmetric else A).max() < 2**53 - p
 
     monkeypatch.setattr(exact_algebra, "_schur_update", recording)
@@ -173,11 +183,28 @@ def _record_updates(monkeypatch):
 
 
 def _delay_kept(flags, p):
-    """At most _delayed_updates(p) updates from one reduction to the next."""
-    run = 0
-    for _, reduce in flags:
-        run = 0 if reduce else run + 1
-        assert run < exact_algebra._delayed_updates(p)
+    """At most _delayed_updates(p) updates of a member from one reduction
+    to the next."""
+    run = {}
+    for u in flags:
+        run[u.member] = 0 if u.reduce else run.get(u.member, 0) + 1
+        assert run[u.member] < exact_algebra._delayed_updates(p)
+
+
+def _panel_flags(flags, k):
+    """(symmetric, reduce) of each panel, in order, after checking that the
+    panel updated k distinct members, each with those same flags."""
+    panels = {}
+    for u in flags:
+        panels.setdefault(u.k0, []).append(u)
+    out = []
+    for k0 in sorted(panels):
+        panel = panels[k0]
+        assert len({u.member for u in panel}) == len(panel) == k, k0
+        pairs = {(u.symmetric, u.reduce) for u in panel}
+        assert len(pairs) == 1, (k0, pairs)
+        out.append(pairs.pop())
+    return out
 
 
 SYMMETRIC_PRIMES = [7, DEFAULT_PRIMES[0], EDGE_P]
@@ -192,7 +219,7 @@ def test_delayed_updates_per_prime(monkeypatch):
     # updates, reduces on one update in three
     flags = _record_updates(monkeypatch)
     det_mod_p(_chamber_matrix("B4", P)[:300, :300], P)
-    assert [r for _, r in flags] == [i % 3 == 2 for i in range(9)]
+    assert [u.reduce for u in flags] == [i % 3 == 2 for i in range(9)]
 
 
 @pytest.mark.parametrize("p", [P, EDGE_P], ids=["P", "edge-prime"])
@@ -215,7 +242,7 @@ def test_det_mod_p_symmetric_matches_unblocked_reference(monkeypatch, n, p):
     _agree_with_reference(S, p)
     assert len(flags) == (n - 1) // 32
     _delay_kept(flags, p)
-    symmetric = [s for s, _ in flags]
+    symmetric = [u.symmetric for u in flags]
     # mod 7 a block can be singular, and the general path takes over there
     assert all(symmetric) if p > 7 else \
         symmetric == sorted(symmetric, reverse=True)
@@ -224,7 +251,7 @@ def test_det_mod_p_symmetric_matches_unblocked_reference(monkeypatch, n, p):
         S[0, n - 1] = (S[0, n - 1] + 1) % p
         flags.clear()
         _agree_with_reference(S, p)
-        assert not any(s for s, _ in flags)
+        assert not any(u.symmetric for u in flags)
         _delay_kept(flags, p)
 
 
@@ -253,7 +280,8 @@ def test_det_mod_p_symmetric_block_without_pivot(monkeypatch, n, p):
     flags = _record_updates(monkeypatch)
     det = _agree_with_reference(M, p)
     assert det != 0
-    assert [s for s, _ in flags] == [True] + [False] * (len(flags) - 1)
+    assert [u.symmetric for u in flags] == \
+        [True] + [False] * (len(flags) - 1)
     _delay_kept(flags, p)
 
 
@@ -589,8 +617,11 @@ def test_det_mod_p_stack_matches_its_members_taken_alone(monkeypatch, k, n,
     calls = _count_pivot_steps(monkeypatch)
     dets = det_mod_p_in_place(_residue_stack(members), p)
     assert dets == alone and all(type(d) is int for d in dets)
-    # the staircase runs only while every member is symmetric
-    assert [s for s, _ in flags] == [k == 1] * ((n - 1) // 32)
+    # every member is updated on its own after every panel but the last,
+    # all with the same flags: the staircase runs only while every member
+    # is symmetric, and each member is reduced in time
+    assert [s for s, _ in _panel_flags(flags, k)] == \
+        [k == 1] * ((n - 1) // 32)
     _delay_kept(flags, p)
     # Gauss-Jordan runs on the whole stack, and resumes after the shuffled
     # member takes a row from below (past the first panel) or once the
@@ -612,11 +643,42 @@ def test_det_mod_p_stack_leaves_the_staircase_when_one_member_exchanges(
     alone = [_agree_with_reference(M, p) for M in members]
     flags = _record_updates(monkeypatch)
     assert det_mod_p_in_place(_residue_stack(members), p) == alone
-    assert [s for s, _ in flags] == [True, False, False, False]
+    assert [s for s, _ in _panel_flags(flags, 2)] == \
+        [True, False, False, False]
+    _delay_kept(flags, p)
     # a stack of one symmetric matrix stays on the staircase throughout
     flags.clear()
     assert det_mod_p_in_place(_residue_stack(members[:1]), p) == alone[:1]
-    assert [s for s, _ in flags] == [True] * 4
+    assert [s for s, _ in _panel_flags(flags, 1)] == [True] * 4
+    _delay_kept(flags, p)
+
+
+def test_det_mod_p_stack_temporaries_do_not_grow_with_its_size():
+    # Gauss-Jordan runs on the stack's (k, 32, 32) blocks, but the float64
+    # trailing update runs one member at a time, so the temporaries of ten
+    # order-192 members are little more than those of one; so are they
+    # when the last member needs a row exchange in its second block, which
+    # mirrors every trailing matrix from its lower triangle
+    p = 2**31 - 1
+
+    def peak(k, exchange):
+        R = np.random.default_rng(k).integers(0, p, size=(k, 192, 192))
+        members = (R + R.swapaxes(1, 2)) % p
+        if exchange:
+            members[-1] = _symmetric_without_pivot(192, p)
+        A = _residue_stack(members)
+        del R, members
+        tracemalloc.start()
+        try:
+            dets = det_mod_p_in_place(A, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dets) == k and all(dets)
+        return peak
+
+    for exchange in (False, True):
+        assert peak(10, exchange) <= 1.5 * peak(1, exchange), exchange
 
 
 def _first_block_permuted(n, p, rng):
@@ -691,9 +753,9 @@ def test_det_mod_p_in_place_agrees_with_det_mod_p(monkeypatch, n, p):
         # symmetric member runs the staircase until its first row
         # exchange, which a zero row of its leading block forces at once
         if (M == M.T).all():
-            assert flags[0][0] == M[:32, :32].any(axis=1).all()
+            assert flags[0].symmetric == M[:32, :32].any(axis=1).all()
         else:
-            assert not any(s for s, _ in flags)
+            assert not any(u.symmetric for u in flags)
     stack = np.stack(members).astype(np.float64)
     dets = det_mod_p_in_place(stack, p)
     assert dets == expect and all(type(d) is int for d in dets)
