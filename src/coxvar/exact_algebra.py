@@ -19,22 +19,28 @@ is inverted by Gauss-Jordan in uint64 residues, reduced mod p only every
 few steps, as many as keep every entry below 2**64 (three for primes near
 2**31, one near 2**32); the rest of the matrix is updated through float64
 products on 16-bit limbs, where every sum is an integer below 2**53,
-which float64 holds and sums exactly.  A member's block that is singular
-mod p at column j takes a row from below, reduced against its j pivot
-rows, and Gauss-Jordan goes on from column j, so every block runs exactly
-32 pivot steps; a member with no such row has determinant 0 and runs on
-as an identity matrix.  Floating point appears nowhere else.
+which float64 holds and sums exactly.  Gauss-Jordan pivots on the
+diagonal alone: a member whose pivot at column j is zero exchanges its
+row j for the first later row, of the block or below it, whose column j
+is nonzero once reduced against its j pivot rows, and Gauss-Jordan goes
+on from column j, so every block runs exactly 32 pivot steps.  A member
+with no such row has determinant 0: its blocks are identities from then
+on, and its matrix is not written again.  Floating point appears nowhere
+else.
 
 A symmetric input, such as a Varchenko matrix, is eliminated on its lower
 triangle alone: A12 is read as A21 transposed, and each chunk of rows of
 the trailing update stops at the column of its own last row, a staircase
-that forms about half the products.  The first block of any member that
-needs a row from below ends this for the whole stack: the trailing
-matrices are mirrored from their lower triangles, and elimination goes on
-over the full matrices.  Entries of the trailing matrix are reduced mod p
-only every few updates, as many as keep them below 2**53 (three for
-primes near 2**31, one near 2**32), and every read of the trailing matrix
-reduces what it reads.
+that forms about half the products.  The first zero pivot in any member
+ends this for the whole stack, whether a row of its block or one below
+it then takes its place: the trailing matrices are mirrored from their
+lower triangles, and elimination goes on over the full matrices.  A row
+of the block takes the place only where the block has a zero leading
+minor, which a random block has with probability about 32/p, so that
+matters only for small primes.  Entries of the trailing matrix are
+reduced mod p only every few updates, as many as keep them below 2**53
+(three for primes near 2**31, one near 2**32), and every read of the
+trailing matrix reduces what it reads.
 
 Every matrix product goes through ``_product``, in tiles of at most 2**19
 multiply-adds.  OpenBLAS 0.3.31, the BLAS numpy ships, forms a
@@ -201,9 +207,9 @@ def reduce_whole(G, up, scratch):
     G -= scratch
 
 
-def _gauss_jordan(G, p, rows, start, det):
+def _gauss_jordan(G, p, start, det):
     """Gauss-Jordan in lockstep on the stack G of w x w blocks of uint64
-    residues, from column start.
+    residues, from column start, on diagonal pivots alone.
 
     For each member this is [A11 | I] reduced to [I | A11^-1] in place,
     with the inverse stored over the block: after step j, column j holds
@@ -211,19 +217,15 @@ def _gauss_jordan(G, p, rows, start, det):
     already reduced, and every entry is below p on entry.  Each step
     reduces the pivot column and the pivot row mod p, unless the whole
     stack was reduced since the last step; that happens only every
-    ``_delayed_steps(p)`` steps and before returning.
-    A member's pivot is the first nonzero entry at or below the diagonal
-    of its current column, and the pivots' inverses take one ``pow`` per
-    step for the whole stack.  ``rows[m, i]`` is the block row of member m
-    at position i, and in-block swaps update it; ``det``, the list of each
-    member's determinant so far, is returned times the pivots and swap
-    signs.  Returns ``(det, j)``.  When j equals w, each member of G is
-    the inverse of its block with the rows in the order ``rows``.
-    Otherwise column j of some member has no pivot in its block, every
-    other member has its pivot at row j, and no member has taken step j:
-    for a member without one, G[m, :j, j] is column j of its j reduced
-    pivot rows, which are 1 in their own column and 0 in the other
-    columns before j.
+    ``_delayed_steps(p)`` steps and before returning.  Step j takes each
+    member's pivot at (j, j), and the pivots' inverses take one ``pow``
+    for the whole stack; ``det``, the list of each member's determinant
+    so far, is returned times the pivots.  Returns ``(det, j)``.  When j
+    equals w, each member of G is the inverse of its block.  Otherwise j
+    is the first column where some member's pivot is zero, and no member
+    has taken step j: for such a member, G[m, :j, j] is column j of its j
+    reduced pivot rows, which are 1 in their own column and 0 in the
+    other columns before j.
     """
     w = G.shape[-1]
     up = np.uint64(p)
@@ -236,19 +238,7 @@ def _gauss_jordan(G, p, rows, start, det):
             column %= up
         pivots = column[:, j].tolist()
         if 0 in pivots:
-            # every member swaps in a pivot from its block if it can, so
-            # that only members with none there are left without one
-            for m in np.flatnonzero(column[:, j] == 0):
-                nz = np.flatnonzero(G[m, j + 1:, j])
-                if nz.size:
-                    b = j + 1 + int(nz[0])
-                    G[m, [j, b]] = G[m, [b, j]]
-                    rows[m, [j, b]] = rows[m, [b, j]]
-                    det[m] = -det[m] % p
-            pivots = column[:, j].tolist()
-            if 0 in pivots:
-                reduce_whole(G, up, scratch)
-                return det, j
+            break
         det = [d * x % p for d, x in zip(det, pivots)]
         inverse = np.array(_inverses(pivots, p), dtype=np.uint64)
         if since:
@@ -265,22 +255,26 @@ def _gauss_jordan(G, p, rows, start, det):
         if since == delay:
             reduce_whole(G, up, scratch)
             since = 0
+    else:
+        j = w
     if since:
         reduce_whole(G, up, scratch)
-    return det, w
+    return det, j
 
 
-def _reduced_row_below(a21, G, j, p):
-    """First row below the block that supplies a pivot in column j.
+def _reduced_row_below(candidates, G, j, p):
+    """First row below position j that supplies a pivot in column j.
 
-    One member at a time: a21 is ``_with_shift`` of its rows below the
-    block, over its columns, and G its block.  One such row v, reduced
-    against the j pivot rows of G, is [0, v[j:]] - v[:j] G[:j]: the row
-    Gauss-Jordan would hold at position j had v been in the block from the
-    start, its first j entries on the stored inverse columns.  Column j is
-    reduced one chunk of _ROW_CHUNK rows at a time until an entry is
-    nonzero.  Returns ``(i, row)``, i the index in a21 of the first such
-    row and row its reduced residues, or None when there is none.
+    One member at a time: candidates is ``_with_shift`` of its rows after
+    position j, those of the block and those below it, over the block's
+    columns, and G its block.  One such row v, reduced against the j pivot
+    rows of G, is [0, v[j:]] - v[:j] G[:j]: the row Gauss-Jordan would
+    hold at position j had v been there from the start, its first j
+    entries on the stored inverse columns.  For a row of the block this
+    is the row G holds for it.  Column j is reduced one chunk of
+    _ROW_CHUNK rows at a time until an entry is nonzero.  Returns
+    ``(i, row)``, i the index in candidates of the first such row and row
+    its reduced residues, or None when there is none.
     """
     w = G.shape[0]
     pivot_rows = G.view(np.int64).copy()
@@ -288,74 +282,74 @@ def _reduced_row_below(a21, G, j, p):
     right = _split(pivot_rows, p)
     column = right[:, j:j + 1]
     g = np.empty((_ROW_CHUNK, 1))
-    for r0 in range(0, a21.shape[0], _ROW_CHUNK):
-        chunk = a21[r0:r0 + _ROW_CHUNK]
+    for r0 in range(0, candidates.shape[0], _ROW_CHUNK):
+        chunk = candidates[r0:r0 + _ROW_CHUNK]
         m = chunk.shape[0]
         _product(chunk, column, g[:m])
         nz = np.flatnonzero(_residues(chunk[:, j] - g[:m, 0], p))
         if nz.size:
             i = r0 + int(nz[0])
-            row = _product(a21[i:i + 1], right, np.empty((1, w)))[0]
-            v = a21[i, :w].copy()
+            row = _product(candidates[i:i + 1], right, np.empty((1, w)))[0]
+            v = candidates[i, :w].copy()
             v[:j] = 0
             return i, _residues(v - row, p)
     return None
 
 
-def _invert_diagonal_block(A, k0, k1, p, symmetric):
+def _invert_diagonal_block(A, k0, k1, p, symmetric, det):
     """Determinants and inverses of each member's A11 = A[m, k0:k1, k0:k1],
     exchanging rows.
 
-    Gauss-Jordan runs on the blocks alone.  If column j of a member's A11
-    has no pivot, the member's A21 is read from A, which holds every row
-    exchanged so far, and the first row below whose column j, reduced
-    against the j pivot rows, is nonzero is exchanged for the member's
-    block row at position j (over columns k0 onward); its reduced row
-    takes position j in G, and Gauss-Jordan goes on from column j for the
-    whole stack, so each block runs exactly w pivot steps.  An exchange
-    that does not supply the pivot raises InvariantError.  A member with
-    no such row below has determinant 0: it goes on as an identity matrix,
-    A[m, k0:, k0:] and its block replaced, and its determinant here is 0.
-    When ``symmetric``, each A[m, k0:, k0:] is held on its lower triangle
-    and on the diagonal blocks, which the staircase of ``_schur_update``
-    covers whole; the first exchange, which moves whole rows, first
-    mirrors every trailing matrix from its lower triangle.  Returns
-    ``(d, inverse, symmetric)``, d the list of the determinants of the
-    final blocks times the signs of the exchanges, inverse the stack of
-    block inverses and symmetric false once an exchange was made.
+    Gauss-Jordan runs on the blocks alone, on diagonal pivots.  Where it
+    stops at column j, each member whose pivot there is zero takes the
+    first row after position j, in its block or below it, whose column j,
+    reduced against the j pivot rows, is nonzero: that row and the row at
+    position j swap places in A, over columns k0 onward, and in G, where
+    position j takes the reduced row.  Gauss-Jordan then goes on from
+    column j for the whole stack, so each block runs exactly w pivot
+    steps.  An exchange that does not supply the pivot raises
+    InvariantError.  A member with no such row has determinant 0; its G
+    block is the identity from then on, in this block and every later
+    one, and A is not written for it again.  ``det`` is each member's
+    determinant so far, 0 for such a member.  When ``symmetric``, each
+    A[m, k0:, k0:] is held on its lower triangle and on the diagonal
+    blocks, which the staircase of ``_schur_update`` covers whole; the
+    first stop, which can move whole rows, first mirrors the trailing
+    matrix of every member of nonzero determinant from its lower
+    triangle.  Returns ``(det, inverse, symmetric)``: det times the
+    determinants of the final blocks and the signs of the exchanges,
+    inverse the stack of block inverses and symmetric false once
+    Gauss-Jordan stopped.
     """
-    k, n = A.shape[:2]
     w = k1 - k0
     G = _residues(A[:, k0:k1, k0:k1], p).view(np.uint64)
-    rows = np.tile(np.arange(w), (k, 1))
-    d, j = _gauss_jordan(G, p, rows, 0, [1] * k)
+    G[[m for m, d in enumerate(det) if not d]] = np.eye(w, dtype=np.uint64)
+    det, j = _gauss_jordan(G, p, 0, det)
     if j < w and symmetric:
-        mirror_lower(A, k0)
+        for m in np.flatnonzero(det):
+            mirror_lower(A[m], k0)
         symmetric = False
     while j < w:
         for m in np.flatnonzero(G[:, j, j] == 0):
-            found = _reduced_row_below(_with_shift(A[m, k1:, k0:k1], p),
-                                       G[m], j, p)
+            found = _reduced_row_below(
+                _with_shift(A[m, k0 + j + 1:, k0:k1], p), G[m], j, p)
             if found is None:
-                A[m, k0:, k0:] = np.eye(n - k0)
                 G[m] = np.eye(w, dtype=np.uint64)
-                rows[m] = np.arange(w)
-                d[m] = 0
+                det[m] = 0
                 continue
-            i, G[m, j] = found
-            a, b = k0 + rows[m, j], k1 + i
-            A[m, [a, b], k0:] = A[m, [b, a], k0:]
-            d[m] = -d[m] % p
-        d, stop = _gauss_jordan(G, p, rows, j, d)
+            i, row = found
+            b = j + 1 + i
+            if b < w:  # a row of the block: row j's reduced row moves to b
+                G[m, b] = G[m, j]
+            G[m, j] = row
+            A[m, [k0 + j, k0 + b], k0:] = A[m, [k0 + b, k0 + j], k0:]
+            det[m] = -det[m] % p
+        det, stop = _gauss_jordan(G, p, j, det)
         if stop == j:
             raise InvariantError(
                 f"row exchange at column {k0 + j} did not supply a pivot")
         j = stop
-    # each member of G is the inverse of its block with its rows in the
-    # order ``rows``
-    for m in np.flatnonzero((rows != np.arange(w)).any(axis=1)):
-        G[m][:, rows[m]] = G[m].copy()
-    return d, G.view(np.int64), symmetric
+    return det, G.view(np.int64), symmetric
 
 
 def _schur_update(A, inverse, k0, k1, p, symmetric, reduce):
@@ -449,15 +443,14 @@ def _is_symmetric(A):
 
 
 def mirror_lower(A, k0):
-    """Copy the lower triangle of each A[m, k0:, k0:] onto its upper one,
-    one member and one band of _ROW_CHUNK columns at a time."""
-    n = A.shape[1]
-    for member in A:
-        for c0 in range(k0, n, _ROW_CHUNK):
-            c1 = min(c0 + _ROW_CHUNK, n)
-            member[k0:c0, c0:c1] = member[c0:c1, k0:c0].T
-            square = member[c0:c1, c0:c1]
-            square[...] = np.tril(square) + np.tril(square, -1).T
+    """Copy the lower triangle of the matrix A[k0:, k0:] onto its upper
+    one, one band of _ROW_CHUNK columns at a time."""
+    n = A.shape[0]
+    for c0 in range(k0, n, _ROW_CHUNK):
+        c1 = min(c0 + _ROW_CHUNK, n)
+        A[k0:c0, c0:c1] = A[c0:c1, k0:c0].T
+        square = A[c0:c1, c0:c1]
+        square[...] = np.tril(square) + np.tril(square, -1).T
 
 
 def _entry(e, p):
@@ -531,23 +524,24 @@ def det_mod_p_in_place(A: np.ndarray, p: int) -> list[int]:
     each pivot step over the blocks of all members at once, sparing
     numpy's per-call overhead on small orders; the trailing update runs
     one member at a time, so besides A the elimination holds the
-    (k, 32, 32) blocks and one member's float64 buffers.  A block singular
-    mod p at column j takes, in exchange for its row at position j, the
-    first row below whose column j is nonzero once reduced by the block's
-    pivot rows, and Gauss-Jordan goes on from column j; a row-permuted
-    matrix can need such an exchange for nearly every column, which makes
-    it the slowest input.  A stack whose members are all symmetric is
-    eliminated on its lower triangles, up to the first exchange in any
-    member, and the trailing matrices are reduced mod p every
-    ``_delayed_updates(p)`` updates.  Pivots are the first nonzero entry
-    wherever one is searched, so the result is deterministic for fixed
-    input, and a member's determinant does not depend on the stack it is
-    in.  Exact for 2 <= p < 2**32 (p is assumed prime): the uint64 updates
-    stay below 2**64 and every sum of a product below 2**53.  Raises
-    ModulusOutOfRange, NonSquareMatrix for a rank other than 3 or
-    non-square members, and NotAResidueStack for another dtype, a layout
-    that is not C-contiguous, a read-only array or an entry that is not an
-    integer in range(p).
+    (k, 32, 32) blocks and one member's float64 buffers.  A block whose
+    pivot at column j is zero takes, in exchange for its row at position
+    j, the first later row, of the block or below it, whose column j is
+    nonzero once reduced by the block's pivot rows, and Gauss-Jordan goes
+    on from column j; a row-permuted matrix can need such an exchange for
+    nearly every column, which makes it the slowest input.  A member with
+    no such row has determinant 0 and takes no further update.  A stack
+    whose members are all symmetric is eliminated on its lower triangles,
+    up to the first zero pivot in any member, and the trailing matrices are
+    reduced mod p every ``_delayed_updates(p)`` updates.  Every exchange
+    takes the first row that supplies the pivot, so the result is
+    deterministic for fixed input, and a member's determinant does not
+    depend on the stack it is in.  Exact for 2 <= p < 2**32 (p is assumed
+    prime): the uint64 updates stay below 2**64 and every sum of a product
+    below 2**53.  Raises ModulusOutOfRange, NonSquareMatrix for a rank
+    other than 3 or non-square members, and NotAResidueStack for another
+    dtype, a layout that is not C-contiguous, a read-only array or an
+    entry that is not an integer in range(p).
     """
     _check_modulus(p)
     if not isinstance(A, np.ndarray) or A.dtype != np.float64:
@@ -568,10 +562,9 @@ def det_mod_p_in_place(A: np.ndarray, p: int) -> list[int]:
         if not any(det):
             break
         k1 = min(k0 + _PANEL, n)
-        d, inverse, symmetric = _invert_diagonal_block(A, k0, k1, p,
-                                                       symmetric)
-        det = [a * b % p for a, b in zip(det, d)]
-        # a member of determinant 0 is an identity matrix from here on
+        det, inverse, symmetric = _invert_diagonal_block(A, k0, k1, p,
+                                                         symmetric, det)
+        # a member of determinant 0 takes no further update
         for m in np.flatnonzero(det) if k1 < n else ():
             _schur_update(A[m], inverse[m], k0, k1, p, symmetric,
                           reduce=k0 // _PANEL % delay == delay - 1)

@@ -425,7 +425,7 @@ def modular_matrix(group: EnumeratedGroup, values: np.ndarray, p: int, *,
             D[r0:r1, :r1] = b1
     for half in (S, D):
         if half is not None:
-            mirror_lower(half[None], 0)
+            mirror_lower(half, 0)
     return S if S is not None else D
 
 
@@ -449,13 +449,15 @@ def check_verify_limits(ar: Arrangement, trials: int,
 
 
 def verify_mod_p(ar: Arrangement, wa: WeightAssignment, trials: int = 5,
-                 primes=None, seed: int = 0, budget: int = DET_BUDGET) -> dict:
+                 primes: int = 3, seed: int = 0,
+                 budget: int = DET_BUDGET) -> dict:
     """Random-evaluation check of the determinant identity.
 
     For each (prime, trial) samples nonzero weights, compares the modular
     determinant of the chamber matrix, the product of the determinants of
     the two folded halves of ``modular_matrix``, with the evaluated closed
-    form.  Each prime's points are drawn in trial order.  Each half is
+    form.  The primes are the first ``primes`` of ``primes_list``, and
+    each prime's points are drawn in trial order.  Each half is
     written once, as float64 residues, into the array that
     ``det_mod_p_in_place`` then eliminates, so the halves in memory are
     the elimination's only copy: 2 bytes per entry of the |W| x |W|
@@ -471,12 +473,7 @@ def verify_mod_p(ar: Arrangement, wa: WeightAssignment, trials: int = 5,
     """
     check_verify_limits(ar, trials, budget)
     order = ar.diagram.order
-    if primes is None:
-        primes = primes_list(3)
-    elif isinstance(primes, int):
-        primes = primes_list(primes)
-    elif not primes:
-        raise CountOutOfRange("no primes given")
+    primes = primes_list(primes)
     group = ar.group
     fact = closed_form_factorization(ar, wa)
     rng = random.Random(seed)

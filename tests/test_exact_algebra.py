@@ -256,15 +256,20 @@ def test_det_mod_p_symmetric_matches_unblocked_reference(monkeypatch, n, p):
 
 
 def _symmetric_without_pivot(n, p):
-    """L diag(S1, J) L^T, with S1 random symmetric on the first 32 columns,
-    J the anti-diagonal matrix and L unit lower triangular and nonzero
-    below the diagonal only in those 32 columns: once they are eliminated
-    the trailing matrix is J, whose first 32 x 32 block is zero, so the
-    symmetric path switches to the general one there."""
+    """L diag(S1, J) L^T, with S1 = L1 D L1^T on the first 32 columns, J
+    the anti-diagonal matrix and L unit lower triangular and nonzero
+    below the diagonal only in those 32 columns.  L1 is random unit lower
+    triangular and D diagonal with nonzero entries, so every leading minor
+    of S1 is nonzero and the first block needs no exchange, even mod 7.
+    Once those columns are eliminated the trailing matrix is J, whose
+    first 32 x 32 block is zero, so the symmetric path switches to the
+    general one there."""
     rng = np.random.default_rng(n + p % 1000)
-    R = rng.integers(0, p, size=(32, 32))
+    L1 = np.tril(rng.integers(0, p, size=(32, 32)), -1)
+    np.fill_diagonal(L1, 1)
+    D = np.diag(rng.integers(1, p, size=32))
     X = np.zeros((n, n), dtype=np.int64)
-    X[:32, :32] = (R + R.T) % p
+    X[:32, :32] = _matmul_mod(_matmul_mod(L1, D, p), L1.T, p)
     X[32:, 32:] = np.eye(n - 32, dtype=np.int64)[::-1]
     L = np.eye(n, dtype=np.int64)
     L[32:, :32] = rng.integers(0, p, size=(n - 32, 32))
@@ -526,8 +531,8 @@ def _count_pivot_steps(monkeypatch):
     calls = []
     gauss_jordan = exact_algebra._gauss_jordan
 
-    def counting(G, p, rows, start, det):
-        det, stop = gauss_jordan(G, p, rows, start, det)
+    def counting(G, p, start, det):
+        det, stop = gauss_jordan(G, p, start, det)
         calls.append((G, start, stop))
         return det, stop
 
@@ -577,6 +582,81 @@ def test_det_mod_p_exchange_that_supplies_no_pivot_raises(monkeypatch):
         det_mod_p(M, P)
 
 
+def _missing_pivot_at_column_5(n, p, kind, rng):
+    """L T mod p and its determinant: T random upper triangular, L random
+    unit lower triangular, so that the row reduced at position i is T[i]
+    mixed with T's rows before it.  "inside" swaps T's rows 5 and 20 and
+    "below" its rows 5 and 40, so that column 5 finds its pivot at
+    position 20, in the first block, or 40, below it; "none" zeroes
+    T[5, 5], and column 5 finds no pivot at all."""
+    T = np.triu(rng.integers(0, p, size=(n, n)))
+    np.fill_diagonal(T, rng.integers(1, p, size=n))
+    L = np.tril(rng.integers(0, p, size=(n, n)), -1)
+    np.fill_diagonal(L, 1)
+    expect = 1
+    for d in np.diag(T):
+        expect = expect * int(d) % p
+    if kind == "none":
+        T[5, 5], expect = 0, 0
+    else:
+        b = 20 if kind == "inside" else 40
+        T[[5, b]] = T[[b, 5]]
+        expect = -expect % p
+    return _matmul_mod(L, T, p), expect
+
+
+@pytest.mark.parametrize("p", [P, EDGE_P], ids=["P", "edge-prime"])
+def test_det_mod_p_stack_exchanges_inside_below_and_none_at_one_column(
+        monkeypatch, p):
+    # at column 5 of the first block, one member takes a row of its block,
+    # one a row below the block and one finds none: every search reads the
+    # rows after position 5, and each member's determinant is its own
+    n = 70
+    rng = np.random.default_rng(5)
+    members, expect = zip(*(_missing_pivot_at_column_5(n, p, kind, rng)
+                            for kind in ("inside", "below", "none")))
+    assert [det_mod_p_unblocked(M, p) for M in members] == list(expect)
+    assert 0 not in expect[:2]
+    searches = []
+    reduced_row_below = exact_algebra._reduced_row_below
+
+    def recording(candidates, G, j, p):
+        found = reduced_row_below(candidates, G, j, p)
+        searches.append((len(candidates), j, found and j + 1 + found[0]))
+        return found
+
+    monkeypatch.setattr(exact_algebra, "_reduced_row_below", recording)
+    assert det_mod_p_in_place(_residue_stack(members), p) == list(expect)
+    assert searches[:3] == [(n - 6, 5, 20), (n - 6, 5, 40), (n - 6, 5, None)]
+
+
+def test_det_mod_p_member_singular_at_its_first_block_adds_no_copy():
+    # a member whose first column is zero has determinant 0 at once; its
+    # trailing matrix is left as it is, so the elimination holds less
+    # beside it than beside a random member, and no (n - k0)**2 temporary
+    n, p = 1000, 2**31 - 1
+
+    def peak(M):
+        A = _residue_stack([M])
+        tracemalloc.start()
+        try:
+            dets = det_mod_p_in_place(A, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return dets, peak
+
+    rng = np.random.default_rng(1000)
+    M = rng.integers(0, p, size=(n, n))
+    dets, random_peak = peak(M)
+    assert dets[0] != 0
+    M[:, 0] = 0
+    dets, singular_peak = peak(M)
+    assert dets == [0] == [det_mod_p_unblocked(M, p)]
+    assert singular_peak <= random_peak
+    assert singular_peak < 8 * n * n // 4
+
+
 # -- stacks ------------------------------------------------------------------
 
 
@@ -624,11 +704,10 @@ def test_det_mod_p_stack_matches_its_members_taken_alone(monkeypatch, k, n,
         [k == 1] * ((n - 1) // 32)
     _delay_kept(flags, p)
     # Gauss-Jordan runs on the whole stack, and resumes after the shuffled
-    # member takes a row from below (past the first panel) or once the
-    # singular member finds none
+    # member exchanges rows, from its first block on
     assert all(G.shape[0] == k for G, _, _ in calls)
     resumed = len(calls) > -(-n // 32)
-    assert resumed == (k == 5 or (k == 2 and n > 32))
+    assert resumed == (k >= 2)
 
 
 @pytest.mark.parametrize("p", [P, EDGE_P], ids=["P", "edge-prime"])
@@ -685,8 +764,9 @@ def _first_block_permuted(n, p, rng):
     """L P U and its determinant mod p: U random upper triangular, P a
     shuffle of the first 32 rows, and L unit lower triangular, nonzero
     below the diagonal only in rows 32 on and columns before 32.  The
-    first block finds every pivot by an in-block swap, and its inverse,
-    put back in row order, feeds a trailing update with A21 != 0."""
+    first block takes every missing pivot from a later row of its own, and
+    the inverse of the exchanged block feeds a trailing update with
+    A21 != 0."""
     U = np.triu(rng.integers(0, p, size=(n, n)))
     np.fill_diagonal(U, rng.integers(1, p, size=n))
     perm = np.concatenate([rng.permutation(32), np.arange(32, n)])
@@ -700,8 +780,8 @@ def _first_block_permuted(n, p, rng):
 
 @pytest.mark.parametrize("n", [40, 70])
 def test_det_mod_p_stack_of_members_with_row_swaps(n):
-    # each member's block inverse is put back in its own row order, and
-    # members that take rows from below sit next to them
+    # members that exchange rows inside their first block sit next to
+    # members that take rows from below
     rng = np.random.default_rng(n)
     members, expect = zip(
         *(_first_block_permuted(n, P, rng) for _ in range(2)),

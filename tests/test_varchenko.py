@@ -581,8 +581,7 @@ def test_verify_mod_p_detects_wrong_exponents():
 
 
 @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -2},
-                                    {"primes": 0}, {"primes": -1},
-                                    {"primes": []}])
+                                    {"primes": 0}, {"primes": -1}])
 def test_verify_requires_a_determinant_record(kwargs):
     g = group("B3")
     with pytest.raises(CountOutOfRange):
