@@ -10,15 +10,15 @@ enumerated group: it tests which chambers can span an edge once per
 edge, then counts, for every hyperplane on the edge, those whose face on
 it does.
 
-An `Arrangement` memoizes its edges, class orbits, class
-representatives and oracle candidates on the instance, so they live
-exactly as long as it does.
+An `Arrangement` computes each Coxeter class's edges and multiplicity
+once, into its class table, and keeps beside it only the oracle's
+candidates per edge, so both live exactly as long as it does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, wraps
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .coxeter_core import (
     EnumeratedGroup,
     ReflectionTable,
     _bits,
+    _first_occurrences,
     _mask,
     _orbit,
     build_group,
@@ -41,18 +42,6 @@ from .errors import (
 )
 
 
-def _memoized(method):
-    """Cache a method without arguments in its instance's ``_memo``."""
-    name = method.__name__
-
-    @wraps(method)
-    def cached(self):
-        if name not in self._memo:
-            self._memo[name] = method(self)
-        return self._memo[name]
-    return cached
-
-
 @dataclass(frozen=True)
 class Edge:
     """A relevant edge, stored as its closed set of reflection indices."""
@@ -65,7 +54,7 @@ class Edge:
         return len(self.reflections)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiplicityReport:
     class_J: tuple[int, ...]
     label: str
@@ -76,6 +65,20 @@ class MultiplicityReport:
     @property
     def match(self):
         return self.l_oracle is None or self.l_oracle == self.l_formula
+
+
+@dataclass(frozen=True, eq=False)
+class CoxeterClass:
+    """A Coxeter class: its representative J, first of ``members`` = [J]
+    in diagram order, the orbit of T_J as sorted rows of reflections in
+    coset (lexicographic) order, and l, the product of the ingredients."""
+
+    J: tuple[int, ...]
+    label: str
+    members: tuple[tuple[int, ...], ...]
+    edges: np.ndarray
+    ingredients: tuple[int, int, int, int]  # as in MultiplicityReport
+    l: int
 
 
 class Arrangement:
@@ -96,8 +99,6 @@ class Arrangement:
             limit = max(limit, group.order)
         self.diagram = diagram
         self.limit = limit
-        self._orbits = {}  # J -> (edge rows of roots, Coxeter class [J])
-        self._memo = {}
         # (reflections, class_J) -> (inverses of chambers, K masks, counts)
         self._candidates = {}
 
@@ -109,71 +110,116 @@ class Arrangement:
     def group(self) -> EnumeratedGroup:
         return build_group(self.diagram, limit=self.limit)
 
-    # -- edge orbits, from the reflection table -----------------------------
+    # -- Coxeter classes and edges, from the reflection table ---------------
 
-    def _class_orbit(self, J):
-        """The edges of the class of J as sorted rows of roots, and [J].
+    @cached_property
+    def classes(self) -> dict[tuple[int, ...], CoxeterClass]:
+        """The table of Coxeter classes, keyed by representative.
 
-        The edges are the orbit of T_J under conjugation, and the Coxeter
-        class [J] is the sorted list of those K in S whose T_K is a member.
+        Each irreducible J, in diagram order, that lies in no class found
+        so far represents a new one: its edges are the orbit of T_J, and
+        [J] the K whose T_K is one of them.  No edge may occur in two
+        classes.
         """
-        if J not in self._orbits:
-            roots = self.roots
-            rows = _orbit([roots.reflections_in(_mask(J))], roots.R,
-                          limit=self.limit)
-            of_rows = self._subsets_by_reflections()
-            self._orbits[J] = (rows, sorted(
-                of_rows[K] for K in map(tuple, rows.tolist())
-                if K in of_rows))
-        return self._orbits[J]
+        roots = self.roots
+        # T_K, as a tuple of roots, -> K, for every irreducible K
+        subsets = {tuple(roots.reflections_in(_mask(K)).tolist()): K
+                   for K in self.diagram.irreducible_subsets()}
+        table, seen, widths = {}, set(), {}
+        for TJ, J in subsets.items():
+            if J not in seen:
+                rows = _orbit([TJ], roots.R, limit=self.limit)
+                members = sorted(subsets[e] for e in map(tuple, rows.tolist())
+                                 if e in subsets)
+                table[J] = c = self._coxeter_class(J, rows, members)
+                seen.update(members)
+                widths.setdefault(c.edges.shape[1], []).append(c.edges)
+        bits = max(1, (roots.num_reflections - 1).bit_length())
+        repeated = sum(len(e) - len(_first_occurrences(e, bits)[0])
+                       for e in map(np.concatenate, widths.values()))
+        if repeated:
+            raise InvariantError(f"{repeated} edges occur in two classes")
+        return table
 
-    @_memoized
-    def _subsets_by_reflections(self):
-        """T_K, as a tuple of roots, -> K, for every irreducible K."""
-        return {tuple(self.roots.reflections_in(_mask(K)).tolist()): K
-                for K in self.diagram.irreducible_subsets()}
+    def _coxeter_class(self, J, rows, members) -> CoxeterClass:
+        """The record of the class ``members`` of J, whose edges are rows.
+
+        The edges are the orbit W / N_W(W_J), so |X(S,J)| = |N_W(W_J)| /
+        |W_J| is |W| / (|W_J| times their number).  The floor and
+        |X(J,{s})| come from the W_J-class of t_J, the first root of
+        support J, whose reflection is first in W's element order.  Every
+        W_J-class of reflections of support J must give the same product.
+        """
+        sub = self.diagram.subdiagram(J)
+        x_S_J, rest = divmod(self.diagram.order, sub.order * len(rows))
+        if rest:
+            raise InvariantError(
+                f"|W_J| = {sub.order} times the {len(rows)} edges of class "
+                f"{J} does not divide |W| = {self.diagram.order}, so the "
+                "edges are no orbit W / N_W(W_J)")
+        full = np.flatnonzero(self.roots.support == _mask(J)).tolist()
+        if not full:
+            raise NoFullSupportReflection(f"no full-support reflection for {J}")
+        reports, covered = [], set()
+        for t in full:
+            if t not in covered:
+                conjugates, floor, x = self._floor_and_x_J_s(t)
+                covered.update(conjugates.tolist())
+                reports.append((len(floor), len(members), x_S_J, x))
+        products = {a * b * c * d for a, b, c, d in reports}
+        if len(products) != 1:
+            raise InvariantError(
+                f"ingredient products for {J} depend on the full-support "
+                f"reflection: {reports}")
+        # in R's dtype, one byte per index: E8's edges take 2.6, not 17.7 MB
+        edges = rows[np.lexsort(rows.T[::-1])].astype(self.roots.R.dtype)
+        return CoxeterClass(J, sub.label, tuple(members), edges, reports[0],
+                            products.pop())
+
+    def _floor_and_x_J_s(self, t: int):
+        """The W_J-class of root t (J its support), floor(t) and |X(J,{s})|.
+
+        floor(t) holds the members of the class with support J, sorted.  A
+        finite Coxeter diagram is a forest, so reflections of W_J that are
+        conjugate in W are conjugate in W_J, and the class is also t's
+        class in W.  s is a simple reflection conjugate to s_t in W_J, so
+        |X(J,{s})|, half the order of the centralizer of s in W_J, is
+        |W_J| / (2 |t^W_J|).
+        """
+        roots = self.roots
+        members = roots.parabolic_class(t)
+        order_J = self.diagram.subdiagram(_bits(int(roots.support[t]))).order
+        x, rest = divmod(order_J, 2 * len(members))
+        if rest:
+            raise InvariantError(
+                f"2 |t^W_J| = {2 * len(members)} does not divide "
+                f"|W_J| = {order_J}")
+        floor = members[roots.support[members] == roots.support[t]]
+        return members, floor, x
+
+    def _class_of(self, J) -> CoxeterClass:
+        """The record of J's class; ReducibleSubset unless J is irreducible."""
+        J = tuple(sorted(J))
+        for c in self.classes.values():
+            if J in c.members:
+                return c
+        raise ReducibleSubset(f"J = {J} is not irreducible")
 
     def coxeter_class(self, J):
         """[J]: the subsets K of S with W_K conjugate to W_J, sorted."""
-        return self._class_orbit(tuple(sorted(J)))[1]
+        return list(self._class_of(J).members)
 
-    @_memoized
     def class_representatives(self):
         """One representative per Coxeter class of irreducible subsets."""
-        reps, seen = [], set()
-        for J in self.diagram.irreducible_subsets():
-            if J not in seen:
-                seen.update(self.coxeter_class(J))
-                reps.append(J)
-        return reps
+        return list(self.classes)
 
-    def _x_S_J(self, J) -> int:
-        """|X(S,J)| = |N_W(W_J)| / |W_J|, the orbit of T_J being W / N_W(W_J)."""
-        edges = len(self._class_orbit(J)[0])
-        order_J = self.diagram.subdiagram(J).order
-        x, rest = divmod(self.diagram.order, order_J * edges)
-        if rest:
-            raise InvariantError(
-                f"|W_J| = {order_J} times the {edges} edges of class {J} "
-                f"does not divide |W| = {self.diagram.order}, so the edges "
-                "are no orbit W / N_W(W_J)")
-        return x
-
-    @_memoized
     def relevant_edges(self):
-        """All relevant edges, deduplicated and globally sorted."""
-        edges = []
-        for J in self.class_representatives():
-            self._x_S_J(J)  # checks the orbit size
-            rows = self._class_orbit(J)[0]
-            # coset ids number the edges of a class in lexicographic order
-            for cid, i in enumerate(np.lexsort(rows.T[::-1])):
-                edges.append(Edge(tuple(rows[i].tolist()), J, cid))
-        uniq = {e.reflections: e for e in edges}
-        if len(uniq) != len(edges):
-            raise InvariantError(
-                f"{len(edges) - len(uniq)} edges occur in two classes")
-        return sorted(uniq.values(), key=lambda e: (len(e), e.reflections))
+        """All relevant edges, sorted by size and then by reflections."""
+        return sorted((Edge(tuple(row), J, cid)
+                       for J in self.class_representatives()
+                       for cid, row in enumerate(
+                           self.classes[J].edges.tolist())),
+                      key=lambda e: (len(e), e.reflections))
 
     # -- multiplicity: chamber-counting oracle -------------------------------
 
@@ -261,59 +307,11 @@ class Arrangement:
     # -- multiplicity: closed formula ---------------------------------------
 
     def multiplicity_formula(self, J) -> MultiplicityReport:
-        """Ingredient cardinalities and their product for the class of J.
-
-        |[J]| and |X(S,J)| come from the orbit of T_J.  The floor and
-        |X(J,{s})| come from the W_J-class of t_J, the first root of support
-        J, whose reflection is first in W's element order.  Every W_J-class
-        of reflections of support J must give the same product.
-        """
-        J = tuple(sorted(J))
-        if not self.diagram.is_connected_subset(J):
-            raise ReducibleSubset(f"J = {J} is not irreducible")
-        roots = self.roots
-        full = np.flatnonzero(roots.support == _mask(J)).tolist()
-        if not full:
-            raise NoFullSupportReflection(f"no full-support reflection for {J}")
-        head = (len(self.coxeter_class(J)), self._x_S_J(J))
-        reports, covered = [], set()
-        for t in full:
-            if t not in covered:
-                members, floor, x = self._floor_and_x_J_s(t)
-                covered.update(members.tolist())
-                reports.append((len(floor), *head, x))
-        products = {a * b * c * d for a, b, c, d in reports}
-        if len(products) != 1:
-            raise InvariantError(
-                f"ingredient products for {J} depend on the full-support "
-                f"reflection: {reports}")
-        return MultiplicityReport(
-            class_J=J,
-            label=self.diagram.subdiagram(J).label,
-            ingredients=reports[0],
-            l_formula=products.pop(),
-        )
-
-    def _floor_and_x_J_s(self, t: int):
-        """The W_J-class of root t (J its support), floor(t) and |X(J,{s})|.
-
-        floor(t) holds the members of the class with support J, sorted.  A
-        finite Coxeter diagram is a forest, so reflections of W_J that are
-        conjugate in W are conjugate in W_J, and the class is also t's
-        class in W.  s is a simple reflection conjugate to s_t in W_J, so
-        |X(J,{s})|, half the order of the centralizer of s in W_J, is
-        |W_J| / (2 |t^W_J|).
-        """
-        roots = self.roots
-        members = roots.parabolic_class(t)
-        order_J = self.diagram.subdiagram(_bits(int(roots.support[t]))).order
-        x, rest = divmod(order_J, 2 * len(members))
-        if rest:
-            raise InvariantError(
-                f"2 |t^W_J| = {2 * len(members)} does not divide "
-                f"|W_J| = {order_J}")
-        floor = members[roots.support[members] == roots.support[t]]
-        return members, floor, x
+        """The ingredient cardinalities of the class of J and l, their
+        product, from the class table."""
+        c = self._class_of(J)
+        return MultiplicityReport(tuple(sorted(J)), c.label, c.ingredients,
+                                  c.l)
 
     def multiplicity_reports(self, with_oracle=False):
         """One report per irreducible Coxeter class."""
@@ -322,7 +320,7 @@ class Arrangement:
             rep = self.multiplicity_formula(J)
             if with_oracle:
                 TJ = self.roots.reflections_in(_mask(J))
-                edge = Edge(tuple(TJ.tolist()), J, 0)
-                rep.l_oracle = self.multiplicity_oracle(edge)
+                rep = replace(rep, l_oracle=self.multiplicity_oracle(
+                    Edge(tuple(TJ.tolist()), J, 0)))
             out.append(rep)
         return out

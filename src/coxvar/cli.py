@@ -136,15 +136,13 @@ def cmd_det(ar, args):
     diagram = ar.diagram
     wa = _weight_assignment(ar.roots, args.assign)
     if args.format == "json":
-        label_of = {J: diagram.subdiagram(J).label
-                    for J in ar.class_representatives()}
         factors = []
         for edge, mono, mult in edge_factors(ar, wa):
             factors.append({
                 "monomial": {v: e for v, e in mono.exps},
                 "multiplicity": mult,
                 "edge": {
-                    "class": label_of[edge.class_J],
+                    "class": ar.classes[edge.class_J].label,
                     "size": len(edge.reflections),
                     "coset": edge.coset_id,
                 },
@@ -168,7 +166,7 @@ def cmd_matrix(ar, args):
     # refused before the weight assignment builds the reflection table
     check_order(ar, MATRIX_DUMP_LIMIT, "matrix cap")
     wa = _weight_assignment(ar.roots, args.assign)
-    vm = build_varchenko_matrix(ar, wa)
+    rows = build_varchenko_matrix(ar, wa)
     g = ar.group
     labels = ["".join(f"s{i + 1}" for i in g.word(x)) or "e"
               for x in range(g.order)]
@@ -178,11 +176,11 @@ def cmd_matrix(ar, args):
             "weight_mode": wa.mode,
             "order": g.order,
             "rows": labels,
-            "entries": [[str(m) for m in row] for row in vm.entries],
+            "entries": [[str(m) for m in row] for row in rows],
         })
     else:
         width = max(len(lbl) for lbl in labels)
-        for lbl, row in zip(labels, vm.entries):
+        for lbl, row in zip(labels, rows):
             print(f"{lbl:<{width}}  " + "  ".join(str(m) for m in row))
     return EXIT_OK
 

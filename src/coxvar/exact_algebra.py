@@ -265,14 +265,15 @@ def _gauss_jordan(G, p, start, det):
 def _reduced_row_below(candidates, G, j, p):
     """First row below position j that supplies a pivot in column j.
 
-    One member at a time: candidates is ``_with_shift`` of its rows after
-    position j, those of the block and those below it, over the block's
-    columns, and G its block.  One such row v, reduced against the j pivot
-    rows of G, is [0, v[j:]] - v[:j] G[:j]: the row Gauss-Jordan would
-    hold at position j had v been there from the start, its first j
-    entries on the stored inverse columns.  For a row of the block this
-    is the row G holds for it.  Column j is reduced one chunk of
-    _ROW_CHUNK rows at a time until an entry is nonzero.  Returns
+    One member at a time: candidates are its rows of A after position j,
+    those of the block and those below it, over the block's columns, and
+    G its block.  One such row v, reduced against the j pivot rows of G,
+    is [0, v[j:]] - v[:j] G[:j]: the row Gauss-Jordan would hold at
+    position j had v been there from the start, its first j entries on
+    the stored inverse columns.  For a row of the block this is the row G
+    holds for it.  The candidates are taken by ``_with_shift`` and their
+    column j reduced one chunk of _ROW_CHUNK rows at a time, until an
+    entry is nonzero, so no row past that chunk is converted.  Returns
     ``(i, row)``, i the index in candidates of the first such row and row
     its reduced residues, or None when there is none.
     """
@@ -283,16 +284,16 @@ def _reduced_row_below(candidates, G, j, p):
     column = right[:, j:j + 1]
     g = np.empty((_ROW_CHUNK, 1))
     for r0 in range(0, candidates.shape[0], _ROW_CHUNK):
-        chunk = candidates[r0:r0 + _ROW_CHUNK]
+        chunk = _with_shift(candidates[r0:r0 + _ROW_CHUNK], p)
         m = chunk.shape[0]
         _product(chunk, column, g[:m])
         nz = np.flatnonzero(_residues(chunk[:, j] - g[:m, 0], p))
         if nz.size:
-            i = r0 + int(nz[0])
-            row = _product(candidates[i:i + 1], right, np.empty((1, w)))[0]
-            v = candidates[i, :w].copy()
+            i = int(nz[0])
+            row = _product(chunk[i:i + 1], right, np.empty((1, w)))[0]
+            v = chunk[i, :w].copy()
             v[:j] = 0
-            return i, _residues(v - row, p)
+            return r0 + i, _residues(v - row, p)
     return None
 
 
@@ -331,8 +332,7 @@ def _invert_diagonal_block(A, k0, k1, p, symmetric, det):
         symmetric = False
     while j < w:
         for m in np.flatnonzero(G[:, j, j] == 0):
-            found = _reduced_row_below(
-                _with_shift(A[m, k0 + j + 1:, k0:k1], p), G[m], j, p)
+            found = _reduced_row_below(A[m, k0 + j + 1:, k0:k1], G[m], j, p)
             if found is None:
                 G[m] = np.eye(w, dtype=np.uint64)
                 det[m] = 0

@@ -156,16 +156,11 @@ class WeightAssignment:
         return sorted(set(self.var_of.values()))
 
 
-@dataclass
-class VarchenkoMatrix:
-    order: int
-    entries: list[list[Monomial]]  # symmetric, unit diagonal
-
-
-def build_varchenko_matrix(ar: Arrangement, wa: WeightAssignment,
-                           cap: int = MATRIX_DUMP_LIMIT) -> VarchenkoMatrix:
-    """The symbolic |W| x |W| matrix; W is enumerated past the cap check."""
-    check_order(ar, cap, "matrix cap")
+def build_varchenko_matrix(ar: Arrangement,
+                           wa: WeightAssignment) -> list[list[Monomial]]:
+    """The rows of the symbolic |W| x |W| matrix, symmetric with unit
+    diagonal; W is enumerated past the cap check."""
+    check_order(ar, MATRIX_DUMP_LIMIT, "matrix cap")
     order = ar.diagram.order
     N = ar.group.inversion_table
     rows = []
@@ -175,7 +170,7 @@ def build_varchenko_matrix(ar: Arrangement, wa: WeightAssignment,
             diff = np.nonzero(N[x] ^ N[y])[0]
             row.append(Monomial.from_vars(wa.var_of[int(t)] for t in diff))
         rows.append(row)
-    return VarchenkoMatrix(order, rows)
+    return rows
 
 
 def closed_form_factorization(ar: Arrangement,
@@ -187,15 +182,10 @@ def closed_form_factorization(ar: Arrangement,
 
 
 def edge_factors(ar: Arrangement, wa: WeightAssignment):
-    """Unmerged per-edge factor records for reporting, from the reflection
-    table alone."""
-    l_of_class = {J: ar.multiplicity_formula(J).l_formula
-                  for J in ar.class_representatives()}
-    out = []
-    for edge in ar.relevant_edges():
-        mono = Monomial.from_vars(wa.var_of[t] for t in edge.reflections)
-        out.append((edge, mono, l_of_class[edge.class_J]))
-    return out
+    """Unmerged per-edge factor records (edge, monomial, l) for reporting,
+    l read from the class table: from the reflection table alone."""
+    return [(e, Monomial.from_vars(wa.var_of[t] for t in e.reflections),
+             ar.classes[e.class_J].l) for e in ar.relevant_edges()]
 
 
 # ---------------------------------------------------------------------------

@@ -498,9 +498,9 @@ def _property_bundle():
             return 3
 
     class _WrongOrbit(Arrangement):
-        def _class_orbit(self, J):
-            rows, cls = super()._class_orbit(J)
-            return np.concatenate([rows, rows[:1]]), cls
+        def _coxeter_class(self, J, rows, members):
+            return super()._coxeter_class(
+                J, np.concatenate([rows, rows[:1]]), members)
 
     class _ClassDependentFormula(Arrangement):
         def _floor_and_x_J_s(self, t):
@@ -508,9 +508,9 @@ def _property_bundle():
             return members, floor, next(counter)
 
     class _RepeatedClass(Arrangement):
-        def class_representatives(self):
-            reps = super().class_representatives()
-            return reps + reps[:1]
+        def _coxeter_class(self, J, rows, members):
+            first = super()._coxeter_class(J, rows, members)
+            return self.__dict__.setdefault("first_class", first)
 
     counter = itertools.count(1)
     # a W_J-class of the wrong size for |X(J,{s})|

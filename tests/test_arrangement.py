@@ -331,12 +331,13 @@ def test_oracle_memo_keeps_one_mask_per_parabolic():
 
 def test_arrangement_memos_belong_to_the_instance():
     a3, b3 = arr("A3"), arr("B3")
-    for name in ("class_representatives", "relevant_edges",
-                 "_subsets_by_reflections"):
-        first = {a: getattr(a, name)() for a in (a3, b3)}
-        assert first[a3] != first[b3], name
-        for a in (a3, b3, a3, b3):
-            assert getattr(a, name)() is first[a], name
+    first = {a: (a.classes, a.relevant_edges()) for a in (a3, b3)}
+    assert list(first[a3][0]) != list(first[b3][0])
+    assert first[a3][1] != first[b3][1]
+    for a in (a3, b3, a3, b3):
+        assert a.classes is first[a][0]
+        assert a.class_representatives() == list(first[a][0])
+        assert a.relevant_edges() == first[a][1]
     # nothing outside the instance keeps it, or its group, alive
     g = build_group(parse_group_spec("A3"))
     a = Arrangement(g)
@@ -438,12 +439,10 @@ def test_degree_identities_on_the_root_tables(spec):
     a = Arrangement(diagram=d)
     per_t = np.zeros(a.roots.num_reflections, dtype=np.int64)
     total = 0
-    for J in a.class_representatives():
-        rows = a._class_orbit(J)[0]
-        l = a.multiplicity_formula(J).l_formula
-        per_t += l * np.bincount(rows.ravel(),
-                                 minlength=a.roots.num_reflections)
-        total += 2 * rows.size * l
+    for c in a.classes.values():
+        per_t += c.l * np.bincount(c.edges.ravel(),
+                                   minlength=a.roots.num_reflections)
+        total += 2 * c.edges.size * c.l
     assert total == d.order * a.roots.num_reflections
     assert (2 * per_t == d.order).all()
     assert "group" not in vars(a)  # W was never enumerated
@@ -492,15 +491,17 @@ class _OddOracle(Arrangement):
 
 
 class _WrongOrbit(Arrangement):
-    def _class_orbit(self, J):
-        rows, cls = super()._class_orbit(J)
-        return np.concatenate([rows, rows[:1]]), cls
+    # each class's orbit lists its first edge twice
+    def _coxeter_class(self, J, rows, members):
+        return super()._coxeter_class(J, np.concatenate([rows, rows[:1]]),
+                                      members)
 
 
 class _RepeatedClass(Arrangement):
-    def class_representatives(self):
-        reps = super().class_representatives()
-        return reps + reps[:1]
+    # every class is recorded as the first class again
+    def _coxeter_class(self, J, rows, members):
+        first = super()._coxeter_class(J, rows, members)
+        return self.__dict__.setdefault("first_class", first)
 
 
 def test_oracle_rejects_odd_chamber_count():
@@ -563,8 +564,9 @@ def test_conjugator_search_reports_failure():
 
 @pytest.mark.parametrize("call,error", [
     (lambda: arr("A3").multiplicity_formula((0, 2)), ReducibleSubset),
+    (lambda: arr("A3").coxeter_class((0, 2)), ReducibleSubset),
     (lambda: decompose_L(arr("A3"), (0, 1), 0), SupportMismatch),
-], ids=["multiplicity_formula", "decompose_L"])
+], ids=["multiplicity_formula", "coxeter_class", "decompose_L"])
 def test_bad_arguments_raise_typed_value_errors(call, error):
     # ValueError keeps callers that caught the former bare ValueError working
     with pytest.raises(error) as exc:

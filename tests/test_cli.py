@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import dataclasses
 import json
 import os
 import re
@@ -57,9 +58,9 @@ def test_det_json_schema_and_determinism(capsys):
 
 
 def test_det_json_names_each_class_once(capsys, monkeypatch):
-    # each edge's class label is looked up, so the subdiagram calls of
-    # --format json exceed those of the text form by one per class, not
-    # one per edge
+    # each edge's class label is read from the class table, which names
+    # each class once for both forms: --format json makes no subdiagram
+    # call beyond those of the text form, where one per edge would
     classes = len(Arrangement(
         diagram=coxeter_core.parse_group_spec("D6")).class_representatives())
     calls = []
@@ -76,7 +77,32 @@ def test_det_json_names_each_class_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "det", "D6", "--format", "json")
     assert code == 0
     factors = json.loads(out)["factors"]
-    assert len(calls) - text_calls == classes < len(factors)
+    assert len(calls) == text_calls
+    assert classes < len(factors)
+
+
+@pytest.mark.parametrize("argv,classes,calls", [
+    (["verify", "A5", "--trials", "1", "--primes", "1"], 5, 5),
+    (["verify", "B4"], 7, 10),
+])
+def test_a_command_computes_each_class_once(capsys, monkeypatch, argv,
+                                            classes, calls):
+    # verify takes the closed form for its determinants and again for its
+    # concordance checks; the floor and |X(J,{s})| of each W_J-class of
+    # full-support reflections are computed once for the command
+    counted = []
+    floor_and_x_J_s = Arrangement._floor_and_x_J_s
+
+    def counting(self, t):
+        counted.append((self, t))
+        return floor_and_x_J_s(self, t)
+
+    monkeypatch.setattr(Arrangement, "_floor_and_x_J_s", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert len(counted) == calls
+    assert len({t for _, t in counted}) == calls
+    (ar,) = {a for a, _ in counted}
+    assert len(ar.classes) == classes
 
 
 def test_matrix_text_A1(capsys):
@@ -178,7 +204,8 @@ _true_reports = Arrangement.multiplicity_reports
 
 def _mismatching_reports(self, with_oracle=False):
     reports = _true_reports(self, with_oracle)
-    reports[-1].l_oracle = reports[-1].l_formula + 1
+    reports[-1] = dataclasses.replace(reports[-1],
+                                      l_oracle=reports[-1].l_formula + 1)
     return reports
 
 

@@ -297,7 +297,7 @@ def test_howlett_normalizer_factorization():
                         if {int(D[x, t]) for t in TJ} == TJ)
             assert brute == pd.normalizer_order
             assert pd.normalizer_order == len(pd.W_J) * len(pd.X_SJ)
-            assert len(pd.X_SJ) == a._x_S_J(J)
+            assert len(pd.X_SJ) == a.multiplicity_formula(J).ingredients[2]
             members = set(int(x) for x in normalizer_members(pd))
             assert len(members) == pd.normalizer_order
 

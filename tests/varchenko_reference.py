@@ -13,7 +13,11 @@ import sympy
 from coxvar.arrangement import Arrangement
 from coxvar.coxeter_core import EnumeratedGroup
 from coxvar.exact_algebra import Factorization
-from coxvar.varchenko import WeightAssignment, build_varchenko_matrix
+from coxvar.varchenko import (
+    WeightAssignment,
+    build_varchenko_matrix,
+    check_order,
+)
 
 _MATRIX_CHUNK = 1 << 16  # entries formed at a time
 
@@ -69,9 +73,10 @@ def symbolic_determinant(group: EnumeratedGroup, wa: WeightAssignment):
     Laplace expansion along the rows in order.  The minor left after the
     first k rows depends only on the set of columns not yet used, so each
     of the 2^n minors is computed once, as a bitmask-indexed `sympy.Poly`,
-    instead of n! products along the expansion tree.
+    instead of n! products along the expansion tree, for n <= 8.
     """
-    vm = build_varchenko_matrix(Arrangement(group), wa, cap=8)
+    ar = Arrangement(group)
+    check_order(ar, 8, "cofactor expansion cap")
     names = wa.variables()
     pos = {v: i for i, v in enumerate(names)}
     gens = [sympy.Symbol(v) for v in names]
@@ -82,8 +87,8 @@ def symbolic_determinant(group: EnumeratedGroup, wa: WeightAssignment):
             exps[pos[v]] = e
         return sympy.Poly.from_dict({tuple(exps): 1}, *gens)
 
-    rows = [[poly(m) for m in r] for r in vm.entries]
-    n = vm.order
+    rows = [[poly(m) for m in r] for r in build_varchenko_matrix(ar, wa)]
+    n = len(rows)
     minors = [None] * (1 << n)
     minors[0] = sympy.Poly(1, *gens)
     for cols in range(1, 1 << n):
