@@ -6,13 +6,13 @@ product formula for their multiplicities need only the reflection table,
 never W; its roots are numbered as W numbers its reflections, so edges
 carry the same reflection indices either way.  An independent
 chamber-counting oracle computes each multiplicity again over the
-enumerated group: it tests which chambers can span an edge once per
-edge, then counts, for every hyperplane on the edge, those whose face on
-it does.
+enumerated group, in one pass per edge: it narrows the chambers to those
+that can span the edge, then counts, for every hyperplane on the edge at
+once, those whose face on it does.
 
 An `Arrangement` computes each Coxeter class's edges and multiplicity
-once, into its class table, and keeps beside it only the oracle's
-candidates per edge, so both live exactly as long as it does.
+once, into its class table, which lives exactly as long as it does; the
+oracle keeps nothing from one edge to the next.
 """
 
 from __future__ import annotations
@@ -31,14 +31,15 @@ from .coxeter_core import (
     _mask,
     _orbit,
     build_group,
+    known_reflection_count,
     reflection_table,
 )
 from .errors import (
     InvarianceViolation,
     InvariantError,
     NoFullSupportReflection,
+    OrderLimitExceeded,
     ReducibleSubset,
-    ReflectionNotOnEdge,
 )
 
 
@@ -99,11 +100,16 @@ class Arrangement:
             limit = max(limit, group.order)
         self.diagram = diagram
         self.limit = limit
-        # (reflections, class_J) -> (inverses of chambers, K masks, counts)
-        self._candidates = {}
 
     @cached_property
     def roots(self) -> ReflectionTable:
+        """The reflection table.  A component with more than 2 ``limit``
+        reflections is refused first: it has at most two classes of
+        reflections, so the orbit of one hyperplane passes the limit."""
+        if any(known_reflection_count(c.letter, c.param) > 2 * self.limit
+               for c in self.diagram.components):
+            raise OrderLimitExceeded(
+                f"an orbit passed {self.limit} members (the limit)")
         return reflection_table(self.diagram)
 
     @cached_property
@@ -223,82 +229,42 @@ class Arrangement:
 
     # -- multiplicity: chamber-counting oracle -------------------------------
 
-    def chambers_spanning(self, edge: Edge, t: int) -> set[int]:
-        """All x whose face on hyperplane t spans exactly this edge.
+    def _chamber_counts(self, edge: Edge) -> np.ndarray:
+        """|L(E, t)| for each hyperplane t of the edge, in the edge's order.
 
-        The face of x on t spans the reflections D[x, T_K], where K is the
-        support of t^(x^-1) = D[x^-1, t].  Only the support depends on t, so
-        the test "D[x, T_K] = E" runs once per edge, in `_edge_candidates`,
-        and each t keeps the candidates x whose support is their own K.
-        That test is exact without a sort: each row of D is a permutation of
-        the reflection indices, because conjugation by x is a bijection, so
-        D[x, T_K] has |T_K| distinct entries, and its set equals E exactly
-        when |T_K| = |E| and every entry lies in E.  A chamber is a
-        candidate for at most one K: D[x, T_K] = E means T_K is the image of
-        E under conjugation by x^-1, and T_K determines K, its simple
-        reflections.  So the sets are those of the per-t test.
+        The face of chamber x on t spans the reflections D[x, T_K], where K
+        is the support of t^(x^-1).  Each row of D is a permutation of the
+        reflections, so D[x, T_K] = E exactly when |T_K| = |E| and every
+        entry lies in E; the chambers are narrowed to those one column of
+        T_K at a time.  Then D[x, .] maps T_K one-to-one onto E, and
+        D[x^-1, .] is its inverse, so t^(x^-1) is the u of T_K with
+        D[x, u] = t: "the support of t^(x^-1) is K" reads "t = D[x, u] for
+        a u of T_K with support K".  One bincount per such u counts every
+        hyperplane at once, and no x^-1 is read.  T_K determines K, so no
+        chamber spans E for two K, and none is counted twice.
         """
-        inverses, spans = self._candidates_spanning(edge, t)
-        return set(self.group.inv[inverses[spans]].tolist())
-
-    def count_L(self, edge: Edge, t: int) -> int:
-        """|L(E, t)|, counted without building the chamber set.
-
-        Each candidate occurs once, so this is len(chambers_spanning).
-        """
-        return int(np.count_nonzero(self._candidates_spanning(edge, t)[1]))
-
-    def _candidates_spanning(self, edge: Edge, t: int):
-        """The inverses of the edge's candidates, and which candidates span
-        it from t."""
-        if t not in edge.reflections:
-            raise ReflectionNotOnEdge(f"reflection {t} not on edge")
-        inverses, masks, sizes = self._edge_candidates(edge)
-        support = self.roots.support[self.group.conj_tables[inverses, t]]
-        return inverses, support == np.repeat(masks, sizes)
-
-    def _edge_candidates(self, edge: Edge):
-        """Chambers x with D[x, T_K] = E for some K in the edge's class.
-
-        Returns the inverses x^-1 of those chambers, which every t reads as
-        D[x^-1, t], as int32 and grouped by K, the bitmask of each K and the
-        number of chambers of each: the memo keeps one mask per K, not one
-        per chamber.  The edge's class is part of the memo key: one
-        reflection set can be labelled with different classes.  The
-        chambers are narrowed one column t of T_K at a time, to those with
-        D[x, t] in E, so the scan holds O(|W|) indices and never a
-        |W| x |T_K| block of D.
-        """
-        key = (edge.reflections, edge.class_J)
-        if key not in self._candidates:
-            g = self.group
-            D = g.conj_tables
-            inE = np.zeros(g.num_reflections, dtype=bool)
-            inE[list(edge.reflections)] = True
-            size = int(inE.sum())
-            inverses, masks = [np.empty(0, dtype=np.int32)], []
-            for Kmask in {_mask(K) for K in self.coxeter_class(edge.class_J)}:
-                TK = self.roots.reflections_in(Kmask)
-                if len(TK) != size:
-                    continue
-                found = np.flatnonzero(inE[D[:, TK[0]]])
-                for t in TK[1:]:
-                    found = found[inE[D[found, t]]]
-                inverses.append(g.inv[found].astype(np.int32))
-                masks.append(Kmask)
-            self._candidates[key] = (
-                np.concatenate(inverses), np.array(masks, dtype=np.int64),
-                np.array([len(x) for x in inverses[1:]], dtype=np.int64))
-        return self._candidates[key]
+        D = self.group.conj_tables
+        inE = np.zeros(D.shape[1], dtype=bool)
+        inE[list(edge.reflections)] = True
+        counts = np.zeros(D.shape[1], dtype=np.int64)
+        for Kmask in map(_mask, self.coxeter_class(edge.class_J)):
+            TK = self.roots.reflections_in(Kmask)
+            if len(TK) != len(edge):
+                continue
+            found = np.flatnonzero(inE[D[:, TK[0]]])
+            for u in TK[1:]:
+                found = found[inE[D[found, u]]]
+            for u in TK[self.roots.support[TK] == Kmask]:
+                counts += np.bincount(D[found, u], minlength=D.shape[1])
+        return counts[list(edge.reflections)]
 
     def multiplicity_oracle(self, edge: Edge) -> int:
         """l(E): half the chamber count, checked for hyperplane independence."""
-        t0 = edge.reflections[0]
-        c = self.count_L(edge, t0)
+        t0, *others = edge.reflections
+        c, *rest = map(int, self._chamber_counts(edge))
         if c % 2:
             raise InvarianceViolation(f"|L(E,{t0})| = {c} is odd")
-        for u in edge.reflections[1:]:
-            cu = self.count_L(edge, u)
+        for u, cu in zip(others, rest):
             if cu != c:
                 raise InvarianceViolation(
                     f"|L(E,{u})| = {cu} but |L(E,{t0})| = {c}")

@@ -244,7 +244,7 @@ def parse_group_spec(text: str) -> CoxeterDiagram:
         if m.group(1):
             letter, n = m.group(1), int(m.group(2))
             if n < 1:
-                raise UnsupportedType(f"{letter}{n}")
+                raise UnsupportedType(f"{letter}0: the rank must be at least 1")
             if letter == "B" and n < 2:
                 raise UnsupportedType("B1: write A1")
             if letter == "D" and n < 3:

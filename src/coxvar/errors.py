@@ -31,10 +31,6 @@ class UnassignedVariable(CoxvarError, KeyError):
     pass
 
 
-class ReflectionNotOnEdge(CoxvarError):
-    pass
-
-
 class InvarianceViolation(CoxvarError):
     pass
 

@@ -427,7 +427,6 @@ def _property_bundle():
     from coxvar.errors import (
         CoxvarError,
         OrderLimitExceeded,
-        ReflectionNotOnEdge,
         VariableCollision,
     )
     from coxvar.varchenko import (
@@ -452,7 +451,6 @@ def _property_bundle():
         g = group(spec)
         a = Arrangement(g)
         separating_set(g, 0, longest_element(g))
-        edges = a.relevant_edges()
         lookup = edge_lookup(a)
         assert lookup
         for rep in a.multiplicity_reports(with_oracle=True):
@@ -473,17 +471,13 @@ def _property_bundle():
                 except ValueError:
                     pass
         try:
-            a.count_L(edges[0], g.num_reflections - 1)
-        except ReflectionNotOnEdge:
-            pass
-        try:
             a.multiplicity_formula((0, 2) if g.n > 2 else ())
         except ValueError:
             pass
     # the guard paths that healthy data can never reach
     class _SkewedOracle(Arrangement):
-        def count_L(self, edge, t):
-            return 2 * (1 + edge.reflections.index(t))
+        def _chamber_counts(self, edge):
+            return [2 * (1 + i) for i in range(len(edge))]
 
     g3 = group("A2")
     skew = _SkewedOracle(g3)
@@ -494,8 +488,8 @@ def _property_bundle():
         assert type(exc).__name__ == "InvarianceViolation"
 
     class _OddOracle(Arrangement):
-        def count_L(self, edge, t):
-            return 3
+        def _chamber_counts(self, edge):
+            return [3] * len(edge)
 
     class _WrongOrbit(Arrangement):
         def _coxeter_class(self, J, rows, members):
@@ -563,10 +557,15 @@ def _property_bundle():
             assert type(exc).__name__ == name
     # W enumerated on first use, for an arrangement built from its diagram
     assert Arrangement(diagram=parse_group_spec("A2"), limit=6).group.order == 6
+    # I2(21)'s one class of 21 reflections is past the limit of 10
+    try:
+        Arrangement(diagram=parse_group_spec("I2(21)"), limit=10).roots
+        raise AssertionError("reflection count guard did not trigger")
+    except OrderLimitExceeded:
+        pass
     # a reflection set that no face spans skips every support class
-    assert Arrangement(g3).chambers_spanning(
-        Edge(reflections=(0,), class_J=(0, 1), coset_id=0),
-        0) == set()
+    assert Arrangement(g3)._chamber_counts(
+        Edge(reflections=(0,), class_J=(0, 1), coset_id=0)).tolist() == [0]
 
     for spec in ("A2", "B2", "A1xA1"):
         g = group(spec)

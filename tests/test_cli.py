@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -15,6 +16,7 @@ from coxvar import arrangement, cli, coxeter_core
 from coxvar.arrangement import Arrangement
 from coxvar.cli import main
 from coxvar.errors import InvarianceViolation, InvariantError
+from test_outputs_pinned import PINNED
 
 
 def run(capsys, *argv):
@@ -125,6 +127,13 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize("spec", ["A0", "B0", "D0"])
+def test_rank_zero_names_the_reason(capsys, spec):
+    code, out, err = run(capsys, "det", spec)
+    assert code == 2 and out == ""
+    assert err == f"error: {spec}: the rank must be at least 1\n"
+
+
 def test_limit_exit_code(capsys):
     code, _, err = run(capsys, "multiplicity", "E8")
     assert code == 3 and "order" in err
@@ -133,6 +142,9 @@ def test_limit_exit_code(capsys):
     code, out, err = run(capsys, "det", "D7", "--limit", "335")
     assert code == 3 and out == "" and "335" in err
     code, out, _ = run(capsys, "det", "D7", "--limit", "336")
+    assert code == 0 and out
+    # I2(20)'s two classes of 10 reflections each stay within --limit 10
+    code, out, _ = run(capsys, "det", "I2(20)", "--limit", "10")
     assert code == 0 and out
 
 
@@ -419,7 +431,15 @@ def _never_build_roots(*args, **kwargs):
     (("verify", "I2(200000)"),
      "|W| = 400000 exceeds determinant budget 3840"),
     (("matrix", "I2(200000)"), "|W| = 400000 exceeds matrix cap 200"),
-], ids=["multiplicity", "verify", "matrix"])
+    # one class of 2000001 reflections, the edge orbit of a hyperplane,
+    # passes the default --limit of 10**6
+    (("det", "I2(2000001)"), "an orbit passed 1000000 members (the limit)"),
+    (("tables", "I2(2000001)"),
+     "an orbit passed 1000000 members (the limit)"),
+    # I2(21)'s one class of 21 reflections, past twice --limit 10
+    (("det", "I2(21)", "--limit", "10"),
+     "an orbit passed 10 members (the limit)"),
+], ids=["multiplicity", "verify", "matrix", "det", "tables", "det-limit"])
 def test_refusals_come_before_the_reflection_table(capsys, monkeypatch,
                                                    argv, message):
     # |T| = 200000: the reflection table, a Python loop over the roots,
@@ -472,6 +492,21 @@ def test_verify_B5_within_the_budget(capsys):
     assert report["verdict"] == "PASS"
     [record] = report["determinant"]["records"]
     assert record["prime"] == 2147483659 and record["lhs"] == record["rhs"]
+
+
+def _no_inverse(self):
+    raise AssertionError("W's inverse table was built")
+
+
+def test_oracle_reads_no_inverse_table(capsys, monkeypatch):
+    # the oracle counts every hyperplane of an edge from D[x, .] alone
+    monkeypatch.setattr(coxeter_core.EnumeratedGroup, "inv",
+                        property(_no_inverse))
+    argv = ("multiplicity", "H3", "--format", "json")
+    digest = next(d for a, _, d in PINNED if a == argv)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_det_builds_no_group(capsys, monkeypatch):
