@@ -43,6 +43,18 @@ from .errors import (
 )
 
 
+def _largest_class(comp) -> int:
+    """Members of the largest class of reflections of one component: all
+    of them unless an even bond splits them in two."""
+    if comp.letter == "B":
+        return max(comp.param * (comp.param - 1), comp.param)  # long, short
+    if comp.letter == "F":
+        return 12
+    if comp.letter == "I" and comp.param % 2 == 0:
+        return comp.param // 2
+    return known_reflection_count(comp.letter, comp.param)
+
+
 @dataclass(frozen=True)
 class Edge:
     """A relevant edge, stored as its closed set of reflection indices."""
@@ -103,10 +115,10 @@ class Arrangement:
 
     @cached_property
     def roots(self) -> ReflectionTable:
-        """The reflection table.  A component with more than 2 ``limit``
-        reflections is refused first: it has at most two classes of
-        reflections, so the orbit of one hyperplane passes the limit."""
-        if any(known_reflection_count(c.letter, c.param) > 2 * self.limit
+        """The reflection table.  A component whose largest class of
+        reflections passes ``limit`` is refused first: every class holds
+        a simple reflection, whose one-node orbit ``classes`` walks."""
+        if any(_largest_class(c) > self.limit
                for c in self.diagram.components):
             raise OrderLimitExceeded(
                 f"an orbit passed {self.limit} members (the limit)")
@@ -141,7 +153,7 @@ class Arrangement:
                 seen.update(members)
                 widths.setdefault(c.edges.shape[1], []).append(c.edges)
         bits = max(1, (roots.num_reflections - 1).bit_length())
-        repeated = sum(len(e) - len(_first_occurrences(e, bits)[0])
+        repeated = sum(len(e) - len(_first_occurrences(e, bits))
                        for e in map(np.concatenate, widths.values()))
         if repeated:
             raise InvariantError(f"{repeated} edges occur in two classes")
@@ -233,30 +245,32 @@ class Arrangement:
         """|L(E, t)| for each hyperplane t of the edge, in the edge's order.
 
         The face of chamber x on t spans the reflections D[x, T_K], where K
-        is the support of t^(x^-1).  Each row of D is a permutation of the
-        reflections, so D[x, T_K] = E exactly when |T_K| = |E| and every
-        entry lies in E; the chambers are narrowed to those one column of
-        T_K at a time.  Then D[x, .] maps T_K one-to-one onto E, and
-        D[x^-1, .] is its inverse, so t^(x^-1) is the u of T_K with
-        D[x, u] = t: "the support of t^(x^-1) is K" reads "t = D[x, u] for
-        a u of T_K with support K".  One bincount per such u counts every
-        hyperplane at once, and no x^-1 is read.  T_K determines K, so no
-        chamber spans E for two K, and none is counted twice.
+        is the support of t^(x^-1).  Row y of W's root images, mod |T|, is
+        D at y^-1; the sum runs over all of W, so row y stands for chamber
+        x = y^-1.  Each row is a permutation, so D[x, T_K] = E exactly when
+        |T_K| = |E| and every entry lies in E, which narrows the chambers
+        one column of T_K at a time.  Then t^(x^-1) is the u of T_K with
+        D[x, u] = t, so one bincount per u of support K counts every
+        hyperplane at once.  T_K determines K, so no chamber is counted
+        twice.  Both lookups take the 2|T| signed roots, sign ignored.
         """
-        D = self.group.conj_tables
-        inE = np.zeros(D.shape[1], dtype=bool)
+        g = self.group
+        g.refl_ids  # checks that W numbers the reflections as the roots do
+        images, T = g.root_images, g.num_reflections
+        inE = np.zeros(T, dtype=bool)
         inE[list(edge.reflections)] = True
-        counts = np.zeros(D.shape[1], dtype=np.int64)
+        inE = np.tile(inE, 2)
+        counts = np.zeros(2 * T, dtype=np.int64)
         for Kmask in map(_mask, self.coxeter_class(edge.class_J)):
             TK = self.roots.reflections_in(Kmask)
             if len(TK) != len(edge):
                 continue
-            found = np.flatnonzero(inE[D[:, TK[0]]])
+            found = np.flatnonzero(inE[images[:, TK[0]]])
             for u in TK[1:]:
-                found = found[inE[D[found, u]]]
+                found = found[inE[images[found, u]]]
             for u in TK[self.roots.support[TK] == Kmask]:
-                counts += np.bincount(D[found, u], minlength=D.shape[1])
-        return counts[list(edge.reflections)]
+                counts += np.bincount(images[found, u], minlength=2 * T)
+        return (counts[:T] + counts[T:])[list(edge.reflections)]
 
     def multiplicity_oracle(self, edge: Edge) -> int:
         """l(E): half the chamber count, checked for hyperplane independence."""

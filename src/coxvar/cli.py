@@ -63,7 +63,7 @@ ORACLE_BUDGET = 1152
 # largest |W| of the oracle in tables and of verify's determinants under
 # --unsafe-large
 HARD_DET_CAP = 14400
-# largest conjugation table, in bytes, that multiplicity builds for its
+# largest table of root images, in bytes, that multiplicity builds for its
 # oracle: 8 times B7's 31.6 MB, the largest table of a group other than
 # I2(m) under the default --limit; I2(20000)'s would take 1.6 GB
 TABLE_BYTES_LIMIT = 1 << 28
@@ -262,8 +262,8 @@ def cmd_verify(ar, args):
 
 
 def cmd_multiplicity(ar, args):
-    # the oracle needs W and its conjugation table, and the diagram gives
-    # the size of both: a group past --limit, refused on its order when
+    # the oracle needs W's table of root images, and the diagram gives
+    # its size: a group past --limit, refused on its order when
     # ar.group is read, or one whose table would pass TABLE_BYTES_LIMIT,
     # fails before W is enumerated or the reflection table built
     order = ar.diagram.order

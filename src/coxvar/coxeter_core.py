@@ -13,16 +13,12 @@ numbered in W's element order, the one numbering of the reflections.
 Every ingredient of the multiplicity formula, every edge orbit, the
 closed-form determinant and the concordance checks are computed from it.
 
-``EnumeratedGroup`` is W itself, enumerated by breadth-first search
-through the same action; an element is keyed by the roots to which its
-inverse sends the simple roots.  Enumeration yields the element ids,
-their reduced-word tree (``parent``, ``gen_of``) and ``right_mul``; every
-other table follows from the tree one length level at a time: an element
-y = x s of length k depends only on its parent x of length k - 1, so
-``left_mul[y] = right_mul[left_mul[x], s]`` (as g y = (g x) s), and the
-inverses, conjugation and inversion tables are built the same way.  Its
-reflections are the table's roots, their ids checked against it; it reads
-their classes from the table, with no copy of its own.
+``EnumeratedGroup`` is W itself, one table of root images: row x holds
+the signed root x(alpha_t) for each positive root alpha_t.  It is
+enumerated from R alone, each element reached once from its least right
+descent, with its reduced-word tree (``parent``, ``gen_of``).  The
+conjugation and inversion tables are scatters of its rows, and its
+reflections are the table's roots, their ids checked against it.
 
 Every orbit the library needs is an orbit of sets of points under
 generators, computed by the one helper ``_orbit``.
@@ -400,13 +396,13 @@ def _root_action(diagram: CoxeterDiagram):
     """The permutation action of S on the roots, and the simple roots.
 
     Returns (sigma, simple): sigma[g, i] is the index of the root s_g(r_i)
-    and simple[g] that of alpha_g.  Cached per diagram, so the reflection
-    table and the enumeration share it; both arrays are read-only.  A product's roots are the disjoint union
-    of its components' roots, and a generator fixes every root of the other
-    components.  I2(m) is closed form: r_k lies at angle k pi / m (k < 2m),
-    the simple roots are r_0 and r_(m-1), and the reflections send the angle
-    theta to pi - theta (k -> m - k) and to pi + 2(m - 1) pi / m - theta
-    (k -> 3m - 2 - k).  Every other type is the orbit of its simple roots.
+    and simple[g] that of alpha_g, both read-only and cached per diagram.
+    A product's roots are the disjoint union of its components' roots, and
+    a generator fixes every root of the other components.  I2(m) is closed
+    form: r_k lies at angle k pi / m (k < 2m), the simple roots are r_0 and
+    r_(m-1), and the reflections send the angle theta to pi - theta
+    (k -> m - k) and to pi + 2(m - 1) pi / m - theta (k -> 3m - 2 - k).
+    Every other type is the orbit of its simple roots.
     """
     parts = []
     for comp in diagram.components:
@@ -453,7 +449,7 @@ def _orbit(start, act, gens=None, limit=None):
     while len(level):
         cand = np.sort(act[level[:, None, :], gens[:, None]],
                        axis=2).reshape(len(level) * len(gens), level.shape[1])
-        first, _ = _first_occurrences(np.concatenate([known, cand]), bits)
+        first = _first_occurrences(np.concatenate([known, cand]), bits)
         new = np.sort(first[first >= len(known)]) - len(known)
         total += len(new)
         if limit is not None and total > limit:
@@ -472,9 +468,8 @@ def _bits(mask: int) -> list[int]:
 def index_dtype(count: int) -> np.dtype:
     """The narrowest dtype of the indices below ``count``.
 
-    uint8 up to 256, uint16 up to 65536, int32 beyond.  The root table R
-    and the conjugation table D hold reflection indices in it, so D is
-    filled from R with no cast.
+    uint8 up to 256, uint16 up to 65536, int32 beyond: R holds |T|
+    reflection indices in it, W's root images 2|T| signed roots.
     """
     if count <= 1 << 8:
         return np.dtype(np.uint8)
@@ -484,8 +479,9 @@ def index_dtype(count: int) -> np.dtype:
 
 
 def conj_table_bytes(order: int, num_reflections: int) -> int:
-    """Bytes of the |W| x |T| conjugation table D, from the two counts."""
-    return order * num_reflections * index_dtype(num_reflections).itemsize
+    """Bytes of W's |W| x |T| root images, the conjugation table the
+    oracle reads, from the two counts."""
+    return order * num_reflections * index_dtype(2 * num_reflections).itemsize
 
 
 class ReflectionTable:
@@ -611,48 +607,32 @@ def reflection_table(diagram: CoxeterDiagram) -> ReflectionTable:
     return ReflectionTable(diagram)
 
 
-# ---------------------------------------------------------------------------
-
-
 class EnumeratedGroup:
-    """A fully enumerated finite Coxeter group with lookup tables.
+    """A fully enumerated finite Coxeter group, held as its root images.
 
-    Element ids follow breadth-first order by length, ties resolved by
-    generator index, so ids, reduced words, and everything derived from
-    them are reproducible across runs.
+    ``root_images[x, t]`` is u when x(alpha_t) = alpha_u and u + |T| when
+    x(alpha_t) = -alpha_u, in ``index_dtype(2|T|)``.  Mod |T|, row x is
+    t -> x t x^-1, the conjugation table D at x^-1; it has l(x) entries
+    past |T|.  Ids run by length, then least right descent, then parent,
+    so ids and reduced words are reproducible across runs.
     """
 
-    def __init__(self, diagram, right_mul, left_mul, parent, gen_of, length):
+    def __init__(self, diagram, root_images, parent, gen_of, length):
         self.diagram = diagram
         self.n = diagram.rank
-        self.right_mul = right_mul
-        self.left_mul = left_mul
+        self.root_images = root_images
         self.parent = parent
         self.gen_of = gen_of
         self.length = length
         self.order = len(length)
-        self._levels = _levels(length)
-
-    # -- basic element calculus ---------------------------------------------
 
     def word(self, x: int) -> list[int]:
         """The stored reduced word of element x."""
         w = []
-        while x != 0:
+        while x:
             w.append(int(self.gen_of[x]))
             x = int(self.parent[x])
-        w.reverse()
-        return w
-
-    @cached_property
-    def inv(self):
-        inv = np.zeros(self.order, dtype=np.int64)
-        for ys in self._levels:
-            # (x s)^-1 = s x^-1
-            inv[ys] = self.left_mul[inv[self.parent[ys]], self.gen_of[ys]]
-        return inv
-
-    # -- reflections ---------------------------------------------------------
+        return w[::-1]
 
     @cached_property
     def roots(self) -> ReflectionTable:
@@ -662,19 +642,37 @@ class EnumeratedGroup:
     def refl_ids(self):
         """Element ids of the reflections, in the order of the root table.
 
-        Root t is s_g(parent) for g = gen[t], so its reflection is
-        g s_parent g.  The ids must increase, as the table numbers the
-        roots in element order, and W must conjugate them as R does.
+        Root t is s_g(parent) for g = gen[t], so the row of its reflection
+        is that of g s_parent g, built from R one depth at a time, and the
+        reflection is the element of length 2 depth - 1 whose key, the
+        simple columns of its row, matches.  The ids must increase, as the
+        table numbers the roots in element order, and W's rows at them
+        must be the rows built, as W must conjugate as R does.
         """
-        roots, gens = self.roots, np.arange(self.n)
-        ids = np.zeros(roots.num_reflections, dtype=np.int64)
-        ids[:self.n] = self.right_mul[0]
-        for ts in _levels(roots.depth):
-            g, parents = roots.gen[ts], ids[roots.parent[ts]]
-            ids[ts] = self.left_mul[self.right_mul[parents, g], g]
-        if not (np.all(np.diff(ids) > 0) and np.array_equal(
-                self.left_mul[self.right_mul[ids[:, None], gens], gens],
-                ids[roots.R])):
+        roots, T, n = self.roots, self.num_reflections, self.n
+        R = roots.R.astype(np.intp)
+        rows = np.empty((T, T), dtype=np.intp)
+        rows[:n] = R[:, :n].T + T * np.eye(n, T, dtype=np.intp)
+        ids = np.full(T, -1)
+        for d in range(1, roots.depth[-1] + 1):
+            ts = np.flatnonzero(roots.depth == d)
+            if d > 1:
+                # (x g)(alpha_u) is x(alpha_R[u, g]) for u != g and
+                # -x(alpha_g); g(+-alpha_v) is +-alpha_R[v, g], negated once
+                # more when v = g
+                g, k = roots.gen[ts], np.arange(len(ts))
+                xg = rows[roots.parent[ts][:, None], R[:, g].T]
+                xg[k, g] = (xg[k, g] + T) % (2 * T)
+                v = xg % T
+                g = g[:, None]
+                rows[ts] = R[v, g] + T * ((xg >= T) != (v == g))
+            a, b = np.searchsorted(self.length, [2 * d - 1, 2 * d])
+            keys = self.root_images[a:b, None, :n] == rows[ts, :n]
+            match = keys.all(axis=2)
+            ids[ts] = np.where(match.any(axis=0), a + match.argmax(axis=0), -1)
+        # e is element 0, so every reflection's id is positive
+        if not (np.all(np.diff(ids, prepend=0) > 0)
+                and np.array_equal(self.root_images[ids], rows)):
             raise InvariantError(
                 "W and the root table number the reflections differently")
         return ids
@@ -692,49 +690,36 @@ class EnumeratedGroup:
         self.refl_ids
         return self.roots.R
 
+    def _scatter(self, values):
+        """out[x, P[x, t]] = values[x, t], P = ``root_images`` mod |T|,
+        the columns checked first by ``refl_ids``."""
+        self.refl_ids
+        P = (self.root_images % self.num_reflections).astype(np.intp)
+        out = np.empty(P.shape, dtype=values.dtype)
+        np.put_along_axis(out, P, values, axis=1)
+        return out
+
     @cached_property
     def conj_tables(self):
-        """D[x, t] = index of t^x; the index of t^(x^-1) is D[inv[x], t].
-
-        D has R's dtype, ``index_dtype(|T|)``: one byte per entry up to
-        256 reflections, so ``conj_table_bytes`` gives its size.
-        """
-        R = self.conj_by_gen
-        D = np.zeros((self.order, self.num_reflections), dtype=R.dtype)
-        D[0] = np.arange(self.num_reflections)
-        for ys in self._levels:
-            # t^(x s) = (t^x)^s
-            D[ys] = R[D[self.parent[ys]], self.gen_of[ys][:, None]]
-        return D
+        """D[x, t] = index of t^x = x^-1 t x, in R's dtype: the inverse of
+        row x's permutation.  The oracle reads the table itself instead."""
+        return self._scatter(np.arange(self.num_reflections,
+                                       dtype=self.roots.R.dtype))
 
     @cached_property
     def inversion_table(self):
-        """Boolean table: N[x, t] iff reflection t is a left inversion of x."""
-        D, inv = self.conj_tables, self.inv
-        N = np.zeros((self.order, self.num_reflections), dtype=bool)
-        for ys in self._levels:
-            ids, xs = np.arange(ys.start, ys.stop), self.parent[ys]
-            # N(x s) = N(x) plus x s x^-1 = s^(x^-1), which x lacks
-            c = D[inv[xs], self.gen_of[ys]]
-            N[ys] = N[xs]
-            if N[ids, c].any():
-                raise InvariantError("a reduced word repeats an inversion")
-            N[ids, c] = True
-        return N
+        """Boolean table: N[x, t] iff reflection t is a left inversion of x,
+        as x s_u x^-1 is one exactly when x(alpha_u) < 0."""
+        negative = self.root_images >= self.num_reflections
+        if not np.array_equal(negative.sum(axis=1), self.length):
+            raise InvariantError(
+                "a row of W's table does not have l(x) negative roots")
+        return self._scatter(negative)
 
     @cached_property
     def reflection_class_of(self):
         """Reflection index -> conjugacy class index, from the root table."""
         return self.roots.reflection_class_of
-
-
-def _levels(length):
-    """Id slices of the elements of each length >= 1, shortest first.
-
-    Enumeration numbers the elements by length, so each level is a range.
-    """
-    bounds = [*(np.flatnonzero(np.diff(length)) + 1), len(length)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _mask(J) -> int:
@@ -746,81 +731,58 @@ def _mask(J) -> int:
 
 def build_group(diagram: CoxeterDiagram,
                 limit: int = DEFAULT_ORDER_LIMIT) -> EnumeratedGroup:
-    """Enumerate the whole group through the action of S on its roots."""
+    """Enumerate the whole group through its root table."""
     if diagram.order > limit:
         raise OrderLimitExceeded(
             f"{diagram.type_label} has order {diagram.order} > limit {limit}",
             known_order=diagram.order)
-    return _bfs_enumerate(diagram, *_root_action(diagram))
+    return _bfs_enumerate(diagram, reflection_table(diagram).R)
 
 
-def _bfs_enumerate(diagram, sigma, simple) -> EnumeratedGroup:
-    """Breadth-first enumeration of W, one length level per pass.
+def _bfs_enumerate(diagram, R) -> EnumeratedGroup:
+    """Breadth-first enumeration of W's root images, one length per pass.
 
-    Element x is keyed by the root indices of x^-1(alpha_1), ...,
-    x^-1(alpha_n), which determine x.  As (x s)^-1 = s x^-1, right
-    multiplication by s maps a key to sigma[s][key].  x s has length
-    l(x) + 1 or l(x) - 1, so each candidate of the next level is either an
-    element of the previous level or new.  Candidates are ordered
-    generator-major and element-minor, and the first occurrence of each new
-    key gets the next id.
+    Row e is 0..|T|-1, and row x s is row x with its columns taken
+    through R[:, s] and entry s negated, as s(alpha_t) = alpha_R[t, s]
+    for t != s.  x s is kept exactly when no g <= s has x(alpha_R[g, s])
+    < 0: then it is longer than x, with s its least right descent.  So
+    each element is reached once and no level is deduplicated.  Levels
+    are made generator-major, straight into a table of |W| rows.
     """
-    n = diagram.rank
-    gens = np.arange(n)
-    parents, gen_ofs, right_rows = [np.zeros(1, np.int64)], [[-1]], []
-    prev = np.empty((0, n), dtype=sigma.dtype)
-    bits = (sigma.shape[1] - 1).bit_length()
-    level = simple[None, :]
-    prev_start, start, count = 0, 0, 1
-    while len(level):
-        m, p = len(level), len(prev)
-        cand = sigma[gens[:, None, None], level[None]].reshape(n * m, n)
-        first, inverse = _first_occurrences(np.concatenate([prev, cand]),
-                                            bits)
-        # a key first seen among the candidates is new, and new keys are
-        # numbered in order of first occurrence
-        new = first >= p
-        new_first = np.sort(first[new])
-        ids = prev_start + first
-        ids[new] = count + np.searchsorted(new_first, first[new])
-        right_rows.append(ids[inverse[p:]].reshape(n, m).T)
-        pos = new_first - p  # the candidate index of each new element
-        count += len(pos)
-        if count > diagram.order:
-            raise InvariantError(
-                f"enumeration passed |W| = {diagram.order} elements")
-        parents.append(start + pos % m)
-        gen_ofs.append(pos // m)
-        prev, prev_start = level, start
-        level, start = cand[pos], start + m
-    if count != diagram.order:
+    n, T, order = diagram.rank, len(R), diagram.order
+    R = R.astype(np.intp)
+    table = np.empty((order, T), dtype=index_dtype(2 * T))
+    table[0] = np.arange(T)
+    parent = np.zeros(order, dtype=np.int32)
+    gen_of = np.full(order, -1, dtype=np.int16)
+    length = np.zeros(order, dtype=np.int16)
+    start, stop = 0, 1
+    while stop > start:
+        negative = table[start:stop] >= T
+        count = stop
+        for s in range(n):
+            xs = start + np.flatnonzero(
+                ~negative[:, R[:s + 1, s]].any(axis=1))
+            if count + len(xs) > order:
+                raise InvariantError(
+                    f"enumeration passed |W| = {order} elements")
+            new = slice(count, count + len(xs))
+            table[new] = table[xs[:, None], R[:, s]]
+            table[new, s] += T
+            parent[new], gen_of[new] = xs, s
+            length[new] = length[start] + 1
+            count = new.stop
+        start, stop = stop, count
+    if stop != order:
         raise InvariantError(
-            f"enumeration found {count} elements, expected {diagram.order}")
-    right_mul = np.concatenate(right_rows).astype(np.int32)
-    parent = np.concatenate(parents).astype(np.int32)
-    gen_of = np.concatenate(gen_ofs).astype(np.int16)
-    length = np.repeat(np.arange(len(parents), dtype=np.int16),
-                       [len(a) for a in parents])
-    left_mul = np.zeros((count, n), dtype=np.int32)
-    left_mul[0] = right_mul[0]  # g e = e g
-    for ys in _levels(length):
-        # g (x s) = (g x) s
-        left_mul[ys] = right_mul[left_mul[parent[ys]], gen_of[ys][:, None]]
-    return EnumeratedGroup(
-        diagram,
-        right_mul=right_mul,
-        left_mul=left_mul,
-        parent=parent,
-        gen_of=gen_of,
-        length=length,
-    )
+            f"enumeration found {stop} elements, expected {order}")
+    return EnumeratedGroup(diagram, root_images=table, parent=parent,
+                           gen_of=gen_of, length=length)
 
 
 def _first_occurrences(rows, bits):
-    """Group equal rows: rows[i] == rows[first[inverse[i]]].
-
-    first holds the smallest index of each distinct row; the entries are
-    below 2**bits.  Each row is packed into as few int64 words as hold its
+    """The smallest index of each distinct row, the entries below 2**bits.
+  Each row is packed into as few int64 words as hold its
     bits, and a stable sort of the words keeps equal rows in index order,
     so the head of each run is the first occurrence.
     """
@@ -835,9 +797,7 @@ def _first_occurrences(rows, bits):
     for w in words:
         sw = w[order]
         head[1:] |= sw[1:] != sw[:-1]
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = np.cumsum(head) - 1
-    return order[head], inverse
+    return order[head]
 
 
 @lru_cache(maxsize=32)

@@ -9,6 +9,7 @@ group ``g`` or an ``Arrangement`` ``ar`` over one.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,19 +27,64 @@ class SupportMismatch(CoxvarError, ValueError):
 
 
 # -- element calculus --------------------------------------------------------
+# W acts faithfully on R^n by its geometric representation, so an element
+# is found by its matrix, rounded: products and inverses read W's stored
+# words and nothing of its table.
+
+
+def geometric_matrices(g: EnumeratedGroup):
+    """M[x]: float64 matrix of x in the geometric representation.
+
+    The bilinear form is B(alpha_i, alpha_j) = -cos(pi / m_ij), s_i maps v to
+    v - 2 B(alpha_i, v) alpha_i, and M[x] is the product of the matrices of
+    the letters of the stored reduced word of x.  Returns (M, gens).
+    """
+    bonds = np.array(g.diagram.bonds, dtype=float)
+    B = -np.cos(np.pi / bonds)
+    gens = np.eye(g.n) - 2 * np.eye(g.n)[:, :, None] * B[:, None, :]
+    M = np.empty((g.order, g.n, g.n))
+    M[0] = np.eye(g.n)
+    for x in range(1, g.order):
+        M[x] = M[g.parent[x]] @ gens[g.gen_of[x]]
+    return M, gens
+
+
+def _key(m):
+    return np.rint(m * 1e6).astype(np.int64).tobytes()
+
+
+@lru_cache(maxsize=8)
+def _representation(g: EnumeratedGroup):
+    M, gens = geometric_matrices(g)
+    return M, gens, {_key(m): x for x, m in enumerate(M)}
+
+
+def element_of_matrix(g: EnumeratedGroup, m) -> int:
+    return _representation(g)[2][_key(m)]
 
 
 def mul(g: EnumeratedGroup, x: int, y: int) -> int:
-    for s in g.word(y):
-        x = int(g.right_mul[x, s])
-    return x
+    M = _representation(g)[0]
+    return element_of_matrix(g, M[x] @ M[y])
 
 
 def element_of_word(g: EnumeratedGroup, word) -> int:
-    x = 0
+    gens = _representation(g)[1]
+    m = np.eye(g.n)
     for s in word:
-        x = int(g.right_mul[x, s])
-    return x
+        m = m @ gens[s]
+    return element_of_matrix(g, m)
+
+
+def inverse(g: EnumeratedGroup, x: int) -> int:
+    return element_of_matrix(g, np.linalg.inv(_representation(g)[0][x]))
+
+
+@lru_cache(maxsize=8)
+def inverses(g: EnumeratedGroup) -> np.ndarray:
+    """inv[x] = x^-1, for every element x."""
+    M = _representation(g)[0]
+    return np.array([element_of_matrix(g, m) for m in np.linalg.inv(M)])
 
 
 def longest_element(g: EnumeratedGroup) -> int:
@@ -129,7 +175,7 @@ def minimal_edge_through_chamber_face(ar: Arrangement, lookup, x: int,
     """
     roots, g = ar.roots, ar.group
     D = g.conj_tables
-    TK = roots.reflections_in(int(roots.support[D[g.inv[x], t]]))
+    TK = roots.reflections_in(int(roots.support[D[inverse(g, x), t]]))
     return lookup[frozenset(int(D[x, u]) for u in TK)]
 
 
@@ -164,7 +210,7 @@ def decompose_L(ar: Arrangement, J, t: int):
     D = g.conj_tables
     WJ = pd.W_J
     cent_t = [int(x) for x in WJ if int(D[x, t]) == t]
-    vinv = int(g.inv[v])
+    vinv = inverse(g, v)
     cent_s_v = {mul(g, mul(g, vinv, int(c)), v)
                 for c in WJ if int(D[c, s]) == s}
     if cent_s_v != set(cent_t):

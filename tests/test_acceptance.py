@@ -511,9 +511,10 @@ def _property_bundle():
     wrong_class = Arrangement(g3)
     wrong_class.roots = copy.copy(wrong_class.roots)
     wrong_class.roots.parabolic_class = lambda t: np.arange(5)
-    # W conjugating the reflections differently from the roots
+    # W's root table conjugating by the generators swapped
     g_swapped = build_group(parse_group_spec("A3"))
-    g_swapped.left_mul = g_swapped.left_mul[:, ::-1]
+    g_swapped.roots = copy.copy(g_swapped.roots)
+    g_swapped.roots.R = g_swapped.roots.R[:, ::-1]
     # a chain without its letters: t = v^-1 s v with v = e
     no_letters = Arrangement(group("A3"))
     true_chain = no_letters.roots.chain

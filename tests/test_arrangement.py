@@ -18,7 +18,7 @@ import pytest
 import coxvar
 import coxvar.arrangement as arrangement_mod
 from coxvar import group
-from coxvar.arrangement import Arrangement, Edge
+from coxvar.arrangement import Arrangement, Edge, _largest_class
 from coxvar.coxeter_core import _mask, _orbit, build_group, parse_group_spec
 from coxvar.errors import (
     CoxvarError,
@@ -31,6 +31,7 @@ from group_reference import (
     conjugator,
     decompose_L,
     edge_lookup,
+    inverses,
     inversion_set,
     minimal_edge_through_chamber_face,
     mul,
@@ -183,7 +184,7 @@ def chambers_spanning_reference(self, edge, t):
     """
     g = self.group
     D = g.conj_tables
-    C = D[g.inv]  # C[x, t] = index of t^(x^-1)
+    C = D[inverses(g)]  # C[x, t] = index of t^(x^-1)
     allowed = np.array(sorted({np.int64(_mask(K))
                                for K in self.coxeter_class(edge.class_J)}))
     Ksup = self.roots.support[C[:, t]]
@@ -255,7 +256,7 @@ def chambers_spanning_sorted_rows(self, edge, t):
     g = self.group
     D = g.conj_tables
     target = np.array(sorted(set(edge.reflections)))
-    Ksup = self.roots.support[D[g.inv, t]]
+    Ksup = self.roots.support[D[inverses(g), t]]
     out = set()
     for Kmask in {_mask(K) for K in self.coxeter_class(edge.class_J)}:
         TK = self.roots.reflections_in(Kmask)
@@ -504,12 +505,25 @@ def test_formula_checks_agreement_over_full_support_reflections():
 
 def test_oracle_checks_the_root_numbering():
     # the edges come from the roots, the oracle counts chambers of W: with
-    # W's conjugation doctored (generators swapped), the reflection ids
+    # W's root table doctored (generators swapped), the reflection ids
     # that join them raise
     g = build_group(parse_group_spec("A3"))
-    g.left_mul = g.left_mul[:, ::-1]
+    g.roots = copy.copy(g.roots)
+    g.roots.R = g.roots.R[:, ::-1]
     with pytest.raises(InvariantError, match="differently"):
         Arrangement(g).multiplicity_reports(with_oracle=True)
+
+
+@pytest.mark.parametrize("spec", [
+    "A4", "B2", "B3", "B5", "D5", "E6", "E7", "F4", "H3", "H4", "I2(5)",
+    "I2(8)", "I2(12)"])
+def test_largest_class_is_read_from_the_type(spec):
+    # the early refusal bounds a component by its largest class of
+    # reflections, which the root table finds too
+    [comp] = parse_group_spec(spec).components
+    roots = Arrangement(diagram=parse_group_spec(spec)).roots
+    assert np.bincount(roots.reflection_class_of).max() == \
+        _largest_class(comp)
 
 
 def test_decompose_L_checks_centralizer_identity():

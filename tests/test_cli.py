@@ -436,10 +436,17 @@ def _never_build_roots(*args, **kwargs):
     (("det", "I2(2000001)"), "an orbit passed 1000000 members (the limit)"),
     (("tables", "I2(2000001)"),
      "an orbit passed 1000000 members (the limit)"),
-    # I2(21)'s one class of 21 reflections, past twice --limit 10
+    # I2(21)'s one class of 21 reflections, past --limit 10
     (("det", "I2(21)", "--limit", "10"),
      "an orbit passed 10 members (the limit)"),
-], ids=["multiplicity", "verify", "matrix", "det", "tables", "det-limit"])
+    # one class of 199999 and of 1001 reflections: a component is bounded
+    # by its largest class, not by twice the limit
+    (("det", "I2(199999)", "--limit", "100000"),
+     "an orbit passed 100000 members (the limit)"),
+    (("det", "I2(1001)", "--limit", "1000"),
+     "an orbit passed 1000 members (the limit)"),
+], ids=["multiplicity", "verify", "matrix", "det", "tables", "det-limit",
+        "det-odd-class", "det-odd-class-small"])
 def test_refusals_come_before_the_reflection_table(capsys, monkeypatch,
                                                    argv, message):
     # |T| = 200000: the reflection table, a Python loop over the roots,
@@ -449,6 +456,13 @@ def test_refusals_come_before_the_reflection_table(capsys, monkeypatch,
     monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and err == f"error: {message}\n"
+
+
+def test_an_even_dihedral_group_is_bounded_by_its_half_classes(capsys):
+    # I2(2000)'s reflections form two classes of 1000, each within
+    # --limit 1000, so det runs
+    code, out, _ = run(capsys, "det", "I2(2000)", "--limit", "1000")
+    assert code == 0 and out
 
 
 def test_multiplicity_table_limit_is_inclusive(capsys, monkeypatch):
@@ -494,15 +508,17 @@ def test_verify_B5_within_the_budget(capsys):
     assert record["prime"] == 2147483659 and record["lhs"] == record["rhs"]
 
 
-def _no_inverse(self):
-    raise AssertionError("W's inverse table was built")
+def _no_conjugation_table(self):
+    raise AssertionError("W's conjugation table was built")
 
 
-def test_oracle_reads_no_inverse_table(capsys, monkeypatch):
-    # the oracle counts every hyperplane of an edge from D[x, .] alone
-    monkeypatch.setattr(coxeter_core.EnumeratedGroup, "inv",
-                        property(_no_inverse))
-    argv = ("multiplicity", "H3", "--format", "json")
+@pytest.mark.parametrize("spec", ["H3", "E6"])
+def test_oracle_reads_only_the_root_images(capsys, monkeypatch, spec):
+    # the oracle counts every hyperplane of an edge from W's root images,
+    # row y standing for D at y^-1: neither D nor an inverse is built
+    monkeypatch.setattr(coxeter_core.EnumeratedGroup, "conj_tables",
+                        property(_no_conjugation_table))
+    argv = ("multiplicity", spec, "--format", "json")
     digest = next(d for a, _, d in PINNED if a == argv)
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -33,7 +33,11 @@ from coxvar.errors import (
     UnsupportedType,
 )
 from group_reference import (
+    element_of_matrix,
     element_of_word,
+    geometric_matrices,
+    inverse,
+    inverses,
     inversion_set,
     longest_element,
     min_coset_reps,
@@ -143,10 +147,9 @@ def test_inversion_set_defining_property():
 def element_support_reference(g):
     """Support bitmask of every element of W: the letters of its word."""
     support = np.zeros(g.order, dtype=np.int64)
-    for ys in coxeter_core._levels(g.length):
+    for x in range(1, g.order):
         # x s has the generators of x and s
-        support[ys] = support[g.parent[ys]] | 1 << g.gen_of[ys].astype(
-            np.int64)
+        support[x] = support[g.parent[x]] | 1 << int(g.gen_of[x])
     return support
 
 
@@ -169,13 +172,13 @@ def test_conjugation_tables_agree_with_multiplication():
     for spec in ("A3", "B3", "I2(7)", "A2xA1"):
         g = group(spec)
         D = g.conj_tables
-        C = D[g.inv]  # C[x, t] = index of t^(x^-1)
+        C = D[inverses(g)]  # C[x, t] = index of t^(x^-1)
         rng = random.Random(1)
         for _ in range(200):
             x = rng.randrange(g.order)
             t = rng.randrange(g.num_reflections)
             telem = int(g.refl_ids[t])
-            xinv = int(g.inv[x])
+            xinv = inverse(g, x)
             conj = mul(g, mul(g, xinv, telem), x)
             assert int(g.refl_ids[int(D[x, t])]) == conj
             conj2 = mul(g, mul(g, x, telem), xinv)
@@ -189,7 +192,9 @@ def test_index_dtype_is_the_narrowest_that_holds_the_indices(count, dtype):
     # on the numbers alone: no group with more than 65536 reflections
     assert index_dtype(count) == dtype
     assert np.iinfo(dtype).max >= count - 1
-    assert conj_table_bytes(3, count) == 3 * count * np.dtype(dtype).itemsize
+    # W's table of root images holds 2 count signed roots
+    assert conj_table_bytes(3, count) == \
+        3 * count * index_dtype(2 * count).itemsize
 
 
 @pytest.mark.parametrize("spec, itemsize", [
@@ -199,7 +204,10 @@ def test_conjugation_table_dtype(spec, itemsize):
     D = g.conj_tables
     assert D.dtype == g.roots.R.dtype == index_dtype(g.num_reflections)
     assert D.itemsize == itemsize
-    assert D.nbytes == conj_table_bytes(g.order, g.num_reflections)
+    # the table the oracle reads instead of D, at the same size
+    assert g.root_images.dtype == index_dtype(2 * g.num_reflections)
+    assert g.root_images.nbytes == D.nbytes == conj_table_bytes(
+        g.order, g.num_reflections)
     # every row is a permutation of the reflection indices
     assert np.array_equal(np.sort(D[::97], axis=1),
                           np.broadcast_to(np.arange(g.num_reflections),
@@ -208,35 +216,50 @@ def test_conjugation_table_dtype(spec, itemsize):
     assert (g.roots.parent < 0).sum() == g.n
 
 
-def geometric_matrices(g):
-    """M[x]: float64 matrix of x in the geometric representation.
-
-    The bilinear form is B(alpha_i, alpha_j) = -cos(pi / m_ij), s_i maps v to
-    v - 2 B(alpha_i, v) alpha_i, and M[x] is the product of the matrices of
-    the letters of the stored reduced word of x.
-    """
-    bonds = np.array(g.diagram.bonds, dtype=float)
-    B = -np.cos(np.pi / bonds)
-    gens = np.eye(g.n) - 2 * np.eye(g.n)[:, :, None] * B[:, None, :]
-    M = np.empty((g.order, g.n, g.n))
-    M[0] = np.eye(g.n)
-    for x in range(1, g.order):
-        M[x] = M[g.parent[x]] @ gens[g.gen_of[x]]
-    return M, gens
-
-
 @pytest.mark.parametrize("spec", [
     "A3", "B4", "D4", "F4", "H3", "H4", "I2(5)", "I2(7)", "I2(8)", "I2(12)",
     "B2xA1", "H3xB3", "I2(5)xI2(7)xA2"])
 def test_tables_match_the_geometric_representation(spec):
     # an independent faithful representation: distinct ids are distinct
-    # matrices, and right_mul is matrix multiplication
+    # matrices and distinct keys, and for every x and s, descent or not,
+    # the row of x s is row x through R[:, s] with entry s negated
     g = group(spec)
     M, gens = geometric_matrices(g)
     flat = np.round(M.reshape(g.order, -1), 6)
     assert len(np.unique(flat, axis=0)) == g.order
+    assert len(np.unique(g.root_images[:, :g.n], axis=0)) == g.order
+    T = g.num_reflections
     for s in range(g.n):
-        assert np.abs(M @ gens[s] - M[g.right_mul[:, s]]).max() < 1e-9
+        xs = [element_of_matrix(g, m) for m in M @ gens[s]]
+        expected = g.root_images[:, g.roots.R[:, s]].astype(np.int64)
+        expected[:, s] = (expected[:, s] + T) % (2 * T)
+        assert np.array_equal(g.root_images[xs], expected)
+
+
+def geometric_roots(g):
+    """alpha_t, for each positive root t, in the geometric representation:
+    alpha_g is the g-th unit vector, and root t is s_gen[t](parent[t])."""
+    gens = geometric_matrices(g)[1]
+    roots = g.roots
+    alpha = np.zeros((roots.num_reflections, g.n))
+    alpha[:g.n] = np.eye(g.n)
+    for t in range(g.n, roots.num_reflections):
+        alpha[t] = gens[roots.gen[t]] @ alpha[roots.parent[t]]
+    return alpha
+
+
+@pytest.mark.parametrize("spec", [
+    "A3", "B4", "F4", "H3", "I2(7)", "B2xA1", "A2xA2xA1"])
+def test_root_images_match_the_matrices(spec):
+    # M[x] alpha_t, with M[x] the product of the reflection matrices along
+    # word(x), is the signed root that root_images[x, t] names
+    g = group(spec)
+    M = geometric_matrices(g)[0]
+    alpha = geometric_roots(g)
+    T = g.num_reflections
+    u = g.root_images.astype(np.int64)
+    named = np.where((u >= T)[..., None], -1.0, 1.0) * alpha[u % T]
+    assert np.abs(np.einsum("xij,tj->xti", M, alpha) - named).max() < 1e-9
 
 
 @pytest.mark.parametrize("dihedral,crystallographic", [
@@ -246,8 +269,8 @@ def test_closed_form_dihedral_roots_match_the_cartan_roots(dihedral,
     # same bond matrix, roots from the closed form and from the Cartan
     # integers: every table must agree
     a, b = group(dihedral), group(crystallographic)
-    for name in ("right_mul", "left_mul", "parent", "gen_of", "length",
-                 "inv", "refl_ids", "conj_tables", "inversion_table"):
+    for name in ("root_images", "parent", "gen_of", "length", "refl_ids",
+                 "conj_tables", "inversion_table"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert np.array_equal(a.roots.support, b.roots.support)
 
@@ -333,7 +356,7 @@ def test_palindromic_decomposition():
             v = element_of_word(g, chain[::-1])
             telem = int(g.refl_ids[t])
             selem = int(g.refl_ids[s])
-            vinv = int(g.inv[v])
+            vinv = inverse(g, v)
             assert mul(g, mul(g, vinv, selem), v) == telem
             assert int(g.length[telem]) == 2 * int(g.length[v]) + 1
             assert s < g.n  # s is a generator of the support parabolic
@@ -456,39 +479,47 @@ def test_root_orbit_of_the_wrong_size_raises(monkeypatch, delta):
     monkeypatch.setattr(coxeter_core, "known_reflection_count",
                         lambda letter, param:
                         known_reflection_count(letter, param) + delta)
-    # the root action is cached per diagram; compute it afresh
+    # the root action and the root table are cached per diagram; compute
+    # them afresh
     coxeter_core._root_action.cache_clear()
+    coxeter_core.reflection_table.cache_clear()
     with deadline(10), pytest.raises(InvariantError, match="simple roots"):
         build_group(parse_group_spec("H3"))
 
 
 def test_broken_root_action_stops_at_the_group_order(monkeypatch):
-    # s_0 doctored into a 6-cycle of the roots: x s s is no longer x, so
-    # keys come back beyond the previous level, where no dedup looks, and
-    # only the order guard ends the search
-    sigma, simple = coxeter_core._root_action(parse_group_spec("A2"))
-    sigma = sigma.copy()  # the cached action is read-only
-    sigma[0] = np.roll(np.arange(sigma.shape[1]), 1)
-    monkeypatch.setattr(coxeter_core, "_root_action",
-                        lambda diagram: (sigma, simple))
+    # s_0 doctored to conjugate three reflections of A3 in a 3-cycle: x s s
+    # is no longer x, so elements come back that the least-descent rule
+    # counts as new, and only the order guard ends the search
+    roots = copy.copy(reflection_table(parse_group_spec("A3")))
+    roots.R = roots.R.copy()
+    roots.R[[2, 5], 0] = roots.R[[5, 2], 0]
+    monkeypatch.setattr(coxeter_core, "reflection_table",
+                        lambda diagram: roots)
     with deadline(10), pytest.raises(InvariantError, match="passed"):
-        build_group(parse_group_spec("A2"))
+        build_group(parse_group_spec("A3"))
 
 
 def test_table_guards():
     # each guard sees one doctored table and must raise a typed error
     g = build_group(parse_group_spec("A2"))
-    g.left_mul = np.zeros_like(g.left_mul)  # conjugation lands on e
+    g.root_images = np.zeros_like(g.root_images)  # no row is a reflection's
     with pytest.raises(InvariantError, match="differently"):
         g.refl_ids
-    g = build_group(parse_group_spec("A2"))
-    g.conj_tables = np.zeros_like(g.conj_tables)
-    with pytest.raises(InvariantError, match="repeats an inversion"):
-        g.inversion_table
     pd = parabolic_data(group("A3"), (0, 1))
     pd = dataclasses.replace(pd, normalizer_order=pd.normalizer_order + 1)
     with pytest.raises(InvariantError, match="N_W"):
         normalizer_members(pd)
+
+
+def test_rows_hold_l_x_negative_roots():
+    # one sign flipped: e's row sends alpha_0 to its negative, and a row of
+    # length 0 has no negative root
+    g = build_group(parse_group_spec("A2"))
+    g.root_images = g.root_images.copy()
+    g.root_images[0, 0] += g.num_reflections
+    with pytest.raises(InvariantError, match="negative roots"):
+        g.inversion_table
 
 
 def test_product_group_structure():
@@ -513,17 +544,22 @@ def test_generator_reflection_indices():
 
 
 def refl_ids_reference(g):
-    """Element ids of the reflections over W: S closed under conjugation."""
-    gens = np.arange(g.n)
-    conj = g.left_mul[g.right_mul, gens]  # conj[x, g] = g x g
-    return np.sort(_orbit(g.right_mul[0, :, None], conj)[:, 0])
+    """Element ids of the reflections over W: S closed under conjugation,
+    the products taken in the geometric representation."""
+    gens = [element_of_word(g, [s]) for s in range(g.n)]
+    found, frontier = set(gens), gens
+    while frontier:
+        frontier = {mul(g, mul(g, s, x), s) for x in frontier
+                    for s in gens} - found
+        found |= frontier
+    return np.array(sorted(found))
 
 
 def conj_by_gen_reference(g, ids):
     """R[t, g] over W: the index, among ``ids``, of g t g."""
-    gens = np.arange(g.n)
-    return np.searchsorted(ids, g.left_mul[g.right_mul[ids[:, None], gens],
-                                           gens])
+    gens = [element_of_word(g, [s]) for s in range(g.n)]
+    return np.searchsorted(ids, [[mul(g, mul(g, s, int(t)), s) for s in gens]
+                                 for t in ids])
 
 
 def reflection_classes_reference(R):
@@ -605,9 +641,10 @@ def renumbered(roots, perm):
 
 
 def test_numbering_rejects_actions_that_disagree():
-    # W conjugating by the generators swapped
+    # the root table conjugating by the generators swapped
     g = build_group(parse_group_spec("A3"))
-    g.left_mul = g.left_mul[:, ::-1]
+    g.roots = copy.copy(g.roots)
+    g.roots.R = g.roots.R[:, ::-1]
     with pytest.raises(InvariantError, match="differently"):
         g.refl_ids
     # two roots of one depth exchanged: R still agrees with W, but the

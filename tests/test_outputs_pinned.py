@@ -116,6 +116,18 @@ PINNED = [
      "f7c54587d43e2a6564f37311866a768e7810c99484cdbb1bfc07f9df28aeef9e"),
     (('verify', 'B2xA1', '--trials', '1', '--primes', '1'), 0,
      "5430117166748cb8e8cf8c290b06b8f560dcac4870397f8e6a09e497105a60d7"),
+    # the one command that prints rows in element order with their reduced
+    # words: W's ids, parents and generators, in text and in JSON
+    (('matrix', 'A3'), 0,
+     "5d203661ae315ecca995907a01192fb45b838cf574ee1df64aeaf0fb63618c7c"),
+    (('matrix', 'A3', '--format', 'json'), 0,
+     "5711ea348f4678d566aad5cf2e9978cc8e8483de2e5b568a2d17660231ce2abb"),
+    (('matrix', 'B3', '--format', 'json'), 0,
+     "0f3f463142706341d6611ec2123c250fd52b04b2aefff25d9135e20c65841909"),
+    (('matrix', 'I2(5)'), 0,
+     "ae9bfc0135f6b0857b4c8643c6234dda467f8e80c16da6e6d7293a15983622cd"),
+    (('matrix', 'B2xA1', '--format', 'json'), 0,
+     "26e973c5030c3df1629b4babeaddbf87c1a8353bddce244cc582ed7bd14bd267"),
 ]
 
 
