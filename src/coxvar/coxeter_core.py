@@ -643,36 +643,40 @@ class EnumeratedGroup:
         """Element ids of the reflections, in the order of the root table.
 
         Root t is s_g(parent) for g = gen[t], so the row of its reflection
-        is that of g s_parent g, built from R one depth at a time, and the
-        reflection is the element of length 2 depth - 1 whose key, the
-        simple columns of its row, matches.  The ids must increase, as the
-        table numbers the roots in element order, and W's rows at them
-        must be the rows built, as W must conjugate as R does.
+        is that of g s_parent g, built from R out of the rows one depth
+        shallower, and the reflection is the element of length 2 depth - 1
+        whose key, the simple columns of its row, matches.  W's row there
+        must be the row built, as W must conjugate as R does, and the ids
+        must increase, as the table numbers the roots in element order.
         """
         roots, T, n = self.roots, self.num_reflections, self.n
-        R = roots.R.astype(np.intp)
-        rows = np.empty((T, T), dtype=np.intp)
-        rows[:n] = R[:, :n].T + T * np.eye(n, T, dtype=np.intp)
+        Rg = np.ascontiguousarray(roots.R.T, dtype=np.intp)  # R[:, g]
         ids = np.full(T, -1)
+        rows = Rg + T * np.eye(n, T, dtype=np.intp)
+        start, stop = 0, n
         for d in range(1, roots.depth[-1] + 1):
-            ts = np.flatnonzero(roots.depth == d)
             if d > 1:
                 # (x g)(alpha_u) is x(alpha_R[u, g]) for u != g and
                 # -x(alpha_g); g(+-alpha_v) is +-alpha_R[v, g], negated once
                 # more when v = g
-                g, k = roots.gen[ts], np.arange(len(ts))
-                xg = rows[roots.parent[ts][:, None], R[:, g].T]
+                above, (start, stop) = start, np.searchsorted(
+                    roots.depth, [d, d + 1])
+                g, k = roots.gen[start:stop], np.arange(stop - start)
+                p = roots.parent[start:stop, None] - above
+                xg = rows.take(Rg[g] + T * p)
                 xg[k, g] = (xg[k, g] + T) % (2 * T)
                 v = xg % T
                 g = g[:, None]
-                rows[ts] = R[v, g] + T * ((xg >= T) != (v == g))
+                rows = Rg.take(T * g + v) + T * ((xg >= T) != (v == g))
             a, b = np.searchsorted(self.length, [2 * d - 1, 2 * d])
-            keys = self.root_images[a:b, None, :n] == rows[ts, :n]
-            match = keys.all(axis=2)
-            ids[ts] = np.where(match.any(axis=0), a + match.argmax(axis=0), -1)
+            match = (self.root_images[a:b, None, :n] == rows[:, :n]).all(
+                axis=2)
+            found = np.where(match.any(axis=0), a + match.argmax(axis=0), -1)
+            if not np.array_equal(self.root_images[found], rows):
+                break  # ids[start] stays -1
+            ids[start:stop] = found
         # e is element 0, so every reflection's id is positive
-        if not (np.all(np.diff(ids, prepend=0) > 0)
-                and np.array_equal(self.root_images[ids], rows)):
+        if not np.all(np.diff(ids, prepend=0) > 0):
             raise InvariantError(
                 "W and the root table number the reflections differently")
         return ids
@@ -758,16 +762,15 @@ def _bfs_enumerate(diagram, R) -> EnumeratedGroup:
     length = np.zeros(order, dtype=np.int16)
     start, stop = 0, 1
     while stop > start:
-        negative = table[start:stop] >= T
         count = stop
         for s in range(n):
             xs = start + np.flatnonzero(
-                ~negative[:, R[:s + 1, s]].any(axis=1))
+                (table[start:stop, R[:s + 1, s]] < T).all(axis=1))
             if count + len(xs) > order:
                 raise InvariantError(
                     f"enumeration passed |W| = {order} elements")
             new = slice(count, count + len(xs))
-            table[new] = table[xs[:, None], R[:, s]]
+            table[new] = table[xs].take(R[:, s], axis=1)
             table[new, s] += T
             parent[new], gen_of[new] = xs, s
             length[new] = length[start] + 1

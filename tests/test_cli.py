@@ -143,8 +143,11 @@ def test_limit_exit_code(capsys):
     assert code == 3 and out == "" and "335" in err
     code, out, _ = run(capsys, "det", "D7", "--limit", "336")
     assert code == 0 and out
-    # I2(20)'s two classes of 10 reflections each stay within --limit 10
+    # I2(20)'s two classes of 10 reflections each stay within --limit 10,
+    # as do I2(2000)'s two classes of 1000 within --limit 1000
     code, out, _ = run(capsys, "det", "I2(20)", "--limit", "10")
+    assert code == 0 and out
+    code, out, _ = run(capsys, "det", "I2(2000)", "--limit", "1000")
     assert code == 0 and out
 
 
@@ -456,13 +459,6 @@ def test_refusals_come_before_the_reflection_table(capsys, monkeypatch,
     monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and err == f"error: {message}\n"
-
-
-def test_an_even_dihedral_group_is_bounded_by_its_half_classes(capsys):
-    # I2(2000)'s reflections form two classes of 1000, each within
-    # --limit 1000, so det runs
-    code, out, _ = run(capsys, "det", "I2(2000)", "--limit", "1000")
-    assert code == 0 and out
 
 
 def test_multiplicity_table_limit_is_inclusive(capsys, monkeypatch):

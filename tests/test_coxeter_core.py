@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import random
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -653,6 +654,20 @@ def test_numbering_rejects_actions_that_disagree():
     g.roots = renumbered(g.roots, np.array([0, 1, 2, 4, 3, 5]))
     with pytest.raises(InvariantError, match="differently"):
         g.refl_ids
+
+
+def test_reflection_ids_hold_one_depth_of_rows_at_a_time():
+    # I2(1000) has 500 depths of 2 roots each; rows for all 1000 roots at
+    # once would be 8 MB of intp, twice W's table
+    g = build_group(parse_group_spec("I2(1000)"))
+    g.roots
+    tracemalloc.start()
+    try:
+        g.refl_ids
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.root_images.nbytes // 16
 
 
 def test_root_action_is_cached_and_read_only():
