@@ -14,10 +14,11 @@ and multiplicity load neither.
 
 ``main`` builds one ``Arrangement`` per command and hands it to the
 handler.  W is enumerated only when its ``group`` is first read: by the
-chamber oracle, and by matrix and verify once the order has passed their
-cap or determinant budget.  Its reflection table is built only when
-``roots`` is first read, so multiplicity, matrix and verify refuse a
-group from its diagram's counts before either is built.
+oracle, which tables runs wherever ``enumeration_refusal`` allows, and by
+matrix and verify once the order has passed their cap or determinant
+budget.  Its reflection table is built only when ``roots`` is first
+read, so multiplicity, matrix and verify refuse a group from its
+diagram's counts before either is built.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import sys
 from .arrangement import Arrangement
 from .coxeter_core import (
     DEFAULT_ORDER_LIMIT,
-    conj_table_bytes,
+    enumeration_refusal,
     parse_group_spec,
 )
 from .errors import (
@@ -58,18 +59,10 @@ EXIT_LIMIT = 3
 # 128 + SIGPIPE, what a shell reports for a process that signal killed
 EXIT_BROKEN_PIPE = 141
 
-# largest |W| for which tables runs the chamber oracle by default
-ORACLE_BUDGET = 1152
-# largest |W| of the oracle in tables and of verify's determinants under
-# --unsafe-large
+# largest |W| of verify's determinants under --unsafe-large
 HARD_DET_CAP = 14400
-# largest table of root images, in bytes, that multiplicity builds for its
-# oracle: 8 times B7's 31.6 MB, the largest table of a group other than
-# I2(m) under the default --limit; I2(20000)'s would take 1.6 GB
-TABLE_BYTES_LIMIT = 1 << 28
 
-# errors meaning that a computed result failed a check, not that the input
-# was bad
+# errors of a computed result that failed a check, not of bad input
 _VERIFICATION_ERRORS = (InvarianceViolation, InvariantError)
 
 def _read_explicit_file(path: str) -> dict[int, str]:
@@ -186,10 +179,9 @@ def cmd_matrix(ar, args):
 
 
 def cmd_tables(ar, args):
-    # W is enumerated only for the oracle
-    oracle_budget = HARD_DET_CAP if args.unsafe_large else ORACLE_BUDGET
+    # the oracle runs wherever W can be enumerated; no row needs W
     reports = ar.multiplicity_reports(
-        with_oracle=ar.diagram.order <= oracle_budget)
+        with_oracle=enumeration_refusal(ar.diagram, ar.limit) is None)
     ok = all(r.match for r in reports)
     if args.format == "json":
         _emit_json({
@@ -262,17 +254,7 @@ def cmd_verify(ar, args):
 
 
 def cmd_multiplicity(ar, args):
-    # the oracle needs W's table of root images, and the diagram gives
-    # its size: a group past --limit, refused on its order when
-    # ar.group is read, or one whose table would pass TABLE_BYTES_LIMIT,
-    # fails before W is enumerated or the reflection table built
-    order = ar.diagram.order
-    table = conj_table_bytes(order, ar.diagram.num_reflections)
-    if order <= ar.limit and table > TABLE_BYTES_LIMIT:
-        raise OrderLimitExceeded(
-            f"the conjugation table of {ar.diagram.type_label} would take "
-            f"{table} bytes > limit {TABLE_BYTES_LIMIT}")
-    ar.group
+    ar.group  # refused, if it must be, before the reflection table
     reports = ar.multiplicity_reports(with_oracle=True)
     ok = all(r.match for r in reports)
     if args.format == "json":
@@ -314,7 +296,7 @@ _FLAGS = {
 _COMMANDS = {
     "det": (cmd_det, ("--assign", "--format", "--limit")),
     "matrix": (cmd_matrix, ("--assign", "--format", "--limit")),
-    "tables": (cmd_tables, ("--format", "--limit", "--unsafe-large")),
+    "tables": (cmd_tables, ("--format", "--limit")),
     "verify": (cmd_verify, tuple(_FLAGS)),
     "multiplicity": (cmd_multiplicity, ("--format", "--limit")),
 }
@@ -351,14 +333,12 @@ def main(argv=None) -> int:
         # a closed stdout shows here rather than at the interpreter's exit
         sys.stdout.flush()
         return code
-    except OrderLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except _VERIFICATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except CoxvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OrderLimitExceeded):
+            return EXIT_LIMIT
+        if isinstance(exc, _VERIFICATION_ERRORS):
+            return EXIT_FAIL
         return EXIT_PARSE
     except BrokenPipeError:
         # the reader closed stdout; what is left unwritten goes to devnull,

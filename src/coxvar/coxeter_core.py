@@ -484,6 +484,27 @@ def conj_table_bytes(order: int, num_reflections: int) -> int:
     return order * num_reflections * index_dtype(2 * num_reflections).itemsize
 
 
+# bytes of the largest table of root images W is enumerated into: 8 times
+# B7's 31.6 MB, the largest but I2(m)'s under the default limit
+TABLE_BYTES_LIMIT = 1 << 28
+
+
+def enumeration_refusal(diagram: CoxeterDiagram, limit: int):
+    """Why W cannot be enumerated under ``limit``, or None: from the
+    diagram's counts alone, |W| past ``limit`` and then W's table of root
+    images past ``TABLE_BYTES_LIMIT`` bytes."""
+    order, label = diagram.order, diagram.type_label
+    if order > limit:
+        return OrderLimitExceeded(f"{label} has order {order} > limit {limit}",
+                                  known_order=order)
+    table = conj_table_bytes(order, diagram.num_reflections)
+    if table > TABLE_BYTES_LIMIT:
+        return OrderLimitExceeded(
+            f"the conjugation table of {label} would take {table} bytes "
+            f"> limit {TABLE_BYTES_LIMIT}")
+    return None
+
+
 class ReflectionTable:
     """The reflections of W as its positive roots, and how S conjugates them.
 
@@ -735,11 +756,10 @@ def _mask(J) -> int:
 
 def build_group(diagram: CoxeterDiagram,
                 limit: int = DEFAULT_ORDER_LIMIT) -> EnumeratedGroup:
-    """Enumerate the whole group through its root table."""
-    if diagram.order > limit:
-        raise OrderLimitExceeded(
-            f"{diagram.type_label} has order {diagram.order} > limit {limit}",
-            known_order=diagram.order)
+    """Enumerate the whole group through its root table, if it can be."""
+    refusal = enumeration_refusal(diagram, limit)
+    if refusal is not None:
+        raise refusal
     return _bfs_enumerate(diagram, reflection_table(diagram).R)
 
 
@@ -784,11 +804,10 @@ def _bfs_enumerate(diagram, R) -> EnumeratedGroup:
 
 
 def _first_occurrences(rows, bits):
-    """The smallest index of each distinct row, the entries below 2**bits.
-  Each row is packed into as few int64 words as hold its
-    bits, and a stable sort of the words keeps equal rows in index order,
-    so the head of each run is the first occurrence.
-    """
+    """The smallest index of each distinct row, the entries below 2**bits:
+    each row is packed into as few int64 words as hold its bits, and a
+    stable sort of the words keeps equal rows in index order, so the head
+    of each run is the first occurrence."""
     per = 63 // bits
     shifts = bits * np.arange(per, dtype=np.int64)
     words = [(rows[:, j:j + per].astype(np.int64) << shifts[:rows.shape[1] - j]

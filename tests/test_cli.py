@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import coxvar
-from coxvar import arrangement, cli, coxeter_core
+from coxvar import coxeter_core
 from coxvar.arrangement import Arrangement
 from coxvar.cli import main
 from coxvar.errors import InvarianceViolation, InvariantError
@@ -137,6 +137,10 @@ def test_rank_zero_names_the_reason(capsys, spec):
 def test_limit_exit_code(capsys):
     code, _, err = run(capsys, "multiplicity", "E8")
     assert code == 3 and "order" in err
+    # tables needs no W for its rows: past --limit it runs no oracle
+    code, out, err = run(capsys, "tables", "F4", "--limit", "1000")
+    assert code == 0 and err == "" and len(out.splitlines()) == 8
+    assert all(" oracle = -" in ln for ln in out.splitlines())
     # det never enumerates W: the limit bounds each edge orbit, and D7's
     # largest (class A4) has 336 members
     code, out, err = run(capsys, "det", "D7", "--limit", "335")
@@ -297,8 +301,6 @@ def _never_enumerate(*args, **kwargs):
 
 def test_tables_literature_display(capsys, monkeypatch):
     # computed from the roots alone: enumerating W would raise
-    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
-    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
     monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
     code, out, _ = run(capsys, "tables", "E7")
     assert code == 0
@@ -327,9 +329,11 @@ def test_tables_limit_bounds_each_orbit(capsys):
     assert code == 3 and out == "" and "335" in err
     code, out, _ = run(capsys, "tables", "D7", "--limit", "336")
     assert code == 0 and len(out.splitlines()) == 11
-    # under the oracle's budget the limit still bounds W
-    code, _, err = run(capsys, "tables", "A5", "--limit", "719")
-    assert code == 3 and "order" in err
+    # the limit still bounds W: past it the oracle does not run
+    code, out, err = run(capsys, "tables", "A5", "--limit", "719",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert all(r["l_oracle"] is None for r in json.loads(out)["rows"])
 
 
 def test_explicit_weight_file(tmp_path, capsys):
@@ -364,17 +368,17 @@ def test_unknown_flag_is_parse_error(capsys):
 
 @pytest.mark.parametrize("argv", [("det", "A3", "--seed", "1"),
                                   ("tables", "A3", "--trials", "2"),
-                                  ("multiplicity", "A3", "--assign", "q")])
+                                  ("multiplicity", "A3", "--assign", "q"),
+                                  ("tables", "H4", "--unsafe-large")])
 def test_flags_a_subcommand_does_not_read_are_parse_errors(capsys, argv):
     # each subcommand takes only the flags its handler reads
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "unrecognized" in err
 
 
-def test_tables_unsafe_large_runs_the_oracle(capsys):
-    # |W| = 14400 is past the oracle's budget of 1152, not past its cap
-    code, out, _ = run(capsys, "tables", "H4", "--unsafe-large",
-                       "--format", "json")
+def test_tables_H4_runs_the_oracle_by_default(capsys):
+    # |W| = 14400 is under --limit, its table of 864000 bytes under the bound
+    code, out, _ = run(capsys, "tables", "H4", "--format", "json")
     assert code == 0
     rows = json.loads(out)["rows"]
     assert rows and all(r["l_oracle"] == r["l_formula"] and r["match"]
@@ -401,8 +405,6 @@ def test_verify_unsafe_large_warns_and_passes(capsys):
 def test_verify_and_matrix_refuse_before_enumerating(capsys, monkeypatch,
                                                      argv, message):
     # the budget and the cap are checked on the diagram's order
-    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
-    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
     monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and err == f"error: {message}\n"
@@ -414,13 +416,11 @@ def test_multiplicity_refuses_an_oversized_table_before_enumerating(
         capsys, monkeypatch, spec, table):
     # |W| is under --limit, but the oracle's |W| x |T| uint16 table would
     # take gigabytes: the estimate from the diagram refuses it first
-    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
-    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
     monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
     code, out, err = run(capsys, "multiplicity", spec)
     assert code == 3 and out == ""
     assert err == (f"error: the conjugation table of {spec} would take "
-                   f"{table} bytes > limit {cli.TABLE_BYTES_LIMIT}\n")
+                   f"{table} bytes > limit {coxeter_core.TABLE_BYTES_LIMIT}\n")
 
 
 def _never_build_roots(*args, **kwargs):
@@ -430,7 +430,7 @@ def _never_build_roots(*args, **kwargs):
 @pytest.mark.parametrize("argv, message", [
     (("multiplicity", "I2(200000)"),
      "the conjugation table of I2(200000) would take 320000000000 bytes "
-     f"> limit {cli.TABLE_BYTES_LIMIT}"),
+     f"> limit {coxeter_core.TABLE_BYTES_LIMIT}"),
     (("verify", "I2(200000)"),
      "|W| = 400000 exceeds determinant budget 3840"),
     (("matrix", "I2(200000)"), "|W| = 400000 exceeds matrix cap 200"),
@@ -461,23 +461,49 @@ def test_refusals_come_before_the_reflection_table(capsys, monkeypatch,
     assert code == 3 and out == "" and err == f"error: {message}\n"
 
 
+def _oracle_values(capsys, spec):
+    code, out, err = run(capsys, "tables", spec, "--format", "json")
+    assert code == 0 and err == ""
+    return [r["l_oracle"] for r in json.loads(out)["rows"]]
+
+
 def test_multiplicity_table_limit_is_inclusive(capsys, monkeypatch):
-    # A3's table is 24 x 6 bytes
-    monkeypatch.setattr(cli, "TABLE_BYTES_LIMIT", 144)
+    # A3's table is 24 x 6 bytes: tables runs the oracle exactly where
+    # multiplicity can
+    monkeypatch.setattr(coxeter_core, "TABLE_BYTES_LIMIT", 144)
     code, out, _ = run(capsys, "multiplicity", "A3")
     assert code == 0 and out
-    monkeypatch.setattr(cli, "TABLE_BYTES_LIMIT", 143)
+    assert _oracle_values(capsys, "A3") == [6, 2, 2]
+    monkeypatch.setattr(coxeter_core, "TABLE_BYTES_LIMIT", 143)
     monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
     code, out, err = run(capsys, "multiplicity", "A3")
     assert code == 3 and out == "" and "144 bytes > limit 143" in err
+    assert _oracle_values(capsys, "A3") == [None, None, None]
+
+
+_true_coxeter_class = Arrangement._coxeter_class
+
+
+def _rank_5_mutant(self, J, rows, members):
+    c = _true_coxeter_class(self, J, rows, members)
+    return dataclasses.replace(c, l=c.l + 1) if len(J) == 5 else c
+
+
+@pytest.mark.parametrize("spec", ["D5", "E6"])
+def test_tables_catches_a_wrong_rank_5_multiplicity(capsys, monkeypatch,
+                                                    spec):
+    # the formula off by one on every class of 5 nodes: only the oracle,
+    # which tables runs on D5 and E6, tells
+    monkeypatch.setattr(Arrangement, "_coxeter_class", _rank_5_mutant)
+    code, out, _ = run(capsys, "tables", spec)
+    assert code == 1 and "MISMATCH" in out
 
 
 def test_verify_unsafe_large_past_the_cap_warns_of_nothing(capsys,
                                                            monkeypatch):
     # E6, |W| = 51840, is past the cap of 14400: no run starts, so none is
     # announced
-    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
-    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
+    monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
     code, out, err = run(capsys, "verify", "E6", "--unsafe-large")
     assert code == 3 and out == ""
     assert err == "error: |W| = 51840 exceeds determinant budget 14400\n"
@@ -522,8 +548,7 @@ def test_oracle_reads_only_the_root_images(capsys, monkeypatch, spec):
 
 
 def test_det_builds_no_group(capsys, monkeypatch):
-    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
-    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
+    monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
     code, out, _ = run(capsys, "det", "B6", "--format", "json")
     assert code == 0 and len(json.loads(out)["factors"]) > 0
 
@@ -533,8 +558,7 @@ def test_det_builds_no_group(capsys, monkeypatch):
 def test_det_E7_E8_total_degree(capsys, monkeypatch, spec, degree):
     # the determinant has total degree |W| |T| in the weights: 2903040 * 63
     # for E7 and 696729600 * 120 for E8, with W never enumerated
-    monkeypatch.setattr(coxeter_core, "build_group", _never_enumerate)
-    monkeypatch.setattr(arrangement, "build_group", _never_enumerate)
+    monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
     code, out, _ = run(capsys, "det", spec, "--assign", "q")
     assert code == 0
     factors = re.findall(r"\(1-q\^(\d+)\)\^(\d+)", out)

@@ -75,6 +75,26 @@ def test_order_limit():
     assert exc.value.known_order == 2903040
 
 
+def _never_built(*args, **kwargs):
+    raise AssertionError("W's table or the reflection table was built")
+
+
+def test_build_group_refuses_on_bytes_before_building(monkeypatch):
+    # the refusal reads the diagram's counts: neither W's table nor the
+    # reflection table is built
+    monkeypatch.setattr(coxeter_core.ReflectionTable, "__init__",
+                        _never_built)
+    monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_built)
+    # I2(20000) is under the default limit, but its uint16 table is not
+    with pytest.raises(OrderLimitExceeded, match=" 1600000000 bytes > "):
+        group("I2(20000)")
+    # I2(100)'s table is 200 x 100 bytes
+    monkeypatch.setattr(coxeter_core, "TABLE_BYTES_LIMIT", 19999)
+    with pytest.raises(OrderLimitExceeded,
+                       match=" 20000 bytes > limit 19999$"):
+        build_group(parse_group_spec("I2(100)"))
+
+
 # -- enumeration basics ------------------------------------------------------
 
 ORDERS = {

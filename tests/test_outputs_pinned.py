@@ -86,14 +86,14 @@ PINNED = [
      "dbb90928b335686d1779374c45905134fe6c08514b30dba8e2b227a9bbe9eee9"),
     (('multiplicity', 'I2(5)xI2(7)xA2', '--format', 'json'), 0,
      "c1814d7a6f33674aaadf6b2b45e964ed9dcf8ab6c7a643865f385d07315a812c"),
-    # tables past the oracle's budget (E6, B6, H4), the non-simply-laced
-    # choice of t_J (B6), and a det past the budget (D5)
+    # tables with the oracle on every row (E6, B6, H4), the
+    # non-simply-laced choice of t_J (B6), and det D5
     (('tables', 'E6', '--format', 'json'), 0,
-     "50ed05ff81022d760c7986a799d9be09ee5c623032c0f815d673733645aff017"),
+     "884e6bf5736dc317ca0b1e5430a86ebfb088624fe8c6de047928476ca407fe6b"),
     (('tables', 'B6', '--format', 'json'), 0,
-     "0453f038273b966c9f197017f6dc4a03bd3793c844ea94a9e4fce44400ea40a3"),
+     "ece95f0ddaa501014f4d9a449018b91e23d8277f7853fc477444d851549be4c5"),
     (('tables', 'H4', '--format', 'json'), 0,
-     "1ed07ca833b42b281532bb9e2ad1cdf8ad446832d482aada0f6beb015689042b"),
+     "0534b3411b680eec4a743e7d70a60f2a211fef50861c8222316c9c1aa8b40533"),
     (('det', 'D5', '--format', 'json'), 0,
      "470fb8fd7d559e147647cbb162ce0cd20599006acc5c6bf716eef158540838c6"),
     # det numbers its variables in W's element order without enumerating
