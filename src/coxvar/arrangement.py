@@ -31,7 +31,6 @@ from .coxeter_core import (
     _mask,
     _orbit,
     build_group,
-    known_reflection_count,
     reflection_table,
 )
 from .errors import (
@@ -41,18 +40,6 @@ from .errors import (
     OrderLimitExceeded,
     ReducibleSubset,
 )
-
-
-def _largest_class(comp) -> int:
-    """Members of the largest class of reflections of one component: all
-    of them unless an even bond splits them in two."""
-    if comp.letter == "B":
-        return max(comp.param * (comp.param - 1), comp.param)  # long, short
-    if comp.letter == "F":
-        return 12
-    if comp.letter == "I" and comp.param % 2 == 0:
-        return comp.param // 2
-    return known_reflection_count(comp.letter, comp.param)
 
 
 @dataclass(frozen=True)
@@ -118,8 +105,7 @@ class Arrangement:
         """The reflection table.  A component whose largest class of
         reflections passes ``limit`` is refused first: every class holds
         a simple reflection, whose one-node orbit ``classes`` walks."""
-        if any(_largest_class(c) > self.limit
-               for c in self.diagram.components):
+        if any(c.largest_class > self.limit for c in self.diagram.components):
             raise OrderLimitExceeded(
                 f"an orbit passed {self.limit} members (the limit)")
         return reflection_table(self.diagram)

@@ -1,5 +1,10 @@
 """Finite Coxeter groups: diagrams, the reflection table, exact enumeration.
 
+A diagram is its irreducible components.  Its bond matrix and label are
+read from them, and each type's counts (|W|, |T| and the largest class
+of reflections) from one dispatch over the type letter.  Its connected
+subsets J grow from single nodes, one bonded neighbour at a time.
+
 Everything starts from one table, the permutation action of the simple
 reflections on the roots: I2(m) in closed form, every other irreducible
 type as the orbit of its simple roots under exact integer reflections
@@ -29,7 +34,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -47,40 +52,24 @@ MAX_RANK = 16
 DEFAULT_ORDER_LIMIT = 10**6
 
 
-def known_order(letter: str, param: int) -> int:
-    if letter == "A":
-        return factorial(param + 1)
-    if letter == "B":
-        return 2**param * factorial(param)
-    if letter == "D":
-        return 2 ** (param - 1) * factorial(param)
-    if letter == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[param]
-    if letter == "F":
-        return 1152
-    if letter == "H":
-        return {3: 120, 4: 14400}[param]
-    if letter == "I":
-        return 2 * param
-    raise UnsupportedType(letter)
+# |W|, |T| and the size of the largest class of reflections of each
+# irreducible type, n its rank or m for I2(m) (Humphreys, Table 2.2): the
+# reflections form one class unless an even bond splits them in two
+_TYPE_COUNTS = {
+    "A": lambda n: (factorial(n + 1), n * (n + 1) // 2, n * (n + 1) // 2),
+    "B": lambda n: (2**n * factorial(n), n * n, max(n * (n - 1), n)),
+    "D": lambda n: (2 ** (n - 1) * factorial(n), n * (n - 1), n * (n - 1)),
+    "E": lambda n: {6: (51840, 36, 36), 7: (2903040, 63, 63),
+                    8: (696729600, 120, 120)}[n],
+    "F": lambda n: (1152, 24, 12),
+    "H": lambda n: {3: (120, 15, 15), 4: (14400, 60, 60)}[n],
+    "I": lambda n: (2 * n, n, n if n % 2 else n // 2),
+}
 
 
 def known_reflection_count(letter: str, param: int) -> int:
-    if letter == "A":
-        return param * (param + 1) // 2
-    if letter == "B":
-        return param * param
-    if letter == "D":
-        return param * (param - 1)
-    if letter == "E":
-        return {6: 36, 7: 63, 8: 120}[param]
-    if letter == "F":
-        return 24
-    if letter == "H":
-        return {3: 15, 4: 60}[param]
-    if letter == "I":
-        return param
-    raise UnsupportedType(letter)
+    """|T| of one irreducible type; ``bench/test_bench.py`` reads it."""
+    return _TYPE_COUNTS[letter](param)[1]
 
 
 @dataclass(frozen=True)
@@ -102,8 +91,21 @@ class Component:
         return f"{self.letter}{self.param}"
 
     @property
+    def counts(self) -> tuple[int, int, int]:
+        """|W|, |T| and the size of the largest class of reflections."""
+        return _TYPE_COUNTS[self.letter](self.param)
+
+    @property
     def order(self):
-        return known_order(self.letter, self.param)
+        return self.counts[0]
+
+    @property
+    def num_reflections(self):
+        return self.counts[1]
+
+    @property
+    def largest_class(self):
+        return self.counts[2]
 
 
 def _component_bonds(letter: str, param: int):
@@ -143,80 +145,60 @@ def _component_bonds(letter: str, param: int):
 
 @dataclass(frozen=True)
 class CoxeterDiagram:
-    """Bond matrix plus the parsed decomposition into irreducible components."""
+    """A finite Coxeter diagram, as its irreducible components.
 
-    bonds: tuple[tuple[int, ...], ...]
-    type_label: str
+    The components partition the nodes 0..rank-1; the bond matrix, the
+    label and the counts are read from them.
+    """
+
     components: tuple[Component, ...]
 
     def __post_init__(self):
-        n = len(self.bonds)
-        for i in range(n):
-            if self.bonds[i][i] != 1:
-                raise NonFiniteDiagram("diagonal bond labels must be 1")
-            for j in range(n):
-                if self.bonds[i][j] != self.bonds[j][i]:
-                    raise NonFiniteDiagram("bond matrix must be symmetric")
-                if i != j and self.bonds[i][j] < 2:
-                    raise NonFiniteDiagram("off-diagonal bonds must be >= 2")
-        # components must tile the nodes and reproduce the bond matrix
-        seen = []
-        for comp in self.components:
-            seen.extend(comp.nodes)
-            local = _component_bonds(comp.letter, comp.param)
-            for a, ga in enumerate(comp.nodes):
-                for b, gb in enumerate(comp.nodes):
-                    if self.bonds[ga][gb] != local[a][b]:
-                        raise NonFiniteDiagram(
-                            f"bonds do not match claimed type {comp.label}")
-        if sorted(seen) != list(range(n)):
+        nodes = sorted(i for c in self.components for i in c.nodes)
+        if nodes != list(range(len(nodes))):
             raise NonFiniteDiagram("components do not partition the nodes")
 
     @property
     def rank(self):
-        return len(self.bonds)
+        return sum(c.rank for c in self.components)
+
+    @cached_property
+    def bonds(self) -> tuple[tuple[int, ...], ...]:
+        """The bond matrix m_ij: 1 on the diagonal, 2 between components."""
+        n = self.rank
+        bonds = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+        for comp in self.components:
+            local = _component_bonds(comp.letter, comp.param)
+            for a, ga in enumerate(comp.nodes):
+                for b, gb in enumerate(comp.nodes):
+                    bonds[ga][gb] = local[a][b]
+        return tuple(map(tuple, bonds))
+
+    @property
+    def type_label(self):
+        return "x".join(c.label for c in self.components)
 
     @property
     def order(self):
-        r = 1
-        for c in self.components:
-            r *= c.order
-        return r
+        return prod(c.order for c in self.components)
 
     @property
     def num_reflections(self):
         """|T|, from the components' types: no root is built."""
-        return sum(known_reflection_count(c.letter, c.param)
-                   for c in self.components)
-
-    def bond_graph_neighbors(self, i):
-        return [j for j in range(self.rank) if j != i and self.bonds[i][j] >= 3]
-
-    def is_connected_subset(self, J) -> bool:
-        """Connectivity of J in the bond graph (edges where m_ij >= 3)."""
-        J = list(J)
-        if not J:
-            return False
-        Jset = set(J)
-        stack, seen = [J[0]], {J[0]}
-        while stack:
-            i = stack.pop()
-            for j in self.bond_graph_neighbors(i):
-                if j in Jset and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return seen == Jset
+        return sum(c.num_reflections for c in self.components)
 
     def irreducible_subsets(self):
-        """All nonempty connected subsets of the nodes, sorted."""
-        n = self.rank
-        out = []
-        for mask in range(1, 1 << n):
-            J = tuple(i for i in range(n) if mask >> i & 1)
-            if self.is_connected_subset(J):
-                out.append(J)
-        out.sort(key=lambda J: (len(J), J))
-        return out
+        """All nonempty connected subsets of the nodes, sorted by size and
+        then as tuples.  Each grows from a single node, one bonded
+        neighbour (m_ij >= 3) at a time."""
+        near = [[j for j, m in enumerate(row) if m >= 3] for row in self.bonds]
+        level, found = {1 << i for i in range(self.rank)}, set()
+        while level:
+            found |= level
+            level = {J | 1 << j for J in level for i in _bits(J)
+                     for j in near[i] if not J >> j & 1}
+        return sorted((tuple(_bits(J)) for J in found),
+                      key=lambda J: (len(J), J))
 
     def subdiagram(self, J) -> Component:
         """The type of the (connected) induced subdiagram of J."""
@@ -257,17 +239,7 @@ def parse_group_spec(text: str) -> CoxeterDiagram:
                 raise UnsupportedType("I2(m) needs m >= 3; I2(2) is A1xA1")
         comps.append(Component(letter, param, tuple(range(offset, offset + rank))))
         offset += rank
-    n = offset
-    bonds = [[2] * n for _ in range(n)]
-    for i in range(n):
-        bonds[i][i] = 1
-    for comp in comps:
-        local = _component_bonds(comp.letter, comp.param)
-        for a, ga in enumerate(comp.nodes):
-            for b, gb in enumerate(comp.nodes):
-                bonds[ga][gb] = local[a][b]
-    label = "x".join(c.label for c in comps)
-    return CoxeterDiagram(tuple(tuple(r) for r in bonds), label, tuple(comps))
+    return CoxeterDiagram(tuple(comps))
 
 
 def _classify_component(bonds, nodes):
@@ -412,7 +384,7 @@ def _root_action(diagram: CoxeterDiagram):
             parts.append((np.stack([(m - k) % (2 * m),
                                     (3 * m - 2 - k) % (2 * m)]), [0, m - 1]))
         else:
-            expected = 2 * known_reflection_count(comp.letter, comp.param)
+            expected = 2 * comp.num_reflections
             parts.append((_root_orbit(
                 _simple_reflections(comp.letter, comp.param), expected),
                 range(comp.rank)))

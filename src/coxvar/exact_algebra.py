@@ -176,24 +176,6 @@ def _delayed_steps(p):
     return max(1, (2**64 - p - 1) // (p * (p - 1)))
 
 
-def _inverses(xs, p):
-    """Inverses mod p of the nonzero residues xs, with one ``pow``.
-
-    Montgomery's trick: invert the product of all of them, then peel one
-    factor off at a time, three products per residue in place of one
-    ``pow`` each.
-    """
-    prefix = [1]
-    for x in xs:
-        prefix.append(prefix[-1] * x % p)
-    inverse = pow(prefix.pop(), -1, p)
-    out = []
-    for x, before in zip(reversed(xs), reversed(prefix)):
-        out.append(inverse * before % p)
-        inverse = inverse * x % p
-    return out[::-1]
-
-
 def reduce_whole(G, up, scratch):
     """G %= up in place for a uint64 array G, through scratch.
 
@@ -218,14 +200,13 @@ def _gauss_jordan(G, p, start, det):
     reduces the pivot column and the pivot row mod p, unless the whole
     stack was reduced since the last step; that happens only every
     ``_delayed_steps(p)`` steps and before returning.  Step j takes each
-    member's pivot at (j, j), and the pivots' inverses take one ``pow``
-    for the whole stack; ``det``, the list of each member's determinant
-    so far, is returned times the pivots.  Returns ``(det, j)``.  When j
-    equals w, each member of G is the inverse of its block.  Otherwise j
-    is the first column where some member's pivot is zero, and no member
-    has taken step j: for such a member, G[m, :j, j] is column j of its j
-    reduced pivot rows, which are 1 in their own column and 0 in the
-    other columns before j.
+    member's pivot at (j, j) and inverts it with one ``pow``; ``det``,
+    the list of each member's determinant so far, is returned times the
+    pivots.  Returns ``(det, j)``.  When j equals w, each member of G is
+    the inverse of its block.  Otherwise j is the first column where some
+    member's pivot is zero, and no member has taken step j: for such a
+    member, G[m, :j, j] is column j of its j reduced pivot rows, which are
+    1 in their own column and 0 in the other columns before j.
     """
     w = G.shape[-1]
     up = np.uint64(p)
@@ -240,7 +221,7 @@ def _gauss_jordan(G, p, start, det):
         if 0 in pivots:
             break
         det = [d * x % p for d, x in zip(det, pivots)]
-        inverse = np.array(_inverses(pivots, p), dtype=np.uint64)
+        inverse = np.array([pow(x, -1, p) for x in pivots], dtype=np.uint64)
         if since:
             pivot_row %= up
         row = pivot_row * inverse[:, None]

@@ -100,6 +100,29 @@ def separating_set(g: EnumeratedGroup, x: int, y: int) -> set[int]:
     return set(np.nonzero(N[x] ^ N[y])[0].tolist())
 
 
+# -- the diagram -------------------------------------------------------------
+
+
+def connected_subsets_by_scan(diagram) -> list[tuple[int, ...]]:
+    """Every nonempty connected subset J of the nodes, by a search of the
+    bond graph (edges where m_ij >= 3) from each of the 2^rank - 1 node
+    masks, sorted by size and then as tuples."""
+    n, bonds = diagram.rank, diagram.bonds
+    out = []
+    for mask in range(1, 1 << n):
+        J = [i for i in range(n) if mask >> i & 1]
+        stack, seen = [J[0]], {J[0]}
+        while stack:
+            i = stack.pop()
+            for j in J:
+                if j not in seen and bonds[i][j] >= 3:
+                    seen.add(j)
+                    stack.append(j)
+        if len(seen) == len(J):
+            out.append(tuple(J))
+    return sorted(out, key=lambda J: (len(J), J))
+
+
 # -- parabolic subgroups -----------------------------------------------------
 
 

@@ -460,7 +460,7 @@ def _property_bundle():
                 e = minimal_edge_through_chamber_face(a, lookup, x, t)
                 assert t in e.reflections
         full_J = tuple(range(g.n))
-        if g.diagram.is_connected_subset(full_J):
+        if full_J in g.diagram.irreducible_subsets():
             full_mask = (1 << g.n) - 1
             tJ = int(np.flatnonzero(a.roots.support == full_mask)[0])
             decompose_L(a, full_J, tJ)

@@ -18,7 +18,7 @@ import pytest
 import coxvar
 import coxvar.arrangement as arrangement_mod
 from coxvar import group
-from coxvar.arrangement import Arrangement, Edge, _largest_class
+from coxvar.arrangement import Arrangement, Edge
 from coxvar.coxeter_core import _mask, _orbit, build_group, parse_group_spec
 from coxvar.errors import (
     CoxvarError,
@@ -523,7 +523,7 @@ def test_largest_class_is_read_from_the_type(spec):
     [comp] = parse_group_spec(spec).components
     roots = Arrangement(diagram=parse_group_spec(spec)).roots
     assert np.bincount(roots.reflection_class_of).max() == \
-        _largest_class(comp)
+        comp.largest_class
 
 
 def test_decompose_L_checks_centralizer_identity():

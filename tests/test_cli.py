@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -564,6 +565,18 @@ def test_det_E7_E8_total_degree(capsys, monkeypatch, spec, degree):
     factors = re.findall(r"\(1-q\^(\d+)\)\^(\d+)", out)
     assert " ".join(f"(1-q^{d})^{m}" for d, m in factors) == out.strip()
     assert sum(int(d) * int(m) for d, m in factors) == degree
+
+
+def test_det_A10xA10_total_degree(capsys, monkeypatch):
+    # a product of rank 20: its 2^20 node masks are never scanned, and the
+    # total degree is |W| |T| = (11!)^2 * 110
+    monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
+    code, out, _ = run(capsys, "det", "A10xA10", "--assign", "q")
+    assert code == 0
+    factors = re.findall(r"\(1-q\^(\d+)\)\^(\d+)", out)
+    assert " ".join(f"(1-q^{d})^{m}" for d, m in factors) == out.strip()
+    assert sum(int(d) * int(m) for d, m in factors) == \
+        math.factorial(11) ** 2 * 110
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

@@ -18,11 +18,11 @@ import pytest
 from coxvar import build_group, coxeter_core, group, parse_group_spec
 from coxvar.arrangement import Arrangement
 from coxvar.coxeter_core import (
+    Component,
+    CoxeterDiagram,
     _orbit,
     conj_table_bytes,
     index_dtype,
-    known_order,
-    known_reflection_count,
     reflection_table,
 )
 from coxvar.errors import (
@@ -34,6 +34,7 @@ from coxvar.errors import (
     UnsupportedType,
 )
 from group_reference import (
+    connected_subsets_by_scan,
     element_of_matrix,
     element_of_word,
     geometric_matrices,
@@ -67,6 +68,46 @@ def test_parse_invalid_specs(bad):
     with pytest.raises((ParseError, RankOutOfRange, NonFiniteDiagram,
                         UnsupportedType)):
         parse_group_spec(bad)
+
+
+def test_components_must_partition_the_nodes():
+    a2, a1 = Component("A", 2, (0, 1)), Component("A", 1, (1,))
+    with pytest.raises(NonFiniteDiagram, match="partition"):
+        CoxeterDiagram((a2, a1))  # node 1 twice
+    with pytest.raises(NonFiniteDiagram, match="partition"):
+        CoxeterDiagram((a2, Component("A", 1, (3,))))  # node 2 uncovered
+    assert CoxeterDiagram((a2, Component("A", 1, (2,)))) == \
+        parse_group_spec("A2xA1")
+
+
+@pytest.mark.parametrize("spec,bonds", [
+    ("B2xA1", [[1, 4, 2], [4, 1, 2], [2, 2, 1]]),
+    ("D4", [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]),
+    ("F4", [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]]),
+    ("H3", [[1, 5, 2], [5, 1, 3], [2, 3, 1]]),
+    ("I2(7)", [[1, 7], [7, 1]]),
+])
+def test_bonds_are_read_from_the_components(spec, bonds):
+    assert parse_group_spec(spec).bonds == tuple(map(tuple, bonds))
+
+
+IRREDUCIBLE_UP_TO_RANK_8 = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "H3", "H4", "I2(5)", "I2(8)"])
+
+
+@pytest.mark.parametrize("spec", IRREDUCIBLE_UP_TO_RANK_8 + [
+    "B2xA1", "A2xA2xA1", "B3xI2(5)", "D4xB2xH3", "A8xA8"])
+def test_irreducible_subsets_match_the_scan(spec):
+    d = parse_group_spec(spec)
+    assert d.irreducible_subsets() == connected_subsets_by_scan(d)
+
+
+def test_irreducible_subsets_of_rank_32():
+    # a path of 16 nodes has 16 * 17 / 2 connected subsets; a scan of the
+    # 2^32 node masks would take hours
+    assert len(parse_group_spec("A16xA16").irreducible_subsets()) == 272
 
 
 def test_order_limit():
@@ -130,11 +171,17 @@ def test_reflection_counts(spec, count):
 
 
 def test_known_order_table():
-    assert known_order("E", 8) == 696729600
-    assert known_order("D", 5) == 1920
-    assert known_order("I", 9) == 18
-    assert known_reflection_count("E", 8) == 120
-    assert known_reflection_count("B", 5) == 25
+    # |W|, |T| and the largest class of reflections, read from the type
+    def counts(spec):
+        [comp] = parse_group_spec(spec).components
+        return comp.counts
+
+    assert counts("E8") == (696729600, 120, 120)
+    assert counts("D5") == (1920, 20, 20)
+    assert counts("I2(9)") == (18, 9, 9)
+    assert counts("I2(10)") == (20, 10, 5)
+    assert counts("B5") == (3840, 25, 20)
+    assert counts("F4") == (1152, 24, 12)
 
 
 def test_longest_element_and_words():
@@ -497,9 +544,9 @@ def deadline(seconds):
 def test_root_orbit_of_the_wrong_size_raises(monkeypatch, delta):
     # a claimed |T| one too small stops the orbit early, one too large
     # leaves it short; both are typed errors
-    monkeypatch.setattr(coxeter_core, "known_reflection_count",
-                        lambda letter, param:
-                        known_reflection_count(letter, param) + delta)
+    true_count = Component.num_reflections.fget
+    monkeypatch.setattr(Component, "num_reflections",
+                        property(lambda comp: true_count(comp) + delta))
     # the root action and the root table are cached per diagram; compute
     # them afresh
     coxeter_core._root_action.cache_clear()
