@@ -219,7 +219,7 @@ def cmd_verify(ar, args):
 
     budget = HARD_DET_CAP if args.unsafe_large else DET_BUDGET
     # refused before the weight assignment builds the reflection table
-    check_verify_limits(ar, args.trials, budget)
+    check_verify_limits(ar, args.trials, args.primes, budget)
     wa = _weight_assignment(ar.roots, args.assign)
     # only a run that starts is announced
     if ar.diagram.order > DET_BUDGET:

@@ -3,7 +3,11 @@
 A diagram is its irreducible components.  Its bond matrix and label are
 read from them, and each type's counts (|W|, |T| and the largest class
 of reflections) from one dispatch over the type letter.  Its connected
-subsets J grow from single nodes, one bonded neighbour at a time.
+subsets J grow from single nodes, one bonded neighbour at a time, and
+J's type is the first type of rank |J| whose own bond matrix, from
+``_component_bonds``, has J's shape: the sorted degrees of its nodes,
+each with the labels and degrees of its bonded neighbours.  The same
+list of types per rank checks each component of a diagram.
 
 Everything starts from one table, the permutation action of the simple
 reflections on the roots: I2(m) in closed form, every other irreducible
@@ -79,6 +83,14 @@ class Component:
     letter: str
     param: int  # rank, or m for I2(m)
     nodes: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.letter not in _TYPE_COUNTS:
+            raise UnsupportedType(f"no type letter {self.letter!r}")
+        if (self.letter, self.param) not in _types_of_rank(self.rank,
+                                                           self.param):
+            raise NonFiniteDiagram(
+                f"no finite type {self.label} has {self.rank} nodes")
 
     @property
     def rank(self):
@@ -201,8 +213,18 @@ class CoxeterDiagram:
                       key=lambda J: (len(J), J))
 
     def subdiagram(self, J) -> Component:
-        """The type of the (connected) induced subdiagram of J."""
-        return _classify_component(self.bonds, tuple(sorted(J)))
+        """The type of the connected induced subdiagram of J: the first
+        type of rank |J| whose own bond matrix has J's shape (``_shape``).
+        The types of one rank differ in shape but for the names of one
+        diagram, and a forest's shape counts its edges, so a J that is
+        not connected matches no type and raises NonFiniteDiagram."""
+        J = tuple(sorted(J))
+        sub = [[self.bonds[a][b] for b in J] for a in J]
+        shape, m = _shape(sub), max(map(max, sub), default=1)
+        for letter, param in _types_of_rank(len(J), m):
+            if _shape(_component_bonds(letter, param)) == shape:
+                return Component(letter, param, J)
+        raise NonFiniteDiagram(f"the subdiagram on {J} has no finite type")
 
 
 _NAME_RE = re.compile(r"^(A|B|D)([0-9]+)$|^(E6|E7|E8|F4|H3|H4)$|^I2\(([0-9]+)\)$")
@@ -242,67 +264,23 @@ def parse_group_spec(text: str) -> CoxeterDiagram:
     return CoxeterDiagram(tuple(comps))
 
 
-def _classify_component(bonds, nodes):
-    """Identify the finite type of one connected induced subdiagram."""
-    nodes = tuple(nodes)
-    k = len(nodes)
-    sub = {(a, b): bonds[a][b] for a in nodes for b in nodes}
-    edges = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]
-             if sub[(a, b)] >= 3]
-    labels = sorted(sub[e] for e in edges)
-    deg = {a: sum(1 for e in edges if a in e) for a in nodes}
-    if len(edges) != k - 1 or (k and max(deg.values(), default=0) > 3):
-        raise NonFiniteDiagram("subdiagram is not a finite-type tree")
-    if k == 1:
-        return Component("A", 1, nodes)
-    if k == 2:
-        m = labels[0]
-        if m == 3:
-            return Component("A", 2, nodes)
-        if m == 4:
-            return Component("B", 2, nodes)
-        return Component("I", m, nodes)
-    branch = [a for a in nodes if deg[a] == 3]
-    if not branch:
-        # a path; order nodes along it
-        ends = [a for a in nodes if deg[a] == 1]
-        path = [ends[0]]
-        while len(path) < k:
-            nxt = [b for b in nodes if sub[(path[-1], b)] >= 3
-                   and (len(path) < 2 or b != path[-2]) and b != path[-1]]
-            path.append(nxt[0])
-        seq = [sub[(path[i], path[i + 1])] for i in range(k - 1)]
-        if all(m == 3 for m in seq):
-            return Component("A", k, nodes)
-        if sorted(labels) == [3] * (k - 2) + [4]:
-            if seq[0] == 4 or seq[-1] == 4:
-                return Component("B", k, nodes)
-            if k == 4 and seq[1] == 4:
-                return Component("F", 4, nodes)
-        if sorted(labels) == [3] * (k - 2) + [5] and (seq[0] == 5 or seq[-1] == 5):
-            if k in (3, 4):
-                return Component("H", k, nodes)
-        raise NonFiniteDiagram(f"unrecognized path labels {seq}")
-    if len(branch) > 1 or any(m != 3 for m in labels):
-        raise NonFiniteDiagram("not a finite type diagram")
-    # tree with one degree-3 node: arm lengths decide D vs E
-    c = branch[0]
-    arms = []
-    for start in (b for b in nodes if sub[(c, b)] >= 3):
-        ln, prev, cur = 1, c, start
-        while True:
-            nxt = [b for b in nodes if sub[(cur, b)] >= 3 and b != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            ln += 1
-        arms.append(ln)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return Component("D", k, nodes)
-    if arms[0] == 1 and arms[1] == 2 and k in (6, 7, 8):
-        return Component("E", k, nodes)
-    raise NonFiniteDiagram(f"unrecognized branching diagram (arms {arms})")
+def _types_of_rank(k: int, m: int):
+    """Every irreducible finite type of rank k as (letter, param), with
+    I2(m) for the largest bond m of a rank-2 diagram (Humphreys, §2.4).
+    Of two names for one diagram, A2 and I2(3), B2 and I2(4), A3 and D3,
+    the first comes first."""
+    listed = {"A": k >= 1, "B": k >= 2, "D": k >= 3, "E": 6 <= k <= 8,
+              "F": k == 4, "H": 3 <= k <= 4, "I": k == 2 and m >= 3}
+    return [(letter, m if letter == "I" else k)
+            for letter, on in listed.items() if on]
+
+
+def _shape(bonds):
+    """The sorted entries of a bond matrix's nodes: a node's degree and the
+    sorted (label, degree) pairs of its bonded neighbours (m_ij >= 3)."""
+    near = [[b for b, m in enumerate(row) if m >= 3] for row in bonds]
+    return sorted((len(ns), sorted((row[b], len(near[b])) for b in ns))
+                  for row, ns in zip(bonds, near))
 
 
 # ---------------------------------------------------------------------------

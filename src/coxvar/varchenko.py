@@ -429,12 +429,13 @@ def check_order(ar: Arrangement, limit: int, what: str) -> None:
                                  known_order=order)
 
 
-def check_verify_limits(ar: Arrangement, trials: int,
+def check_verify_limits(ar: Arrangement, trials: int, primes: int,
                         budget: int = DET_BUDGET) -> None:
     """The checks ``verify_mod_p`` makes before it reads its weights: at
-    least one trial, and |W| within the determinant budget."""
-    if trials < 1:
-        raise CountOutOfRange(f"trial count {trials} is below 1")
+    least one trial and one prime, and |W| within the determinant budget."""
+    for what, count in (("trial", trials), ("prime", primes)):
+        if count < 1:
+            raise CountOutOfRange(f"{what} count {count} is below 1")
     check_order(ar, budget, "determinant budget")
 
 
@@ -461,7 +462,7 @@ def verify_mod_p(ar: Arrangement, wa: WeightAssignment, trials: int = 5,
     there is at least one prime and one trial, and OrderLimitExceeded past
     the budget, before W is enumerated (``check_verify_limits``).
     """
-    check_verify_limits(ar, trials, budget)
+    check_verify_limits(ar, trials, primes, budget)
     order = ar.diagram.order
     primes = primes_list(primes)
     group = ar.group

@@ -174,10 +174,18 @@ def test_verify_pass_and_json(capsys):
 
 @pytest.mark.parametrize("flags", [("--trials", "0"), ("--primes", "0"),
                                    ("--primes", "-1")])
-def test_verify_rejects_counts_below_one(capsys, flags):
-    # each used to print PASS with zero records, or with two primes for -1
-    code, out, err = run(capsys, "verify", "B3", *flags)
-    assert code == 2 and out == "" and "below 1" in err
+def test_verify_rejects_counts_below_one(capsys, monkeypatch, flags):
+    # each used to print PASS with zero records, or with two primes for -1;
+    # both counts are refused before the reflection table is built, and
+    # before B7's order is checked against the budget
+    coxeter_core.reflection_table.cache_clear()
+    monkeypatch.setattr(coxeter_core.ReflectionTable, "__init__",
+                        _never_build_roots)
+    what = flags[0][2:-1]
+    for spec in ("B3", "B7"):
+        code, out, err = run(capsys, "verify", spec, *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} count {flags[1]} is below 1\n"
 
 
 @pytest.mark.parametrize("command", ["det", "matrix", "tables", "verify",
@@ -460,6 +468,14 @@ def test_refusals_come_before_the_reflection_table(capsys, monkeypatch,
     monkeypatch.setattr(coxeter_core, "_bfs_enumerate", _never_enumerate)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and err == f"error: {message}\n"
+
+
+def test_tables_of_D3_are_those_of_A3(capsys):
+    # D3 is A3's diagram, and its subsets are named as A3's are
+    code, a3, _ = run(capsys, "tables", "A3")
+    assert code == 0
+    code, d3, _ = run(capsys, "tables", "D3")
+    assert code == 0 and d3 == a3
 
 
 def _oracle_values(capsys, spec):

@@ -18,6 +18,7 @@ import pytest
 from coxvar import build_group, coxeter_core, group, parse_group_spec
 from coxvar.arrangement import Arrangement
 from coxvar.coxeter_core import (
+    MAX_RANK,
     Component,
     CoxeterDiagram,
     _orbit,
@@ -48,6 +49,7 @@ from group_reference import (
     parabolic_data,
     parabolic_members,
 )
+from test_outputs_pinned import PINNED
 
 
 # -- parsing -----------------------------------------------------------------
@@ -58,6 +60,9 @@ def test_parse_valid_specs():
     assert parse_group_spec("I2(7)").type_label == "I2(7)"
     assert parse_group_spec("B2xA1").type_label == "B2xA1"
     assert parse_group_spec("E6").rank == 6
+    # a second name for a diagram keeps its own name
+    for spec in ("D3", "I2(3)", "I2(4)"):
+        assert parse_group_spec(spec).type_label == spec
     d = parse_group_spec("A2xB2xA1")
     assert d.rank == 5 and len(d.components) == 3
 
@@ -102,6 +107,100 @@ IRREDUCIBLE_UP_TO_RANK_8 = (
 def test_irreducible_subsets_match_the_scan(spec):
     d = parse_group_spec(spec)
     assert d.irreducible_subsets() == connected_subsets_by_scan(d)
+
+
+# every irreducible finite type by rank (Humphreys, Table 2.2), I2(m) for
+# a sample of m; of two names for one diagram the library returns the first
+RANKS = {"A": (1, MAX_RANK), "B": (2, MAX_RANK), "D": (3, MAX_RANK),
+         "E": (6, 8), "F": (4, 4), "H": (3, 4)}
+TYPES_BY_RANK = {k: [(letter, k) for letter, (low, high) in RANKS.items()
+                     if low <= k <= high] for k in range(1, MAX_RANK + 1)}
+TYPES_BY_RANK[2] += [("I", m) for m in (*range(3, 13), 200000)]
+ALIASES = {("I", 3): ("A", 2), ("I", 4): ("B", 2), ("D", 3): ("A", 3)}
+
+
+@pytest.mark.parametrize("rank", sorted(TYPES_BY_RANK))
+def test_each_type_is_the_type_of_its_own_diagram(rank):
+    # the diagram of each type, on shuffled node ids, is found to be that
+    # type: no two types of one rank look alike but the three aliases
+    for letter, param in TYPES_BY_RANK[rank]:
+        nodes = list(range(rank))
+        random.Random(param).shuffle(nodes)
+        d = CoxeterDiagram((Component(letter, param, tuple(nodes)),))
+        sub = d.subdiagram(range(rank))
+        assert (sub.letter, sub.param) == ALIASES.get((letter, param),
+                                                      (letter, param))
+        assert sub.nodes == tuple(range(rank))
+
+
+@pytest.mark.parametrize("rank", sorted(TYPES_BY_RANK))
+def test_rank_and_reflection_counts_single_out_a_type(rank):
+    # |T| and the largest class tell apart the types of one rank, B6 and
+    # E6 by the largest class, so the root table can check a subset's type
+    seen = {}
+    for letter, param in TYPES_BY_RANK[rank]:
+        name = ALIASES.get((letter, param), (letter, param))
+        counts = Component(letter, param, tuple(range(rank))).counts[1:]
+        assert seen.setdefault(counts, name) == name
+
+
+def _largest_orbit(roots, J, members):
+    """The largest orbit of the roots ``members`` under the generators J."""
+    left, largest = set(members.tolist()), 0
+    while left:
+        orbit = _orbit([[min(left)]], roots.R, J)[:, 0].tolist()
+        left -= set(orbit)
+        largest = max(largest, len(orbit))
+    return largest
+
+
+@pytest.mark.parametrize("spec", IRREDUCIBLE_UP_TO_RANK_8 + [
+    "D3", "B16", "D16", *sorted({argv[1] for argv, _, _ in PINNED})])
+def test_subdiagram_types_match_the_root_table(spec):
+    # rank, |T_J| and T_J's largest class under J, from the roots
+    d = parse_group_spec(spec)
+    roots = reflection_table(d)
+    for J in d.irreducible_subsets():
+        sub = d.subdiagram(J)
+        T_J = roots.reflections_in(sum(1 << j for j in J))
+        assert (sub.rank, sub.num_reflections, sub.largest_class) == (
+            len(J), len(T_J), _largest_orbit(roots, list(J), T_J)), (J, sub)
+
+
+@pytest.mark.parametrize("spec, J", [("A3xA1", (0, 3)), ("A3", (0, 2)),
+                                     ("D4xB2xH3", (0, 2, 3)), ("A3", ())])
+def test_a_subset_that_is_not_connected_has_no_type(spec, J):
+    with pytest.raises(NonFiniteDiagram):
+        parse_group_spec(spec).subdiagram(J)
+
+
+@pytest.mark.parametrize("letter, param, rank, error", [
+    ("A", 3, 2, NonFiniteDiagram),  # was accepted with order 24
+    ("A", 1, 2, NonFiniteDiagram),  # its bonds raised an IndexError
+    ("F", 5, 5, NonFiniteDiagram),  # was accepted with order 1152
+    ("E", 9, 9, NonFiniteDiagram),  # its order raised a KeyError
+    ("E", 5, 5, NonFiniteDiagram),  # D5's shape
+    ("F", 3, 3, NonFiniteDiagram),  # B3's shape
+    ("I", 2, 2, NonFiniteDiagram),  # A1xA1
+    ("I", 5, 3, NonFiniteDiagram),
+    ("G", 2, 2, UnsupportedType),  # its order raised a KeyError
+])
+def test_hand_built_components_must_be_finite_types(letter, param, rank,
+                                                    error):
+    with pytest.raises(error):
+        CoxeterDiagram((Component(letter, param, tuple(range(rank))),))
+
+
+@pytest.mark.parametrize("rank", sorted(TYPES_BY_RANK))
+def test_a_component_is_built_for_the_listed_types_only(rank):
+    for letter in RANKS:
+        listed = (letter, rank) in TYPES_BY_RANK[rank]
+        try:
+            Component(letter, rank, tuple(range(rank)))
+        except NonFiniteDiagram:
+            assert not listed, (letter, rank)
+        else:
+            assert listed, (letter, rank)
 
 
 def test_irreducible_subsets_of_rank_32():
